@@ -14,6 +14,7 @@ package centurion
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -136,7 +137,7 @@ func TestCheckpointForkBitIdentity(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/dense=%v", m.name, topo, dense), func(t *testing.T) {
 					cfg := DefaultConfig(m.factory, m.mapper, 7)
 					cfg.Topology = topo
-					cfg.DenseStepping = dense
+					cfg.denseStepping = dense
 					probe := New(cfg)
 					sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, 7)
 					forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return New(cfg) })
@@ -220,6 +221,37 @@ func TestCheckpointMegaFabric(t *testing.T) {
 	probe := New(cfg)
 	sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 3, Nodes: 12}, 21)
 	forkCheck(t, cfg, sched, 5, 10, func(*Checkpoint) *Platform { return New(cfg) })
+}
+
+// TestCheckpointBytesPinned pins the CENCKPT1 wire format across refactors
+// of the state it serializes: the encoded checkpoint of a fixed run must keep
+// its exact length and SHA-256, on a single-tile fabric (whose one active set
+// travels in the whole-fabric slot with an empty tile list) and on the
+// auto-tiled 64×64 (zeroed whole-fabric words plus four tile sets). A
+// checkpoint written before such a refactor must restore after it.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		w, h  int
+		bytes int
+		sum   string
+	}{
+		{16, 8, 281587, "d7ac46ee6011b279dbb34d525c7ead9f971fef78379971e6becf84c7d8d0c630"},
+		{64, 64, 24996539, "f87246f6cf35ab70a8dad6c35b42ddbdf40b7d6cf9f250cfaa03e22cb4101d0c"},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", c.w, c.h), func(t *testing.T) {
+			if c.w > 16 && testing.Short() {
+				t.Skip("64×64 pin skipped in -short mode")
+			}
+			cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 7)
+			cfg.Width, cfg.Height = c.w, c.h
+			p := New(cfg)
+			p.RunFor(sim.Ms(30), nil)
+			data := EncodeCheckpoint(p.Snapshot())
+			if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != c.bytes || sum != c.sum {
+				t.Errorf("checkpoint is %d bytes, sha256 %s; pinned %d bytes, %s", len(data), sum, c.bytes, c.sum)
+			}
+		})
+	}
 }
 
 // TestCheckpointCodecRoundTrip is the cross-process determinism proof:

@@ -92,18 +92,12 @@ func (c *Controller) BroadcastConfig(op noc.ConfigOp, arg, arg2 int) (sent int, 
 	return sent, err
 }
 
-// ScheduleFaults arranges fault injection at an absolute tick through the
-// debug interface (out-of-band, as on the real platform).
-func (c *Controller) ScheduleFaults(at sim.Tick, nodes []noc.NodeID) {
-	c.p.Schedule(at, func(now sim.Tick) { c.p.InjectFaults(nodes) })
-}
-
 // ApplySchedule arranges every event of a fault schedule on the simulation
 // event queue. Each event is an ordinary scheduled callback, so idle
 // fast-forward treats the whole hostile timeline as wake sources and the
 // same-tick ordering of the schedule is the queue's insertion order — a
-// single-event kill schedule goes through the exact code path
-// ScheduleFaults uses. Call it once per run, after Reset (which clears the
+// single-event kill schedule is exactly one scheduled InjectFaults call.
+// Call it once per run, after Reset (which clears the
 // queue) — or after Restore, which also clears the queue: events whose tick
 // already passed at the restore point are skipped (their effects are baked
 // into the checkpoint), while events at or after the restore tick re-arm.

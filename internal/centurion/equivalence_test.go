@@ -30,12 +30,18 @@ type steppingSnapshot struct {
 	work     [][3]uint64        // per-node Generated, Processed, Switches
 }
 
+// scheduleKill arranges a kill wave at an absolute tick as one bare event-queue
+// callback — the reference the fault-schedule engine is anchored against.
+func scheduleKill(p *Platform, at sim.Tick, nodes []noc.NodeID) {
+	p.Schedule(at, func(sim.Tick) { p.InjectFaults(nodes) })
+}
+
 // driveStepping runs a (fresh or reset) platform for 200 ms and snapshots
 // its observable state. The fault plan (nil = fault-free) is injected through
 // the controller at 50 ms.
 func driveStepping(p *Platform, faultNodes []noc.NodeID) steppingSnapshot {
 	if len(faultNodes) > 0 {
-		NewController(p).ScheduleFaults(sim.Ms(50), faultNodes)
+		scheduleKill(p, sim.Ms(50), faultNodes)
 	}
 	const windows = 200 // 200 ms at 1 ms per window
 	snap := steppingSnapshot{series: make([]uint64, windows)}
@@ -58,7 +64,7 @@ func driveStepping(p *Platform, faultNodes []noc.NodeID) steppingSnapshot {
 
 // runStepping executes one fresh-platform run and snapshots it.
 func runStepping(cfg Config, dense bool, faultNodes []noc.NodeID) steppingSnapshot {
-	cfg.DenseStepping = dense
+	cfg.denseStepping = dense
 	return driveStepping(New(cfg), faultNodes)
 }
 

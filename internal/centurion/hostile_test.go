@@ -5,8 +5,8 @@ package centurion
 //
 //  1. An empty schedule is bit-identical to no schedule at all — arming the
 //     engine costs nothing observable.
-//  2. A single-instant death schedule is bit-identical to the legacy
-//     ScheduleFaults path it replaces, fresh and across pooled Reset reuse.
+//  2. A single-instant death schedule is bit-identical to the bare scheduled
+//     InjectFaults call it replaced, fresh and across pooled Reset reuse.
 //  3. Hostile timelines (churn, flaky links, cascades, byzantine routers)
 //     are themselves deterministic: dense and activity-tracked stepping
 //     agree tick for tick, and a dirtied, Reset platform replays the exact
@@ -60,7 +60,7 @@ func TestFaultScheduleEmptyBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/dense=%v", topo, dense), func(t *testing.T) {
 				cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
 				cfg.Topology = topo
-				cfg.DenseStepping = dense
+				cfg.denseStepping = dense
 				bare := driveStepping(New(cfg), nil)
 				armed := driveHostile(New(cfg), faults.Schedule{})
 				compareSnapshots(t, bare, armed)
@@ -92,8 +92,7 @@ func TestFaultScheduleLegacyDeathBitIdentical(t *testing.T) {
 
 					legacy := New(cfg)
 					nodes := faults.RandomNodes(legacy.Topo, 12, sim.NewRNG(seed^0xfa17517e5eed))
-					NewController(legacy).ScheduleFaults(sim.Ms(50), nodes)
-					want := driveStepping(legacy, nil)
+					want := driveStepping(legacy, nodes)
 
 					engine := New(cfg)
 					sched := buildHostile(t, engine, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, seed)
@@ -121,8 +120,7 @@ func TestFaultScheduleLegacyDeathPooledReuse(t *testing.T) {
 				refCfg.Seed = seed
 				legacy := New(refCfg)
 				nodes := faults.RandomNodes(legacy.Topo, 12, sim.NewRNG(seed^0xfa17517e5eed))
-				NewController(legacy).ScheduleFaults(sim.Ms(50), nodes)
-				want := driveStepping(legacy, nil)
+				want := driveStepping(legacy, nodes)
 
 				reused.Reset(seed)
 				sched := buildHostile(t, reused, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, seed)
@@ -143,11 +141,11 @@ func TestHostileSteppingEquivalence(t *testing.T) {
 				cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
 				cfg.Topology = topo
 
-				cfg.DenseStepping = true
+				cfg.denseStepping = true
 				dp := New(cfg)
 				dense := driveHostile(dp, buildHostile(t, dp, prof, 5))
 
-				cfg.DenseStepping = false
+				cfg.denseStepping = false
 				ap := New(cfg)
 				active := driveHostile(ap, buildHostile(t, ap, prof, 5))
 				compareSnapshots(t, dense, active)

@@ -62,14 +62,15 @@ type Config struct {
 	// hysteresis threshold (the paper's frequency knob, 10–300 MHz on the
 	// real platform).
 	ThermalDVFS bool
-	// DenseStepping selects the reference stepping core: every PE, router
+	// denseStepping selects the reference stepping core: every PE, router
 	// and AIM is touched on every tick, as the original implementation did.
-	// The default (false) is the activity-tracked core — idle PEs park in
-	// the event queue, only routers holding traffic are serviced, and only
-	// stimulated engines are polled — which is bit-identical by contract
-	// (enforced by TestSteppingEquivalence) but orders of magnitude cheaper
-	// at steady state.
-	DenseStepping bool
+	// Unexported: it is the in-package equivalence suites' oracle, not a
+	// production knob. Every platform outside those tests runs the
+	// activity-tracked core — idle PEs park in the event queue, only routers
+	// holding traffic are serviced, and only stimulated engines are polled —
+	// which is bit-identical by contract (enforced by TestSteppingEquivalence)
+	// but orders of magnitude cheaper at steady state.
+	denseStepping bool
 }
 
 // DefaultConfig returns the paper's experiment configuration with the given
@@ -786,7 +787,7 @@ func (p *Platform) Step() {
 	now := p.clock.Now()
 	p.events.RunDue(now)
 	p.stepThermal(now)
-	if p.Cfg.DenseStepping {
+	if p.Cfg.denseStepping {
 		p.stepDense(now)
 	} else {
 		p.peSet.Sweep(func(id int) bool {
@@ -850,7 +851,7 @@ func (p *Platform) pollEngine(id int, now sim.Tick) bool {
 			fired = true
 		}
 	}
-	if !p.Cfg.DenseStepping && !p.engPollAll {
+	if !p.Cfg.denseStepping && !p.engPollAll {
 		if w := p.engWaker[id]; w != nil {
 			if at, has := w.NextDecide(now); has {
 				p.engWake.schedule(id, at)
@@ -930,7 +931,7 @@ func (p *Platform) RunFor(d sim.Tick, onTick func(now sim.Tick)) {
 // capped at end. It is a no-op unless the active stepping core is in use and
 // every component is parked.
 func (p *Platform) fastForward(end sim.Tick) {
-	if p.Cfg.DenseStepping || p.engPollAll {
+	if p.Cfg.denseStepping || p.engPollAll {
 		return
 	}
 	if !p.peSet.Empty() || !p.engSet.Empty() || p.Net.ActiveRouters() > 0 {

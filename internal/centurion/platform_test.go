@@ -105,7 +105,9 @@ func TestFFWAdaptsAfterFaults(t *testing.T) {
 func TestScheduledFaultsViaController(t *testing.T) {
 	p := heuristicPlatform(9)
 	ctl := NewController(p)
-	ctl.ScheduleFaults(sim.Ms(50), []noc.NodeID{0, 1, 2})
+	ctl.ApplySchedule(faults.Schedule{Events: []faults.Event{
+		{At: sim.Ms(50), Op: faults.OpKill, Nodes: []noc.NodeID{0, 1, 2}},
+	}})
 	p.RunFor(sim.Ms(49), nil)
 	if !p.Net.Alive(0) {
 		t.Fatal("fault fired early")

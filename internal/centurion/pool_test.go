@@ -65,8 +65,7 @@ func TestPacketConservation(t *testing.T) {
 			p := New(DefaultConfig(m.factory, m.mapper, 11))
 			// Heavy faults drive drops, retargets, join GC and deadlock
 			// recovery — the lifecycle's hard paths.
-			NewController(p).ScheduleFaults(sim.Ms(50),
-				faults.RandomNodes(p.Topo, 32, sim.NewRNG(0xbeef)))
+			scheduleKill(p, sim.Ms(50), faults.RandomNodes(p.Topo, 32, sim.NewRNG(0xbeef)))
 			p.RunFor(sim.Ms(200), nil)
 
 			if p.Counters().PacketsDropped == 0 {
@@ -79,8 +78,7 @@ func TestPacketConservation(t *testing.T) {
 
 func TestPacketConservationAcrossReset(t *testing.T) {
 	p := New(DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3))
-	NewController(p).ScheduleFaults(sim.Ms(30),
-		faults.RandomNodes(p.Topo, 16, sim.NewRNG(1)))
+	scheduleKill(p, sim.Ms(30), faults.RandomNodes(p.Topo, 16, sim.NewRNG(1)))
 	p.RunFor(sim.Ms(120), nil)
 	checkConservation(t, p, 0)
 
@@ -114,8 +112,7 @@ func TestArenaBooksAcrossResetAllTopologies(t *testing.T) {
 			cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 9)
 			cfg.Topology = topo
 			p := New(cfg)
-			NewController(p).ScheduleFaults(sim.Ms(30),
-				faults.RandomNodes(p.Topo, 16, sim.NewRNG(0xfee1)))
+			scheduleKill(p, sim.Ms(30), faults.RandomNodes(p.Topo, 16, sim.NewRNG(0xfee1)))
 			p.RunFor(sim.Ms(120), nil)
 			if p.Counters().PacketsDropped == 0 {
 				t.Error("faulted run dropped nothing; the books check is vacuous")
@@ -138,8 +135,7 @@ func TestArenaBooksAcrossResetAllTopologies(t *testing.T) {
 			// The reset platform re-runs (with fresh faults) on recycled
 			// storage and the books still balance.
 			base := acquired(p)
-			NewController(p).ScheduleFaults(sim.Ms(20),
-				faults.RandomNodes(p.Topo, 8, sim.NewRNG(0xfee2)))
+			scheduleKill(p, sim.Ms(20), faults.RandomNodes(p.Topo, 8, sim.NewRNG(0xfee2)))
 			p.RunFor(sim.Ms(100), nil)
 			checkConservation(t, p, base)
 		})

@@ -14,7 +14,6 @@ import (
 	"centurion/internal/centurion"
 	"centurion/internal/faults"
 	"centurion/internal/metrics"
-	"centurion/internal/noc"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
@@ -69,8 +68,8 @@ type Spec struct {
 	// FaultProfile, when non-nil, compiles into a full hostile-environment
 	// fault schedule (death, churn, flaky links, cascades, byzantine
 	// routers — see faults.Profile) executed through the event queue. It is
-	// mutually exclusive with the legacy FaultAtMs/NumFaults pair; a death
-	// profile reproduces that pair bit for bit.
+	// mutually exclusive with the FaultAtMs/NumFaults pair, which is
+	// shorthand for a death profile (see faultProfile).
 	FaultProfile *faults.Profile
 	// WindowMs is the metric sampling window (1 ms by default).
 	WindowMs int
@@ -235,6 +234,17 @@ func RunContext(ctx context.Context, spec Spec, progress Progress) (Result, erro
 	return runCtx(ctx, spec, progress, nil, nil)
 }
 
+// faultProfile returns the spec's fault plan as a profile: the explicit one,
+// or the FaultAtMs/NumFaults pair as the single death wave it denotes (same
+// fault-site draws, same kill instant). nil means fault-free. Every fault
+// reaches the platform through faults.Build + ApplySchedule.
+func faultProfile(spec Spec) *faults.Profile {
+	if spec.FaultProfile == nil && spec.NumFaults > 0 && spec.FaultAtMs > 0 {
+		return &faults.Profile{Kind: faults.KindDeath, AtMs: spec.FaultAtMs, Nodes: spec.NumFaults}
+	}
+	return spec.FaultProfile
+}
+
 // runCtx is the shared execution core behind RunContext and RunResumable.
 func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckpoint, hook *CheckpointHook) (Result, error) {
 	if spec.DurationMs <= 0 {
@@ -249,28 +259,21 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 	defer release()
 	ctl := centurion.NewController(p)
 
-	// Fault plan through the controller's debug interface. A profile
-	// compiles into a full hostile-environment schedule; the legacy
-	// FaultAtMs/NumFaults pair stays byte-for-byte on its historical path.
-	// The plan is built here but armed only after the warm-start decision
-	// below: restoring a checkpoint clears the event queue, so the schedule
-	// must land after any fork (ApplySchedule skips already-fired events;
-	// nothing fires before the divergence boundary by construction).
+	// Fault plan through the controller's debug interface: the profile
+	// compiles into a schedule (its fault-site RNG stream is derived from the
+	// seed but independent of the platform's own). The plan is built here but
+	// armed only after the warm-start decision below: restoring a checkpoint
+	// clears the event queue, so the schedule must land after any fork
+	// (ApplySchedule skips already-fired events; nothing fires before the
+	// divergence boundary by construction).
+	prof := faultProfile(spec)
 	var sched faults.Schedule
-	var legacyAt sim.Tick
-	var legacyNodes []noc.NodeID
-	if spec.FaultProfile != nil {
+	if prof != nil {
 		var err error
-		sched, err = faults.Build(p.Topo, spec.Seed, *spec.FaultProfile, spec.DurationMs)
+		sched, err = faults.Build(p.Topo, spec.Seed, *prof, spec.DurationMs)
 		if err != nil {
 			return Result{Spec: spec}, err
 		}
-	} else if spec.NumFaults > 0 && spec.FaultAtMs > 0 {
-		// The fault-site RNG stream is derived from the seed but independent
-		// of the platform's own stream.
-		faultRNG := sim.NewRNG(spec.Seed ^ 0xfa17517e5eed)
-		legacyAt = sim.Ms(float64(spec.FaultAtMs))
-		legacyNodes = faults.RandomNodes(p.Topo, spec.NumFaults, faultRNG)
 	}
 
 	windows := spec.DurationMs / spec.WindowMs
@@ -348,7 +351,7 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 		}
 		startWin = div
 	} else if warmApplicable(spec) {
-		if div := warmDivergenceWin(spec, sched, legacyAt, windows, windowTicks); div > 0 {
+		if div := warmDivergenceWin(sched, windows, windowTicks); div > 0 {
 			key := warmKeyOf(spec, div)
 			if e, ok := warmCache.get(key); ok {
 				copy(res.Throughput.Values[:div], e.thr)
@@ -382,11 +385,7 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 
 	// Arm the fault plan (on a fork: re-arm — the restore cleared the queue
 	// and the events at or after the boundary are exactly the unfired ones).
-	if spec.FaultProfile != nil {
-		ctl.ApplySchedule(sched)
-	} else if len(legacyNodes) > 0 {
-		ctl.ScheduleFaults(legacyAt, legacyNodes)
-	}
+	ctl.ApplySchedule(sched)
 
 	for w := startWin; w < windows; w++ {
 		if err := ctx.Err(); err != nil {
@@ -443,13 +442,17 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 
 	par := metrics.DefaultSettleParams()
 	faultIdx := windows
-	if spec.FaultProfile != nil {
+	if prof != nil {
 		// The profile has been validated by Build above; its normalized
-		// start time splits steady from hostile, exactly like FaultAtMs.
-		prof, _ := spec.FaultProfile.Normalized(spec.DurationMs)
-		if fi := prof.AtMs / spec.WindowMs; fi > 0 && fi < windows {
+		// start time splits steady from hostile.
+		norm, _ := prof.Normalized(spec.DurationMs)
+		if fi := norm.AtMs / spec.WindowMs; fi > 0 && fi < windows {
 			faultIdx = fi
 		}
+	}
+	if spec.FaultProfile != nil {
+		// Byzantine totals and per-wave recovery are reported for explicit
+		// profiles only: a FaultAtMs/NumFaults pair keeps its Result shape.
 		ns := p.Net.Stats()
 		res.ByzMisrouted = ns.ByzMisrouted
 		res.ByzDropped = ns.ByzDropped
@@ -468,8 +471,6 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 			rec.RecoveryMs, rec.Recovered = metrics.SettlingTime(res.Throughput, start, end, par)
 			res.Waves = append(res.Waves, rec)
 		}
-	} else if spec.NumFaults > 0 && spec.FaultAtMs > 0 {
-		faultIdx = spec.FaultAtMs / spec.WindowMs
 	}
 	res.SettlingMs, res.Settled = metrics.SettlingTime(res.Throughput, 0, faultIdx, par)
 	res.SteadyRate = res.Throughput.MeanRange(faultIdx-faultIdx/4, faultIdx) / float64(spec.WindowMs)

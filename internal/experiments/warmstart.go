@@ -136,14 +136,10 @@ func warmApplicable(spec Spec) bool {
 // warmDivergenceWin returns the divergence boundary in whole windows: the
 // last window boundary at or before the first fault event (the whole run for
 // fault-free specs). A prefix of zero windows is not worth caching.
-func warmDivergenceWin(spec Spec, sched faults.Schedule, legacyAt sim.Tick, windows int, windowTicks sim.Tick) int {
+func warmDivergenceWin(sched faults.Schedule, windows int, windowTicks sim.Tick) int {
 	div := windows
-	if spec.FaultProfile != nil {
-		if len(sched.Events) > 0 {
-			div = int(sched.Events[0].At / windowTicks)
-		}
-	} else if legacyAt > 0 {
-		div = int(legacyAt / windowTicks)
+	if len(sched.Events) > 0 {
+		div = int(sched.Events[0].At / windowTicks)
 	}
 	if div > windows {
 		div = windows
@@ -172,8 +168,7 @@ func WarmPrefixKey(spec Spec) (string, bool) {
 	}
 	windowTicks := sim.Tick(spec.WindowMs) * sim.TicksPerMs
 	var sched faults.Schedule
-	var legacyAt sim.Tick
-	if spec.FaultProfile != nil {
+	if prof := faultProfile(spec); prof != nil {
 		w, h := spec.Width, spec.Height
 		if w <= 0 {
 			w = 16
@@ -185,14 +180,12 @@ func WarmPrefixKey(spec Spec) (string, bool) {
 		if err != nil {
 			return "", false
 		}
-		sched, err = faults.Build(topo, spec.Seed, *spec.FaultProfile, spec.DurationMs)
+		sched, err = faults.Build(topo, spec.Seed, *prof, spec.DurationMs)
 		if err != nil {
 			return "", false
 		}
-	} else if spec.NumFaults > 0 && spec.FaultAtMs > 0 {
-		legacyAt = sim.Ms(float64(spec.FaultAtMs))
 	}
-	div := warmDivergenceWin(spec, sched, legacyAt, windows, windowTicks)
+	div := warmDivergenceWin(sched, windows, windowTicks)
 	if div <= 0 {
 		return "", false
 	}

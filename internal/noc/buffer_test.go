@@ -45,7 +45,7 @@ func TestRingFIFO(t *testing.T) {
 		if p.ID != i {
 			t.Fatalf("head %d returned packet #%d", i, p.ID)
 		}
-		net.popIn(0, st, North)
+		net.popIn(nil, 0, st, North)
 	}
 	if st.rings[North].n != 0 || st.rings[North].used != 0 {
 		t.Fatalf("drained ring not empty: %+v", st.rings[North])
@@ -87,7 +87,7 @@ func TestRingWrapAround(t *testing.T) {
 		if p.ID != want {
 			t.Fatalf("round %d: popped %d, want %d", round, p.ID, want)
 		}
-		net.popIn(0, st, West)
+		net.popIn(nil, 0, st, West)
 		net.Pool().Put(p)
 		want++
 	}
@@ -96,7 +96,7 @@ func TestRingWrapAround(t *testing.T) {
 		if p.ID != want {
 			t.Fatalf("drain: popped %d, want %d", p.ID, want)
 		}
-		net.popIn(0, st, West)
+		net.popIn(nil, 0, st, West)
 		net.Pool().Put(p)
 		want++
 	}

@@ -54,11 +54,10 @@ type Params struct {
 	// Mode selects the routing strategy (default RouteAuto).
 	Mode RoutingMode
 	// Tiles partitions the router ID space into row-band tiles for the
-	// parallel tick kernel (DESIGN.md §14). 0 auto-sizes from the grid
-	// (one tile below 2048 nodes — the legacy serial kernel); 1 forces the
-	// legacy kernel. Tiling is SEMANTIC: it fixes the cross-boundary
-	// service order, so it must be derived from the spec, never from the
-	// host machine.
+	// tick kernel (DESIGN.md §14). 0 auto-sizes from the grid (one tile
+	// below 2048 nodes); 1 = one tile. Tiling is SEMANTIC: it fixes the
+	// cross-boundary service order, so it must be derived from the spec,
+	// never from the host machine.
 	Tiles int
 	// Workers caps the goroutines sweeping tiles within one Tick. 0 uses
 	// GOMAXPROCS. Purely a runtime throttle — results are bit-identical
@@ -136,6 +135,11 @@ type routerState struct {
 	// in what was the record's padding byte, so fault-health tracking costs
 	// the hot path no cache footprint.
 	linkDown uint8
+	// tile is the index of the tile owning this router (fixed at
+	// construction), in the two padding bytes before the rings: the kernel
+	// finds a neighbour's tile and active set from the record it is about to
+	// touch anyway.
+	tile uint16
 	// rings are the per-port input FIFOs over the network's shared slot
 	// slice; linkBusy is the tick until which each output link is
 	// serialising a transfer; blockedAt is when each port's head packet
@@ -163,11 +167,6 @@ type Network struct {
 	// whole-fabric iteration.
 	routers []*Router
 	uniq    []*Router
-
-	// active tracks routers with queued packets. A router enrolls on any
-	// ring push and retires once drained, so Tick sweeps only the part of
-	// the fabric actually carrying traffic instead of every router.
-	active *sim.ActiveSet
 
 	// pool is the packet arena every handle in the rings resolves against.
 	// The platform shares it (Env.NewPacket draws from it), so fabric and
@@ -202,13 +201,11 @@ type Network struct {
 	// path, like the FPGA's router). See liveHop.
 	huge bool
 
-	// width caches Topo.Width() for the row→tile map; tiles/tileRowIdx/
-	// scratch/crew are the parallel tiled kernel (tile.go; nil tiles = the
-	// legacy single-tile kernel). stagedOps/drainedOps count staged
-	// boundary services and their merge drains for the property tests.
-	width      int
+	// tiles are the K ≥ 1 row bands the kernel sweeps, each with its own
+	// active-router set; scratch and crew exist only when K > 1 (tile.go).
+	// stagedOps/drainedOps count staged boundary services and their merge
+	// drains for the property tests.
 	tiles      []netTile
-	tileRowIdx []int32
 	scratch    []tileScratch
 	crew       *tickCrew
 	stagedOps  uint64
@@ -271,8 +268,7 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 		// encoding. 1<<20 admits exactly the 1024×1024 mega fabric.
 		panic("noc: topology exceeds the 1,048,576-node limit of the fabric layout")
 	}
-	n := &Network{Topo: topo, cfg: cfg, nodes: nodes, active: sim.NewActiveSet(nodes)}
-	n.width = topo.Width()
+	n := &Network{Topo: topo, cfg: cfg, nodes: nodes}
 	n.huge = nodes > hugeNodes
 	n.routers = make([]*Router, nodes)
 	for id := 0; id < nodes; id++ {
@@ -341,9 +337,7 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 	if k == 0 {
 		k = autoTiles(topo.Width(), topo.Height())
 	}
-	if k > 1 {
-		n.buildTiles(k)
-	}
+	n.buildTiles(k)
 	if cfg.Mode == RouteTables && !n.huge {
 		n.RecomputeRoutes()
 	} else {
@@ -421,39 +415,23 @@ func (n *Network) UniqueRouters() []*Router { return n.uniq }
 func (n *Network) Stats() NetworkStats { return n.stats }
 
 // Tick advances the fabric by one cycle. It is the fused network kernel:
-// one pass over the active set, servicing each enrolled router's occupied
-// ports directly against the flat state records, in ascending node-ID order
-// — the same order as the dense full scan — so results are bit-identical to
-// TickDense (a router with no queued packets is a no-op tick either way;
-// its round-robin pointer only advances while traffic is buffered).
-func (n *Network) Tick(now sim.Tick) {
-	if n.tiles != nil {
-		n.tickTiled(now, false)
-		return
-	}
-	n.active.Sweep(func(id int) bool {
-		st := &n.state[id]
-		n.tickRouter(id, st, now)
-		return st.queued > 0 && !st.faulty
-	})
-}
+// one pass over each tile's active set, servicing each enrolled router's
+// occupied ports directly against the flat state records, in ascending
+// node-ID order — the same order as the dense full scan — so results are
+// bit-identical to TickDense (a router with no queued packets is a no-op
+// tick either way; its round-robin pointer only advances while traffic is
+// buffered).
+func (n *Network) Tick(now sim.Tick) { n.tick(now, false) }
 
 // TickDense advances every router by one cycle, active or not — the
-// pre-active-set reference scan kept for the stepping-equivalence tests.
-// On a tiled fabric the dense scan runs tile by tile with the same staged
-// merge, so dense and active stepping stay bit-identical at every tile
-// count.
-func (n *Network) TickDense(now sim.Tick) {
-	if n.tiles != nil {
-		n.tickTiled(now, true)
-		return
-	}
-	for _, r := range n.uniq {
-		n.tickRouter(int(r.ID), &n.state[r.ID], now)
-	}
-}
+// pre-active-set reference scan kept for the stepping-equivalence tests. It
+// runs tile by tile with the same staged merge, so dense and active stepping
+// stay bit-identical at every tile count.
+func (n *Network) TickDense(now sim.Tick) { n.tick(now, true) }
 
-// tickRouter advances one router by one cycle.
+// tickRouter advances one router by one cycle. ctx is the staging context
+// (tile.go): non-nil only during a multi-tile sweep, where effects that
+// would escape the tile are staged for the merge instead of applied.
 //
 // Service discipline: each tick the router scans its input ports starting
 // from a rotating offset (round-robin fairness) and tries to advance each
@@ -462,7 +440,7 @@ func (n *Network) TickDense(now sim.Tick) {
 // wormhole channel. A head packet blocked for longer than the deadlock limit
 // is ejected through the recovery path — the paper's "basic deadlock
 // recovery mechanism".
-func (n *Network) tickRouter(id int, st *routerState, now sim.Tick) {
+func (n *Network) tickRouter(ctx *tileScratch, id int, st *routerState, now sim.Tick) {
 	// Fast path: idle routers do nothing, which keeps 100-run sweeps cheap.
 	// (The active-set sweep normally skips them before this check; direct
 	// callers get the same answer from the O(1) counter.)
@@ -510,7 +488,7 @@ func (n *Network) tickRouter(id int, st *routerState, now sim.Tick) {
 		if port >= NumPorts {
 			port -= NumPorts
 		}
-		if at, ok := n.servicePort(id, st, port, now); ok {
+		if at, ok := n.servicePort(ctx, id, st, port, now); ok {
 			if at < quiet {
 				quiet = at
 			}
@@ -548,7 +526,7 @@ func (n *Network) headSlot(st *routerState, port Port) *ringSlot {
 // port provably cannot act before arrival — its head packet's tail flit is
 // still in transit — and (0, false) whenever it did or might have done
 // observable work this tick.
-func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) (sim.Tick, bool) {
+func (n *Network) servicePort(ctx *tileScratch, id int, st *routerState, port Port, now sim.Tick) (sim.Tick, bool) {
 	rm := &st.rings[port]
 	if rm.n == 0 {
 		return 0, false
@@ -579,7 +557,7 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 		out = n.liveHop(NodeID(id), s.dst)
 	}
 	if out == Local {
-		return n.deliverLocal(id, st, port, s, now)
+		return n.deliverLocal(ctx, id, st, port, s, now)
 	}
 
 	// Task-addressed absorption: an en-route owner of the packet's task may
@@ -594,12 +572,12 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 		task := taskID(s.task)
 		n.pool.Deref(s.id).Hops = int(s.hops)
 		if r.Absorb(s.id, task, now) {
-			n.popIn(id, st, port)
+			n.popIn(ctx, id, st, port)
 			r.Stats.Delivered++
 			if r.Monitors.InternalDelivery != nil {
 				r.Monitors.InternalDelivery(task, now)
 			}
-			n.stats.Delivered++
+			n.countDelivered(ctx)
 			return 0, false
 		}
 	}
@@ -609,9 +587,17 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 		// packet to the recovery path so the platform can retarget it.
 		pkt := n.pool.Deref(s.id)
 		pkt.Hops = int(s.hops)
-		n.popIn(id, st, port)
-		n.recoverAt(id, pkt, now)
+		n.popIn(ctx, id, st, port)
+		n.recoverAt(ctx, id, pkt, now)
 		return 0, false
+	}
+	if ctx != nil {
+		if next := st.nbr[out]; next >= 0 && n.state[next].tile != ctx.tile {
+			// Boundary crossing: the neighbour's rings belong to another tile.
+			// Leave the head in place; the merge re-runs this exact service.
+			ctx.stageSvc(id, port)
+			return 0, false
+		}
 	}
 	// Byzantine interference sits behind a single bool load so the healthy
 	// forward path is untouched; armed routers may misroute, drop or
@@ -621,7 +607,7 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 			return 0, false
 		}
 	}
-	if n.tryForward(id, st, port, out, s, now) {
+	if n.forward(ctx, id, st, port, out, s, now, false) {
 		return 0, false
 	}
 	// Head is blocked: track for deadlock recovery. BlockedTicks counts
@@ -634,7 +620,7 @@ func (n *Network) servicePort(id int, st *routerState, port Port, now sim.Tick) 
 	if st.blockedAt[port] == 0 {
 		st.blockedAt[port] = now
 	} else if r.deadlockLimit > 0 && now-st.blockedAt[port] >= r.deadlockLimit {
-		n.recoverBlocked(id, st, port, s, now)
+		n.recoverBlocked(ctx, id, st, port, s, now)
 		return 0, false
 	}
 	return blockedWake(st.blockedAt[port], r.deadlockLimit, s, st.linkBusy[out], now), true
@@ -665,7 +651,7 @@ func blockedWake(blockedAt, limit sim.Tick, s *ringSlot, linkBusy, now sim.Tick)
 }
 
 // pushPacket enqueues a packet whose authoritative state lives in the
-// arena (injection and recovery-rotation entry points — tryForward is the
+// arena (injection and recovery-rotation entry points — forward is the
 // other ring-push site, copying slot to slot in place), building its ring
 // slot from the packet fields. Capacity is checked before anything else: a
 // back-pressured injection (the common case for a stalled outbox retrying
@@ -718,7 +704,7 @@ func (n *Network) pushPacket(id int, port Port, p *Packet, readyAt sim.Tick) boo
 	st.queued++
 	st.occ |= 1 << port
 	st.quiet = 0
-	n.actAdd(id)
+	n.actAdd(id, st)
 	return true
 }
 
@@ -727,7 +713,7 @@ func (n *Network) pushPacket(id int, port Port, p *Packet, readyAt sim.Tick) boo
 // blocked-since timestamp: whatever happens to the packet next (forward,
 // deliver, recover, drop), the successor head starts a fresh deadlock
 // countdown.
-func (n *Network) popIn(id int, st *routerState, port Port) {
+func (n *Network) popIn(ctx *tileScratch, id int, st *routerState, port Port) {
 	rm := &st.rings[port]
 	s := &n.slots[rm.head]
 	rm.used -= ringFlits(s.flits)
@@ -745,11 +731,16 @@ func (n *Network) popIn(id int, st *routerState, port Port) {
 	// symmetric, so the upstream router is this port's neighbour); wake it
 	// from a blocked park. Stirring mid-sweep follows the active set's
 	// cursor rule, which reproduces the dense scan's same-tick ordering
-	// exactly.
+	// exactly; an upstream router in another tile is stirred by the merge,
+	// after the barrier.
 	if st.refused&(1<<port) != 0 {
 		st.refused &^= 1 << port
 		if up := st.nbr[port]; up >= 0 {
-			n.stirRouter(int(up))
+			if ctx != nil && n.state[up].tile != ctx.tile {
+				ctx.stirs = append(ctx.stirs, up)
+			} else {
+				n.stirRouter(int(up))
+			}
 		}
 	}
 }
@@ -760,7 +751,7 @@ func (n *Network) stirRouter(id int) {
 	st := &n.state[id]
 	if st.queued > 0 && !st.faulty {
 		st.quiet = 0
-		n.actAdd(id)
+		n.actAdd(id, st)
 	}
 }
 
@@ -783,19 +774,15 @@ func (n *Network) Stir(id NodeID) {
 	n.stirRouter(int(n.routers[id].ID))
 }
 
-// tryForward moves a head packet one hop out of port out. The ring slot is
+// forward moves a head packet one hop out of port out. The ring slot is
 // copied to the neighbour's ring — the packet itself is not touched (its
 // hop counter travels in the slot; a pending requeue count is the rare
 // exception) — the output link goes busy for the packet's flit count, and
-// the transfer is reported to the routing monitor.
-func (n *Network) tryForward(id int, st *routerState, inPort, out Port, s *ringSlot, now sim.Tick) bool {
-	return n.forward(id, st, inPort, out, s, now, false)
-}
-
-// forward is tryForward's body. keep=true transfers a copy but retains the
-// local head (the byzantine duplication path); the fault-free path always
-// passes false.
-func (n *Network) forward(id int, st *routerState, inPort, out Port, s *ringSlot, now sim.Tick, keep bool) bool {
+// the transfer is reported to the routing monitor. keep=true transfers a
+// copy but retains the local head (the byzantine duplication path); the
+// fault-free path always passes false. With a non-nil ctx the caller has
+// established that the neighbour is in ctx's tile.
+func (n *Network) forward(ctx *tileScratch, id int, st *routerState, inPort, out Port, s *ringSlot, now sim.Tick, keep bool) bool {
 	if (st.disabled|st.linkDown)&(1<<out) != 0 {
 		return false
 	}
@@ -839,10 +826,10 @@ func (n *Network) forward(id int, st *routerState, inPort, out Port, s *ringSlot
 	nst.queued++
 	nst.occ |= 1 << inSide
 	nst.quiet = 0
-	n.actAdd(int(next))
+	n.actAdd(int(next), nst)
 
 	if !keep {
-		n.popIn(id, st, inPort)
+		n.popIn(ctx, id, st, inPort)
 	}
 	st.linkBusy[out] = now + dur
 	if requeued {
@@ -864,10 +851,10 @@ func (n *Network) forward(id int, st *routerState, inPort, out Port, s *ringSlot
 // through the recovery path (retarget or drop) — the "release deadlocked
 // packets" behaviour of the paper's router, which is explicitly not
 // guaranteed to resolve every deadlock.
-func (n *Network) recoverBlocked(id int, st *routerState, port Port, s *ringSlot, now sim.Tick) {
+func (n *Network) recoverBlocked(ctx *tileScratch, id int, st *routerState, port Port, s *ringSlot, now sim.Tick) {
 	pkt := n.pool.Deref(s.id)
 	pkt.Hops = int(s.hops)
-	n.popIn(id, st, port)
+	n.popIn(ctx, id, st, port)
 	r := n.routers[id]
 	r.Stats.Recovered++
 	if r.Monitors.Recovery != nil {
@@ -880,7 +867,7 @@ func (n *Network) recoverBlocked(id int, st *routerState, port Port, s *ringSlot
 		return
 	}
 	pkt.requeues = 0
-	n.recoverAt(id, pkt, now)
+	n.recoverAt(ctx, id, pkt, now)
 }
 
 // byzMeddle gives an armed byzantine router its chance to interfere with a
@@ -889,7 +876,9 @@ func (n *Network) recoverBlocked(id int, st *routerState, port Port, s *ringSlot
 // byzantine action itself); false hands the head back to the honest path.
 // Every draw comes from the router's private seeded RNG and happens only
 // inside service visits, which are identical under dense and active
-// stepping — so byzantine runs stay bit-reproducible.
+// stepping — so byzantine runs stay bit-reproducible. Its effects (arena
+// clones, alternate-port pushes, direct drops) always apply directly: armed
+// routers force a one-worker sweep, so no staging context is needed.
 func (n *Network) byzMeddle(id int, st *routerState, port, out Port, s *ringSlot, now sim.Tick) bool {
 	bz := &n.byz[id]
 	if bz.rate == 0 || uint32(bz.rng.Uint64()>>32) >= bz.rate {
@@ -912,13 +901,13 @@ func (n *Network) byzMeddle(id int, st *routerState, port, out Port, s *ringSlot
 	case ByzDrop:
 		pkt := n.pool.Deref(s.id)
 		pkt.Hops = int(s.hops)
-		n.popIn(id, st, port)
+		n.popIn(nil, id, st, port)
 		n.routers[id].Stats.Dropped++
 		n.stats.ByzDropped++
 		n.handleDrop(NodeID(id), pkt, DropByzantine)
 		return true
 	case ByzMisroute:
-		if alt, ok := n.byzAltPort(st, out, bz); ok && n.forward(id, st, port, alt, s, now, false) {
+		if alt, ok := n.byzAltPort(st, out, bz); ok && n.forward(nil, id, st, port, alt, s, now, false) {
 			n.stats.ByzMisrouted++
 			return true
 		}
@@ -934,7 +923,7 @@ func (n *Network) byzMeddle(id int, st *routerState, port, out Port, s *ringSlot
 		*dup = *src
 		dup.h = h
 		s.id = h
-		ok := n.forward(id, st, port, out, s, now, true)
+		ok := n.forward(nil, id, st, port, out, s, now, true)
 		s.id = orig
 		if ok {
 			n.stats.ByzDuplicated++
@@ -1060,13 +1049,20 @@ func (n *Network) Revive(id NodeID, now sim.Tick) {
 // the RCAP machinery for config packets, the local sink for data and debug.
 // Like servicePort, it reports (wake, true) when the port provably cannot
 // act before wake (the sink is full and only a stir or a due recovery/lapse
-// can change that) and (0, false) on any activity.
-func (n *Network) deliverLocal(id int, st *routerState, port Port, s *ringSlot, now sim.Tick) (sim.Tick, bool) {
+// can change that) and (0, false) on any activity. Data delivery targets the
+// tile-local PE (or cluster demux) and runs live under any context.
+func (n *Network) deliverLocal(ctx *tileScratch, id int, st *routerState, port Port, s *ringSlot, now sim.Tick) (sim.Tick, bool) {
+	if ctx != nil && s.kind != Data {
+		// Config application can flip fabric-wide knobs (stirAll) and Debug
+		// consumption recycles into the shared arena: both merge-only.
+		ctx.stageSvc(id, port)
+		return 0, false
+	}
 	r := n.routers[id]
 	switch s.kind {
 	case Config:
 		pkt := n.pool.Deref(s.id)
-		n.popIn(id, st, port)
+		n.popIn(ctx, id, st, port)
 		r.applyConfig(pkt, now)
 		n.stats.ConfigOps++
 		// The payload has been applied; the packet's lifecycle ends here.
@@ -1075,9 +1071,14 @@ func (n *Network) deliverLocal(id int, st *routerState, port Port, s *ringSlot, 
 		pkt := n.pool.Deref(s.id)
 		pkt.Hops = int(s.hops)
 		if r.sink == nil {
-			n.popIn(id, st, port)
+			n.popIn(ctx, id, st, port)
 			r.Stats.Dropped++
-			n.handleDrop(NodeID(id), pkt, DropNoSink)
+			if ctx != nil {
+				// DropHandler + arena recycle are fabric-global: merge-only.
+				ctx.drops = append(ctx.drops, dropRec{at: int32(id), pkt: pkt, reason: DropNoSink})
+			} else {
+				n.handleDrop(NodeID(id), pkt, DropNoSink)
+			}
 			return 0, false
 		}
 		// A successful Accept transfers ownership to the sink (which may
@@ -1085,12 +1086,12 @@ func (n *Network) deliverLocal(id int, st *routerState, port Port, s *ringSlot, 
 		// needs before handing it over.
 		isData, task := s.kind == Data, taskID(s.task)
 		if r.sink.Accept(pkt, now) {
-			n.popIn(id, st, port)
+			n.popIn(ctx, id, st, port)
 			r.Stats.Delivered++
 			if isData && r.Monitors.InternalDelivery != nil {
 				r.Monitors.InternalDelivery(task, now)
 			}
-			n.stats.Delivered++
+			n.countDelivered(ctx)
 			return 0, false
 		}
 		// Local sink full: same blocking rules as a busy link (the blocked
@@ -1102,7 +1103,7 @@ func (n *Network) deliverLocal(id int, st *routerState, port Port, s *ringSlot, 
 		if st.blockedAt[port] == 0 {
 			st.blockedAt[port] = now
 		} else if r.deadlockLimit > 0 && now-st.blockedAt[port] >= r.deadlockLimit {
-			n.recoverBlocked(id, st, port, s, now)
+			n.recoverBlocked(ctx, id, st, port, s, now)
 			return 0, false
 		}
 		return blockedWake(st.blockedAt[port], r.deadlockLimit, s, 0, now), true
@@ -1110,9 +1111,24 @@ func (n *Network) deliverLocal(id int, st *routerState, port Port, s *ringSlot, 
 	return 0, false
 }
 
+// countDelivered bumps the fabric-wide delivery counter, through the tile's
+// delta while other tiles may be counting concurrently.
+func (n *Network) countDelivered(ctx *tileScratch) {
+	if ctx != nil {
+		ctx.stats.Delivered++
+	} else {
+		n.stats.Delivered++
+	}
+}
+
 // recoverAt hands a packet that cannot make progress to the network's
-// recovery handler; unrescued packets are dropped.
-func (n *Network) recoverAt(id int, pkt *Packet, now sim.Tick) {
+// recovery handler; unrescued packets are dropped. The handler may re-inject
+// anywhere in the fabric, so under a staging context it runs at merge time.
+func (n *Network) recoverAt(ctx *tileScratch, id int, pkt *Packet, now sim.Tick) {
+	if ctx != nil {
+		ctx.recs = append(ctx.recs, recRec{at: int32(id), pkt: pkt})
+		return
+	}
 	if n.RecoveryHandler != nil && n.RecoveryHandler(NodeID(id), pkt, now) {
 		n.stats.Rescued++
 		return
@@ -1122,8 +1138,14 @@ func (n *Network) recoverAt(id int, pkt *Packet, now sim.Tick) {
 }
 
 // ActiveRouters returns the number of routers currently holding traffic
-// (summed over the per-tile sets on a tiled fabric).
-func (n *Network) ActiveRouters() int { return n.actLen() }
+// (summed over the per-tile sets).
+func (n *Network) ActiveRouters() int {
+	total := 0
+	for i := range n.tiles {
+		total += n.tiles[i].set.Len()
+	}
+	return total
+}
 
 // Inject enqueues a packet at the source node's Local input channel.
 // It returns false (without consuming the packet) under back-pressure.
@@ -1189,13 +1211,14 @@ func (n *Network) Fail(id NodeID, now sim.Tick) {
 			pkt := n.pool.Deref(s.id)
 			pkt.Hops = int(s.hops)
 			lost = append(lost, pkt)
-			n.popIn(rid, st, p)
+			n.popIn(nil, rid, st, p)
 		}
 		st.blockedAt[p] = 0
 	}
 	st.refused = 0
 	r.Stats.Dropped += uint64(len(lost))
-	n.actRemove(rid)
+	tl := &n.tiles[st.tile]
+	tl.set.Remove(rid - tl.lo)
 	n.faultyCnt++
 	for i, p := range lost {
 		n.handleDrop(r.ID, p, DropRouterFailed)
@@ -1239,7 +1262,7 @@ func (n *Network) Reset() {
 		for p := Port(0); p < NumPorts; p++ {
 			for st.rings[p].n > 0 {
 				pkt := n.pool.Deref(n.headSlot(st, p).id)
-				n.popIn(rid, st, p)
+				n.popIn(nil, rid, st, p)
 				n.pool.Put(pkt)
 			}
 			st.linkBusy[p] = 0
@@ -1255,7 +1278,9 @@ func (n *Network) Reset() {
 		st.quiet = 0
 		r.reset(n.cfg)
 	}
-	n.actClear()
+	for i := range n.tiles {
+		n.tiles[i].set.Clear()
+	}
 	n.stagedOps = 0
 	n.drainedOps = 0
 	n.haveFaults = false

@@ -151,10 +151,20 @@ func (n *Network) SaveState(st *NetworkState) {
 		st.cold[i] = routerCold{deadlockLimit: r.deadlockLimit, requeueLimit: r.requeueLimit, stats: r.Stats}
 	}
 
-	n.active.SaveState(&st.active)
-	st.tileActive = sliceFor(st.tileActive, len(n.tiles))
-	for i := range n.tiles {
-		n.tiles[i].set.SaveState(&st.tileActive[i])
+	// The layout keeps a whole-fabric set beside the tile list: a single
+	// tile's set (the same index space) travels there with an empty list;
+	// a multi-tile fabric leaves it zeroed and lists its K sets.
+	if len(n.tiles) == 1 {
+		n.tiles[0].set.SaveState(&st.active)
+		st.tileActive = st.tileActive[:0]
+	} else {
+		st.active.Words = sliceFor(st.active.Words, (n.nodes+63)/64)
+		clear(st.active.Words)
+		st.active.N = 0
+		st.tileActive = sliceFor(st.tileActive, len(n.tiles))
+		for i := range n.tiles {
+			n.tiles[i].set.SaveState(&st.tileActive[i])
+		}
 	}
 
 	st.hasByz = n.byz != nil
@@ -166,7 +176,7 @@ func (n *Network) SaveState(st *NetworkState) {
 	st.stagedOps, st.drainedOps = n.stagedOps, n.drainedOps
 	st.tables = n.tables
 
-	st.nodes, st.spp, st.uniqN, st.tileN = n.nodes, n.spp, len(n.uniq), len(n.tiles)
+	st.nodes, st.spp, st.uniqN, st.tileN = n.nodes, n.spp, len(n.uniq), len(st.tileActive)
 	st.huge = n.huge
 }
 
@@ -175,19 +185,23 @@ func (n *Network) SaveState(st *NetworkState) {
 // layout) as the fabric the state was saved from; construction-derived
 // wiring is reused, so the restore is a handful of bulk copies.
 func (n *Network) LoadState(st *NetworkState) {
+	tileN := len(n.tiles)
+	if tileN == 1 {
+		tileN = 0 // a single tile is recorded as the whole-fabric set
+	}
 	if st.nodes != n.nodes || st.spp != n.spp || st.uniqN != len(n.uniq) ||
-		st.tileN != len(n.tiles) || st.huge != n.huge {
+		st.tileN != tileN || len(st.tileActive) != tileN || st.huge != n.huge {
 		panic(fmt.Sprintf("noc: checkpoint shape mismatch: state is %d nodes/%d spp/%d routers/%d tiles, fabric is %d/%d/%d/%d",
-			st.nodes, st.spp, st.uniqN, st.tileN, n.nodes, n.spp, len(n.uniq), len(n.tiles)))
+			st.nodes, st.spp, st.uniqN, st.tileN, n.nodes, n.spp, len(n.uniq), tileN))
 	}
 	n.pool.loadState(&st.pool)
 	copy(n.slots, st.slots)
 
 	for i, r := range n.uniq {
 		dst := &n.state[r.ID]
-		hop := dst.hop
+		hop, tile := dst.hop, dst.tile
 		*dst = st.recs[i]
-		dst.hop = hop
+		dst.hop, dst.tile = hop, tile
 		if hop != nil {
 			copy(hop, st.hop[i*n.nodes:(i+1)*n.nodes])
 		}
@@ -195,9 +209,12 @@ func (n *Network) LoadState(st *NetworkState) {
 		r.deadlockLimit, r.requeueLimit, r.Stats = cold.deadlockLimit, cold.requeueLimit, cold.stats
 	}
 
-	n.active.LoadState(&st.active)
-	for i := range n.tiles {
-		n.tiles[i].set.LoadState(&st.tileActive[i])
+	if len(n.tiles) == 1 {
+		n.tiles[0].set.LoadState(&st.active)
+	} else {
+		for i := range n.tiles {
+			n.tiles[i].set.LoadState(&st.tileActive[i])
+		}
 	}
 
 	if st.hasByz {

@@ -1,7 +1,7 @@
 package noc
 
 import (
-	"math/bits"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,36 +9,42 @@ import (
 	"centurion/internal/sim"
 )
 
-// The parallel tiled tick kernel (DESIGN.md §14).
+// Tiling and the staging context of the tick kernel (DESIGN.md §14).
 //
-// The router ID space is partitioned into row bands ("tiles"), each with its
-// own active set, and Network.Tick sweeps the tiles on a pool of worker
-// goroutines. Within a tile the fused kernel runs unchanged: intra-tile
-// forwards copy slots straight into the destination ring exactly like the
-// serial kernel. A service whose effect would escape the tile — a forward to
-// a neighbour in another tile, a Config/Debug delivery with fabric-global
-// side effects — is *staged*: the port is recorded untouched in the tile's
-// scratch, and after the worker barrier a single-threaded merge phase
-// re-runs the staged services with the plain serial kernel, tile by tile in
-// FIFO order. The staged head is provably unchanged between the sweep and
-// the merge (each port is serviced at most once per tick and only its owner
-// tile touches its rings), so the merge phase services it exactly as the
-// serial sweep would have — which makes the parallel kernel bit-identical to
-// the one-worker serial-tiled reference by construction, independent of the
-// worker count and of goroutine scheduling.
+// The router ID space is partitioned into K ≥ 1 row bands ("tiles"), each
+// with its own active set, and Network.Tick sweeps the tiles — on a pool of
+// worker goroutines when K > 1. There is one kernel (network.go); every
+// kernel function takes a *tileScratch staging context. During a multi-tile
+// sweep the context is the tile's scratch: intra-tile forwards copy slots
+// straight into the destination ring, but a service whose effect would escape
+// the tile — a forward to a neighbour in another tile, a Config/Debug
+// delivery with fabric-global side effects — is *staged*: the port is
+// recorded untouched, and after the worker barrier a single-threaded merge
+// phase re-runs the staged services with a nil context (effects apply
+// directly), tile by tile in FIFO order. The staged head is provably
+// unchanged between the sweep and the merge (each port is serviced at most
+// once per tick and only its owner tile touches its rings), so the merge
+// services it exactly as a one-worker sweep would have — which makes the
+// parallel kernel bit-identical to the one-worker reference by construction,
+// independent of the worker count and of goroutine scheduling.
+//
+// A single-tile fabric (every grid below 2048 nodes, including the paper's
+// 16×8) has no boundary: its sweep runs with a nil context, so every effect
+// applies inline in service order, nothing stages and Tick returns straight
+// after the sweep. It allocates no scratch and no crew.
 //
 // Tiling is a *semantic* parameter (it fixes the service order across tile
 // boundaries) derived deterministically from the grid, never from the host:
 // Params.Tiles=0 auto-sizes from the node count. The worker count is purely
 // a runtime throttle (Params.Workers=0 uses GOMAXPROCS) and can never affect
-// results. A single-tile fabric (every grid below 2048 nodes, including the
-// paper's 16×8) takes the exact legacy kernel path: no staging code runs.
+// results.
 //
 // Byzantine arming forces the worker count to 1 for the armed interval: the
 // duplication path acquires packets from the shared arena mid-sweep and the
-// misroute path pushes out of arbitrary ports, neither of which is tile-safe.
-// Byzantine runs therefore execute serial-tiled — still deterministic, just
-// not parallel.
+// misroute path pushes out of arbitrary ports, neither of which is tile-safe
+// (byzMeddle applies its effects directly, whatever the context). Byzantine
+// runs therefore execute on one goroutine — still deterministic, just not
+// parallel.
 
 // netTile is one row band of the fabric: routers with IDs in [lo, hi).
 // Boundaries fall on even rows so cmesh 2×2 clusters are never split across
@@ -77,11 +83,14 @@ type dropRec struct {
 	reason DropReason
 }
 
-// tileScratch is one tile's staging state, reset every tick by the merge.
-// All preallocated and reused: the steady-state tick path stays 0 allocs/op
-// once the slices have grown to the tile's working set.
+// tileScratch is the kernel's staging context: one tile's staged work during
+// a multi-tile sweep, reset every tick by the merge. A nil *tileScratch means
+// effects apply directly (single-tile sweep, merge phase, Router.Tick,
+// Fail/Reset drains, byzMeddle). All preallocated and reused: the
+// steady-state tick path stays 0 allocs/op once the slices have grown to the
+// tile's working set.
 type tileScratch struct {
-	tile  int32 // own tile index, threaded through the T-kernel
+	tile  uint16 // own tile index, compared against routerState.tile
 	svc   []svcRec
 	stirs []int32 // cross-tile refused-bit stirs (upstream router IDs)
 	recs  []recRec
@@ -124,21 +133,22 @@ func autoTiles(w, h int) int {
 	return k
 }
 
-// buildTiles partitions the fabric into k row bands (clamped to the number
-// of row pairs) and allocates the per-tile active sets and scratch. k <= 1
-// leaves the network on the legacy single-tile kernel.
+// buildTiles partitions the fabric into k row bands (clamped to [1, number
+// of row pairs]), stamps each router record with its tile and allocates the
+// per-tile active sets. Only a multi-tile fabric gets scratch and a crew.
 func (n *Network) buildTiles(k int) {
 	w, h := n.Topo.Width(), n.Topo.Height()
 	units := (h + 1) / 2 // row pairs; cmesh clusters span two rows
 	if k > units {
 		k = units
 	}
-	if k <= 1 {
-		return
+	if k > math.MaxUint16+1 {
+		k = math.MaxUint16 + 1 // routerState.tile is 16 bits
+	}
+	if k < 1 {
+		k = 1
 	}
 	n.tiles = make([]netTile, k)
-	n.tileRowIdx = make([]int32, h)
-	n.scratch = make([]tileScratch, k)
 	per, extra := units/k, units%k
 	startPair := 0
 	for i := 0; i < k; i++ {
@@ -156,10 +166,9 @@ func (n *Network) buildTiles(k int) {
 		t.lo = loRow * w
 		t.hi = hiRow * w
 		t.set = sim.NewActiveSet(t.hi - t.lo)
-		for row := loRow; row < hiRow; row++ {
-			n.tileRowIdx[row] = int32(i)
+		for id := t.lo; id < t.hi; id++ {
+			n.state[id].tile = uint16(i)
 		}
-		n.scratch[i].tile = int32(i)
 	}
 	// Carve uniq (ascending router IDs) into per-tile ranges.
 	ui := 0
@@ -171,6 +180,13 @@ func (n *Network) buildTiles(k int) {
 		}
 		t.uniqHi = ui
 	}
+	if k == 1 {
+		return
+	}
+	n.scratch = make([]tileScratch, k)
+	for i := range n.scratch {
+		n.scratch[i].tile = uint16(i)
+	}
 	n.crew = &tickCrew{stop: make(chan struct{}), kick: make(chan struct{})}
 	// The crew's workers are lazily started and park on the kick channel
 	// between ticks; if the network is dropped (pooled platforms are
@@ -178,17 +194,9 @@ func (n *Network) buildTiles(k int) {
 	runtime.AddCleanup(n, func(stop chan struct{}) { close(stop) }, n.crew.stop)
 }
 
-// tileOf returns the tile index owning a router ID.
-func (n *Network) tileOf(id int) int32 { return n.tileRowIdx[id/n.width] }
-
-// TileCount reports how many tiles the tick kernel sweeps (1 = the legacy
-// serial kernel).
-func (n *Network) TileCount() int {
-	if n.tiles == nil {
-		return 1
-	}
-	return len(n.tiles)
-}
+// TileCount reports how many tiles the tick kernel sweeps (1 = no boundary,
+// nothing ever stages).
+func (n *Network) TileCount() int { return len(n.tiles) }
 
 // TileStaging returns the lifetime counts of staged and drained boundary
 // services — equal after every Tick (each staged record drains exactly once
@@ -201,21 +209,16 @@ func (n *Network) TileStaging() (staged, drained uint64) {
 // (GOMAXPROCS when 0), clamped to the tile count, and forced to 1 while any
 // router is byzantine-armed (see the package comment above).
 func (n *Network) effWorkers() int {
-	if n.tiles == nil {
-		return 1
-	}
-	if n.byzAny {
+	k := len(n.tiles)
+	if k == 1 || n.byzAny {
 		return 1
 	}
 	w := n.cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(n.tiles) {
-		w = len(n.tiles)
-	}
-	if w < 1 {
-		w = 1
+	if w > k {
+		w = k
 	}
 	return w
 }
@@ -223,15 +226,20 @@ func (n *Network) effWorkers() int {
 // ParallelTick reports whether the next Tick will sweep tiles on more than
 // one goroutine. The platform checks it to route component stirs through
 // the atomic active-set path for the duration of the tick.
-func (n *Network) ParallelTick() bool { return n.tiles != nil && n.effWorkers() > 1 }
+func (n *Network) ParallelTick() bool { return n.effWorkers() > 1 }
 
-// tickTiled is the tiled Tick body: sweep every tile (in parallel when the
-// crew has more than one worker), then merge the staged boundary work
-// single-threaded in tile order.
-func (n *Network) tickTiled(now sim.Tick, dense bool) {
+// tick is the body of Tick and TickDense: sweep every tile (in parallel when
+// the crew has more than one worker), then merge the staged boundary work
+// single-threaded in tile order. One tile has no boundary, so its sweep runs
+// with a nil context — nothing stages and there is nothing to merge.
+func (n *Network) tick(now sim.Tick, dense bool) {
+	if len(n.tiles) == 1 {
+		n.sweepTile(&n.tiles[0], nil, now, dense)
+		return
+	}
 	if w := n.effWorkers(); w <= 1 {
 		for t := range n.tiles {
-			n.sweepTile(t, now, dense)
+			n.sweepTile(&n.tiles[t], &n.scratch[t], now, dense)
 		}
 	} else {
 		n.crew.run(n, now, dense, w)
@@ -239,16 +247,16 @@ func (n *Network) tickTiled(now sim.Tick, dense bool) {
 	n.mergeTiles(now)
 }
 
-// sweepTile runs the fused kernel over one tile. Workers claim tiles
-// dynamically, so an empty tile (an idle region of a mega-fabric) costs one
-// set-length check and nothing else.
-func (n *Network) sweepTile(t int, now sim.Tick, dense bool) {
-	tl := &n.tiles[t]
-	ctx := &n.scratch[t]
+// sweepTile runs the kernel over one tile: its active set in ascending ID
+// order, or every router it owns when dense (the pre-active-set reference
+// scan — a router with no queued packets is a no-op tick either way, so the
+// two are bit-identical). Workers claim tiles dynamically, so an empty tile
+// (an idle region of a mega-fabric) costs one set-length check and nothing
+// else.
+func (n *Network) sweepTile(tl *netTile, ctx *tileScratch, now sim.Tick, dense bool) {
 	if dense {
-		for ui := tl.uniqLo; ui < tl.uniqHi; ui++ {
-			r := n.uniq[ui]
-			n.tickRouterT(ctx, int(r.ID), &n.state[r.ID], now)
+		for _, r := range n.uniq[tl.uniqLo:tl.uniqHi] {
+			n.tickRouter(ctx, int(r.ID), &n.state[r.ID], now)
 		}
 		return
 	}
@@ -258,29 +266,28 @@ func (n *Network) sweepTile(t int, now sim.Tick, dense bool) {
 	tl.set.Sweep(func(local int) bool {
 		id := tl.lo + local
 		st := &n.state[id]
-		n.tickRouterT(ctx, id, st, now)
+		n.tickRouter(ctx, id, st, now)
 		return st.queued > 0 && !st.faulty
 	})
 }
 
-// mergeTiles drains every tile's staged work with the serial kernel, in
+// mergeTiles drains every tile's staged work with a nil context, in
 // ascending tile order, each list in FIFO order — the deterministic merge
 // phase. Staged heads are still at their ring heads (only the owner tile
 // touches a ring during the sweep, and a port is serviced at most once per
-// tick), so the legacy servicePort sees exactly the state the serial-tiled
-// reference would.
+// tick), so servicePort sees exactly the state a one-worker sweep would.
 func (n *Network) mergeTiles(now sim.Tick) {
 	for t := range n.scratch {
 		sc := &n.scratch[t]
 		for _, rec := range sc.svc {
-			n.servicePort(int(rec.id), &n.state[rec.id], rec.port, now)
+			n.servicePort(nil, int(rec.id), &n.state[rec.id], rec.port, now)
 			n.drainedOps++
 		}
 		for _, id := range sc.stirs {
 			n.stirRouter(int(id))
 		}
 		for i := range sc.recs {
-			n.recoverAt(int(sc.recs[i].at), sc.recs[i].pkt, now)
+			n.recoverAt(nil, int(sc.recs[i].at), sc.recs[i].pkt, now)
 			sc.recs[i].pkt = nil
 		}
 		for i := range sc.drops {
@@ -367,331 +374,14 @@ func (c *tickCrew) work(n *Network, now sim.Tick, dense bool) {
 		if t >= len(n.tiles) {
 			return
 		}
-		n.sweepTile(t, now, dense)
+		n.sweepTile(&n.tiles[t], &n.scratch[t], now, dense)
 	}
 }
 
-// ---- active-set indirection -------------------------------------------
-//
-// With tiles, router activity lives in per-tile offset-local sets; without,
-// in the legacy global set. Every enrolment site in the serial kernel goes
-// through these helpers, so the merge phase (which runs the serial kernel)
-// maintains the per-tile sets transparently.
-
-func (n *Network) actAdd(id int) {
-	if n.tiles == nil {
-		n.active.Add(id)
-		return
-	}
-	t := &n.tiles[n.tileOf(id)]
+// actAdd enrolls a router (st is its record) in its tile's active set. A
+// router enrolls on any ring push and retires once drained, so Tick sweeps
+// only the part of the fabric actually carrying traffic.
+func (n *Network) actAdd(id int, st *routerState) {
+	t := &n.tiles[st.tile]
 	t.set.Add(id - t.lo)
-}
-
-func (n *Network) actRemove(id int) {
-	if n.tiles == nil {
-		n.active.Remove(id)
-		return
-	}
-	t := &n.tiles[n.tileOf(id)]
-	t.set.Remove(id - t.lo)
-}
-
-func (n *Network) actClear() {
-	if n.tiles == nil {
-		n.active.Clear()
-		return
-	}
-	for i := range n.tiles {
-		n.tiles[i].set.Clear()
-	}
-}
-
-func (n *Network) actLen() int {
-	if n.tiles == nil {
-		return n.active.Len()
-	}
-	total := 0
-	for i := range n.tiles {
-		total += n.tiles[i].set.Len()
-	}
-	return total
-}
-
-// ---- the T-kernel ------------------------------------------------------
-//
-// Duplicates of the fused kernel's hot functions threading a tileScratch:
-// identical to the serial kernel except that boundary-crossing effects are
-// staged instead of applied. Keep the bodies in lockstep with their serial
-// twins in network.go — the bit-identity suites will catch a drift, but read
-// both when changing either.
-
-// tickRouterT is tickRouter for a tile sweep.
-func (n *Network) tickRouterT(ctx *tileScratch, id int, st *routerState, now sim.Tick) {
-	if st.faulty || st.queued == 0 {
-		return
-	}
-	start := int(st.rr)
-	if start+1 >= int(NumPorts) {
-		st.rr = 0
-	} else {
-		st.rr = uint8(start + 1)
-	}
-	if now < st.quiet {
-		return
-	}
-	quiet := tickNever
-	allQuiet := true
-	for cursor := 0; cursor < int(NumPorts); {
-		rot := uint(occRot[start][st.occ])
-		rot &= ^uint(0) << cursor
-		if rot == 0 {
-			break
-		}
-		b := bits.TrailingZeros(rot)
-		cursor = b + 1
-		port := Port(b + start)
-		if port >= NumPorts {
-			port -= NumPorts
-		}
-		if at, ok := n.servicePortT(ctx, id, st, port, now); ok {
-			if at < quiet {
-				quiet = at
-			}
-		} else {
-			allQuiet = false
-		}
-	}
-	if allQuiet {
-		st.quiet = quiet
-	}
-}
-
-// servicePortT is servicePort for a tile sweep. Cross-tile forwards and
-// Config/Debug local deliveries stage the untouched port; everything else
-// (intra-tile forwards, data delivery and absorption, lapse latching,
-// blocked bookkeeping) runs live, exactly like the serial kernel.
-func (n *Network) servicePortT(ctx *tileScratch, id int, st *routerState, port Port, now sim.Tick) (sim.Tick, bool) {
-	rm := &st.rings[port]
-	if rm.n == 0 {
-		return 0, false
-	}
-	s := &n.slots[rm.head]
-	if s.ready > now {
-		return s.ready, true
-	}
-	r := n.routers[id]
-	if s.kind == Data && s.deadline != 0 && s.flags&slotLapsed == 0 && now > s.deadline {
-		s.flags |= slotLapsed
-		n.pool.Deref(s.id).lapsedSeen = true
-		r.Stats.LapsesSeen++
-		if r.Monitors.DeadlineLapse != nil {
-			r.Monitors.DeadlineLapse(taskID(s.task), now)
-		}
-	}
-
-	out := PortInvalid
-	if hop := st.hop; uint(int(s.dst)) < uint(len(hop)) {
-		out = Port(hop[s.dst])
-	} else if st.hop == nil {
-		out = n.liveHop(NodeID(id), s.dst)
-	}
-	if out == Local {
-		if s.kind == Data {
-			return n.deliverLocalDataT(ctx, id, st, port, s, now)
-		}
-		// Config application can flip fabric-wide knobs (stirAll) and Debug
-		// consumption recycles into the shared arena: both merge-only.
-		ctx.stageSvc(id, port)
-		return 0, false
-	}
-
-	if s.kind == Data && r.Absorb != nil {
-		task := taskID(s.task)
-		n.pool.Deref(s.id).Hops = int(s.hops)
-		if r.Absorb(s.id, task, now) {
-			n.popInT(ctx, id, st, port)
-			r.Stats.Delivered++
-			if r.Monitors.InternalDelivery != nil {
-				r.Monitors.InternalDelivery(task, now)
-			}
-			ctx.stats.Delivered++
-			return 0, false
-		}
-	}
-
-	if out == PortInvalid {
-		pkt := n.pool.Deref(s.id)
-		pkt.Hops = int(s.hops)
-		n.popInT(ctx, id, st, port)
-		ctx.recs = append(ctx.recs, recRec{at: int32(id), pkt: pkt})
-		return 0, false
-	}
-	if next := st.nbr[out]; next >= 0 && n.tileOf(int(next)) != ctx.tile {
-		// Boundary crossing: the neighbour's rings belong to another tile.
-		// Leave the head in place; the merge re-runs this exact service.
-		ctx.stageSvc(id, port)
-		return 0, false
-	}
-	if n.byzAny && s.kind == Data {
-		// Only reachable serial-tiled (byzantine arming forces one worker),
-		// so the legacy meddle path — arena clones, alternate-port pushes,
-		// direct drops — is safe to reuse as-is.
-		if n.byzMeddle(id, st, port, out, s, now) {
-			return 0, false
-		}
-	}
-	if n.forwardT(ctx, id, st, port, out, s, now) {
-		return 0, false
-	}
-	r.Stats.BlockedTicks++
-	if st.blockedAt[port] == 0 {
-		st.blockedAt[port] = now
-	} else if r.deadlockLimit > 0 && now-st.blockedAt[port] >= r.deadlockLimit {
-		n.recoverBlockedT(ctx, id, st, port, s, now)
-		return 0, false
-	}
-	return blockedWake(st.blockedAt[port], r.deadlockLimit, s, st.linkBusy[out], now), true
-}
-
-// deliverLocalDataT is deliverLocal's Data branch for a tile sweep: the
-// sink is the tile-local PE (or cluster demux), so delivery runs live; only
-// the drop accounting of a sinkless node is staged (DropHandler + recycle
-// are fabric-global).
-func (n *Network) deliverLocalDataT(ctx *tileScratch, id int, st *routerState, port Port, s *ringSlot, now sim.Tick) (sim.Tick, bool) {
-	r := n.routers[id]
-	pkt := n.pool.Deref(s.id)
-	pkt.Hops = int(s.hops)
-	if r.sink == nil {
-		n.popInT(ctx, id, st, port)
-		r.Stats.Dropped++
-		ctx.drops = append(ctx.drops, dropRec{at: int32(id), pkt: pkt, reason: DropNoSink})
-		return 0, false
-	}
-	task := taskID(s.task)
-	if r.sink.Accept(pkt, now) {
-		n.popInT(ctx, id, st, port)
-		r.Stats.Delivered++
-		if r.Monitors.InternalDelivery != nil {
-			r.Monitors.InternalDelivery(task, now)
-		}
-		ctx.stats.Delivered++
-		return 0, false
-	}
-	r.Stats.BlockedTicks++
-	if st.blockedAt[port] == 0 {
-		st.blockedAt[port] = now
-	} else if r.deadlockLimit > 0 && now-st.blockedAt[port] >= r.deadlockLimit {
-		n.recoverBlockedT(ctx, id, st, port, s, now)
-		return 0, false
-	}
-	return blockedWake(st.blockedAt[port], r.deadlockLimit, s, 0, now), true
-}
-
-// forwardT is forward for an intra-tile hop (the caller has already
-// established that the destination router is in this tile). No keep
-// parameter: byzantine duplication never runs on this path.
-func (n *Network) forwardT(ctx *tileScratch, id int, st *routerState, inPort, out Port, s *ringSlot, now sim.Tick) bool {
-	if (st.disabled|st.linkDown)&(1<<out) != 0 {
-		return false
-	}
-	if st.linkBusy[out] > now {
-		return false
-	}
-	next := st.nbr[out]
-	if next < 0 {
-		return false
-	}
-	nst := &n.state[next]
-	if nst.faulty {
-		return false
-	}
-	inSide := out.Opposite()
-	if (nst.disabled|nst.linkDown)&(1<<inSide) != 0 {
-		return false
-	}
-	dur := sim.Tick(s.flits)
-	if dur < 1 {
-		dur = 1
-	}
-	rm := &nst.rings[inSide]
-	f := ringFlits(s.flits)
-	if rm.used+f > n.capFlits {
-		nst.refused |= 1 << inSide
-		return false
-	}
-	base := uint32((int(next)*int(NumPorts) + int(inSide)) * n.spp)
-	dst := &n.slots[base+((rm.head-base+rm.n)&n.sppMask)]
-	*dst = *s
-	dst.ready = now + dur
-	dst.hops++
-	requeued := dst.flags&slotRequeued != 0
-	dst.flags &^= slotRequeued
-	rm.n++
-	rm.used += f
-	nst.queued++
-	nst.occ |= 1 << inSide
-	nst.quiet = 0
-	n.actAdd(int(next))
-
-	n.popInT(ctx, id, st, inPort)
-	st.linkBusy[out] = now + dur
-	if requeued {
-		n.pool.Deref(dst.id).requeues = 0
-	}
-	r := n.routers[id]
-	r.Stats.Forwarded++
-	if dst.kind == Data && r.Monitors.RoutedTask != nil {
-		r.Monitors.RoutedTask(taskID(dst.task), now)
-	}
-	return true
-}
-
-// popInT is popIn for a tile sweep: a refused-bit stir whose upstream
-// router lives in another tile is staged (the merge stirs it after the
-// barrier, deterministically); an intra-tile stir runs live under the
-// tile's own sweep-cursor rule.
-func (n *Network) popInT(ctx *tileScratch, id int, st *routerState, port Port) {
-	rm := &st.rings[port]
-	s := &n.slots[rm.head]
-	rm.used -= ringFlits(s.flits)
-	s.id = 0
-	base := uint32((id*int(NumPorts) + int(port)) * n.spp)
-	rm.head = base + ((rm.head - base + 1) & n.sppMask)
-	rm.n--
-	st.queued--
-	st.blockedAt[port] = 0
-	if rm.n == 0 {
-		st.occ &^= 1 << port
-	}
-	if st.refused&(1<<port) != 0 {
-		st.refused &^= 1 << port
-		if up := st.nbr[port]; up >= 0 {
-			if n.tileOf(int(up)) != ctx.tile {
-				ctx.stirs = append(ctx.stirs, int32(up))
-			} else {
-				n.stirRouter(int(up))
-			}
-		}
-	}
-}
-
-// recoverBlockedT is recoverBlocked for a tile sweep: the rotation re-push
-// targets this router (tile-local, live); an ejection is staged for the
-// merge, where the recovery handler may re-inject anywhere.
-func (n *Network) recoverBlockedT(ctx *tileScratch, id int, st *routerState, port Port, s *ringSlot, now sim.Tick) {
-	pkt := n.pool.Deref(s.id)
-	pkt.Hops = int(s.hops)
-	n.popInT(ctx, id, st, port)
-	r := n.routers[id]
-	r.Stats.Recovered++
-	if r.Monitors.Recovery != nil {
-		r.Monitors.Recovery(pkt, now)
-	}
-	pkt.requeues++
-	if pkt.requeues <= r.requeueLimit {
-		n.pushPacket(id, port, pkt, now)
-		return
-	}
-	pkt.requeues = 0
-	ctx.recs = append(ctx.recs, recRec{at: int32(id), pkt: pkt})
 }

@@ -82,10 +82,10 @@ func TestTilePartition(t *testing.T) {
 					t.Errorf("tile %d starts mid-pair at row %d", i, row)
 				}
 				next = tile.hi
-				// The row→tile map and tileOf must agree with the range.
+				// The tile stamped on each router record must agree with the range.
 				for id := tile.lo; id < tile.hi; id++ {
-					if got := n.tileOf(id); got != int32(i) {
-						t.Fatalf("tileOf(%d) = %d, want %d", id, got, i)
+					if got := n.state[id].tile; int(got) != i {
+						t.Fatalf("state[%d].tile = %d, want %d", id, got, i)
 					}
 				}
 			}
@@ -328,6 +328,62 @@ func TestTileStagingDrainsOnce(t *testing.T) {
 	n.Reset()
 	if staged, drained := n.TileStaging(); staged != 0 || drained != 0 {
 		t.Errorf("TileStaging after Reset = (%d, %d), want (0, 0)", staged, drained)
+	}
+}
+
+// TestTileSingleNeverStages is the K=1 half of the one-kernel contract: the
+// paper's 16×8 fabric is one tile with no boundary, so under load — clean,
+// then with a byzantine router armed, through a fail and a revive — it sweeps
+// with a nil staging context: nothing is ever staged, no scratch or crew
+// exists, the tick is never parallel whatever Workers says, and every router
+// holding traffic is enrolled in the tile's one active set.
+func TestTileSingleNeverStages(t *testing.T) {
+	n := tiledNet(t, "mesh", 16, 8, 0, 4)
+	if n.scratch != nil || n.crew != nil {
+		t.Fatal("single-tile fabric allocated staging scratch or a crew")
+	}
+	for _, r := range n.uniq {
+		r.SetSink(&collectSink{})
+	}
+	rng := sim.NewRNG(0x51e1)
+	nodes := n.Topo.Nodes()
+	var clk sim.Clock
+	var pid uint64
+	for tick := 0; tick < 300; tick++ {
+		for k := 0; k < 4; k++ {
+			src := NodeID(rng.Intn(nodes))
+			dst := NodeID(rng.Intn(nodes))
+			pid++
+			n.Inject(src, dataPacket(pid, src, dst, 1, 1+rng.Intn(3)), clk.Now())
+		}
+		switch tick {
+		case 40:
+			n.SetByzantine(n.Topo.ID(Coord{8, 4}), 1<<31, ByzMisroute|ByzDrop|ByzDup, 0xb12a)
+		case 60:
+			n.Fail(n.Topo.ID(Coord{5, 1}), clk.Now())
+			n.Fail(n.Topo.ID(Coord{9, 6}), clk.Now())
+		case 200:
+			n.Revive(n.Topo.ID(Coord{5, 1}), clk.Now())
+		}
+		if n.ParallelTick() {
+			t.Fatalf("tick %d: single-tile fabric armed a parallel tick", tick)
+		}
+		n.Tick(clk.Now())
+		clk.Step()
+		if k := n.TileCount(); k != 1 {
+			t.Fatalf("tick %d: TileCount = %d, want 1", tick, k)
+		}
+		if staged, drained := n.TileStaging(); staged != 0 || drained != 0 {
+			t.Fatalf("tick %d: TileStaging = (%d, %d), want (0, 0)", tick, staged, drained)
+		}
+		for _, r := range n.uniq {
+			if n.state[r.ID].queued > 0 && !n.tiles[0].set.Contains(int(r.ID)) {
+				t.Fatalf("tick %d: router %d holds traffic but is not in the active set", tick, r.ID)
+			}
+		}
+	}
+	if st := n.Stats(); st.Delivered == 0 || st.Dropped == 0 || st.ByzMisrouted+st.ByzDropped+st.ByzDuplicated == 0 {
+		t.Fatalf("scenario never exercised delivery, drops and byzantine interference: %+v", st)
 	}
 }
 

@@ -32,8 +32,7 @@ type ResultStore interface {
 // The key is purely advisory — the worker derives its own key from the spec
 // and warm-starts regardless — but shipping the coordinator's view lets the
 // worker detect canonicalization skew between the two binaries, which would
-// otherwise silently split the warm caches. Workers also accept a bare
-// RunSpec payload (the pre-envelope wire format) for mixed-version fleets.
+// otherwise silently split the warm caches.
 type dispatchEnvelope struct {
 	Spec       json.RawMessage `json:"spec"`
 	WarmPrefix string          `json:"warm_prefix,omitempty"`
@@ -122,15 +121,17 @@ type jobCheckpoint struct {
 	Platform  []byte                `json:"platform,omitempty"` // CENCKPT1
 }
 
-// parseDispatchPayload decodes a leased payload (envelope or bare spec)
-// and accounts warm-prefix skew.
+// parseDispatchPayload decodes a leased payload — always an envelope — and
+// accounts warm-prefix skew.
 func parseDispatchPayload(payload []byte) (RunSpec, error) {
-	specJSON := payload
 	var env dispatchEnvelope
-	if json.Unmarshal(payload, &env) == nil && len(env.Spec) > 0 {
-		specJSON = env.Spec
+	if err := json.Unmarshal(payload, &env); err != nil {
+		return RunSpec{}, fmt.Errorf("server: decoding dispatch envelope: %w", err)
 	}
-	spec, err := ParseSpec(specJSON)
+	if len(env.Spec) == 0 {
+		return RunSpec{}, errors.New("server: dispatch payload is not an envelope (no spec)")
+	}
+	spec, err := ParseSpec(env.Spec)
 	if err != nil {
 		return RunSpec{}, err
 	}

@@ -13,9 +13,10 @@ import (
 )
 
 // TestDispatchEnvelopeAndLegacyPayload pins the leased-job wire format: the
-// coordinator ships {"spec": ..., "warm_prefix": ...} envelopes, workers
-// accept both the envelope and the pre-envelope bare-spec payload, and both
-// forms execute to the identical encoded result.
+// coordinator ships {"spec": ..., "warm_prefix": ...} envelopes and workers
+// accept nothing else — the pre-envelope bare-spec payload (and anything
+// that is not JSON) is an error, not a second decode path. An enveloped job
+// executes to the same encoded result as the local engine path.
 func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	ctx := context.Background()
 	spec, err := ParseSpec([]byte(fastSpecJSON))
@@ -27,9 +28,18 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), specJSON, nil)
-	if errMsg != "" {
-		t.Fatalf("legacy bare-spec payload failed: %s", errMsg)
+	for _, bad := range [][]byte{specJSON, []byte("not json"), []byte(`{"warm_prefix":"deadbeef"}`)} {
+		if res, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), bad, nil); errMsg == "" || res != nil {
+			t.Fatalf("non-envelope payload %q was accepted (result %d bytes)", bad, len(res))
+		}
+	}
+	local, err := Execute(ctx, spec, nil)
+	if err != nil {
+		t.Fatalf("local execution failed: %v", err)
+	}
+	want, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	key, ok := experiments.WarmPrefixKey(spec.toExperiment(0))
@@ -45,8 +55,8 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	if errMsg != "" {
 		t.Fatalf("envelope payload failed: %s", errMsg)
 	}
-	if !bytes.Equal(legacy, enveloped) {
-		t.Fatal("envelope and bare-spec payloads produced different results")
+	if !bytes.Equal(want, enveloped) {
+		t.Fatal("enveloped job and local execution produced different results")
 	}
 	if got := WarmPrefixSkew(); got != skewBefore {
 		t.Fatalf("matching warm-prefix key counted as skew (%d -> %d)", skewBefore, got)
@@ -62,7 +72,7 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	if errMsg != "" {
 		t.Fatalf("skewed envelope failed: %s", errMsg)
 	}
-	if !bytes.Equal(legacy, skewed) {
+	if !bytes.Equal(want, skewed) {
 		t.Fatal("skewed envelope changed the result")
 	}
 	if got := WarmPrefixSkew(); got != skewBefore+1 {
