@@ -234,3 +234,27 @@ func TestRunRejectsUnknownModel(t *testing.T) {
 		t.Error("unknown model accepted by run subcommand")
 	}
 }
+
+// TestServeRejectsOldFormatJournal: `serve -journal DIR` over a queue.jrnl
+// left by the CENJRNL1 event-log journal fails before listening, naming the
+// file and saying what to do with it — never misreading or rewriting it.
+func TestServeRejectsOldFormatJournal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "queue.jrnl")
+	old := []byte("CENJRNL1\x01\x00\x00\x00")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdServe([]string{"-addr", "127.0.0.1:0", "-journal", dir})
+	if err == nil {
+		t.Fatal("serve started over a CENJRNL1 journal")
+	}
+	for _, want := range []string{path, "pre-PR-14", "remove it once no sweep is in flight"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if now, rerr := os.ReadFile(path); rerr != nil || string(now) != string(old) {
+		t.Errorf("rejected journal was modified (read err %v)", rerr)
+	}
+}

@@ -69,9 +69,8 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		pending := jr.Pending()
 		jstats := jr.Stats()
-		fmt.Fprintf(os.Stderr, "job journal %s: %d records replayed, %d jobs to restore", *journalDir, jstats.Replayed, len(pending))
+		fmt.Fprintf(os.Stderr, "job journal %s: %d jobs to restore, %d log bytes", *journalDir, jstats.Replayed, jstats.LogBytes)
 		if jstats.TruncatedTail {
 			fmt.Fprintf(os.Stderr, " (torn tail record discarded)")
 		}

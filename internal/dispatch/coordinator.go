@@ -344,7 +344,10 @@ func (c *Coordinator) Register(name string, slots int) (id string, leaseTTL, pol
 		return "", 0, 0, ErrClosed
 	}
 	c.nextWkr++
-	id = fmt.Sprintf("w-%d", c.nextWkr)
+	// The start epoch makes the ID unique to this coordinator life: job IDs
+	// and attempts restart with each life, so a bare w-N would let a worker
+	// that outlived a restart pass leaseHolder for an unrelated new job.
+	id = fmt.Sprintf("w-%x-%d", c.epoch.UnixNano(), c.nextWkr)
 	c.workers[id] = &workerState{id: id, name: name, slots: slots, seen: c.clock()}
 	c.broadcast() // an Execute blocked on ErrNoWorkers re-checks… (callers poll, see Execute)
 	return id, c.cfg.LeaseTTL, c.cfg.PollWait, nil

@@ -1,58 +1,46 @@
 package dispatch
 
 import (
-	"encoding/binary"
+	"bytes"
+	"cmp"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+
+	"centurion/internal/store"
+	"centurion/internal/wire"
 )
 
-// Journal is the coordinator's durable write-ahead log of job lifecycle
-// transitions: enqueue, lease, requeue, complete, fail. It follows the same
-// storage discipline as internal/store.LogStore — a single append-only file,
-// every record CRC-framed and fsynced before the transition is acknowledged,
-// torn-tail truncation on replay, compaction into a temp file installed by
-// atomic rename — so a coordinator restart replays the open jobs instead of
-// forgetting a whole sweep.
+// Journal is the coordinator's durable set of open jobs, keyed by job ID, so
+// a restart replays pending and in-flight work instead of forgetting a sweep.
+// It is a keyed view over one store.LogStore file: record framing, CRC,
+// torn-tail recovery, dead-byte accounting and space reclamation are the
+// log's, and the journal has no file format or replay loop of its own.
 //
-// Record layout after the 8-byte "CENJRNL1" magic (all integers
-// little-endian):
+// Every lifecycle transition of an open job is one synced log record, written
+// before the transition is acknowledged: enqueue, lease and requeue Put the
+// job's whole new state under its ID, complete and fail Delete the ID. A
+// transition naming a job that is not open writes nothing.
 //
-//	u32 op | u32 idLen | u32 auxLen | u32 payloadLen | u32 crc32(id‖aux‖payload) | id | aux | payload
+// Value layout (internal/wire; str is a u32 length then the bytes, worker is
+// empty for a pending job):
 //
-// where id is the job ID, aux is the job key (enqueue) or worker ID (lease),
-// and payload is the job payload (enqueue) or the attempt number as u32
-// (lease). Requeue/complete/fail records carry the id alone.
+//	u8 version=1 | str key | str payload | str worker | u32 attempt
+//
+// A value that does not decode exactly — unknown version, short field,
+// trailing bytes — fails OpenJournal rather than being guessed at.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	size int64
-
-	// open tracks every journaled job not yet completed or failed — the
-	// replay state, maintained live so compaction can rewrite exactly the
-	// open set.
-	open map[string]*JournalJob
-	// liveBytes approximates the bytes a compaction would keep; bytes
-	// belonging to closed jobs are dead weight.
-	jobBytes  map[string]int64
-	liveBytes int64
-	deadBytes int64
-
-	noSync bool // test hook: skip per-append fsync
-
-	appends        uint64
-	compactions    uint64
-	replayed       int
-	truncatedTail  bool
-	truncatedBytes int64
+	mu       sync.Mutex
+	path     string
+	log      *store.LogStore
+	open     map[string]*JournalJob // never mutated in place: Pending hands the pointers out
+	replayed int
 }
 
-// JournalJob is one open job reconstructed by replay: pending when WorkerID
-// is empty, leased otherwise.
+// JournalJob is one open job: pending when WorkerID is empty, else leased.
 type JournalJob struct {
 	ID       string
 	Key      string
@@ -61,159 +49,68 @@ type JournalJob struct {
 	Attempt  int
 }
 
-// Journal record opcodes.
 const (
-	jOpEnqueue  = 1
-	jOpLease    = 2
-	jOpRequeue  = 3
-	jOpComplete = 4
-	jOpFail     = 5
+	journalValueVersion = 1
+	// oldJournalMagic stamps the event-log journal format this one replaced.
+	oldJournalMagic = "CENJRNL1"
 )
 
-const (
-	journalMagic    = "CENJRNL1"
-	jRecHeaderLen   = 20
-	maxJournalField = 64 << 20 // replay sanity bound per field
-	jCompactMinDead = 64 << 10 // floor below which auto-compaction never runs
-)
+// encodeJournalJob renders jj's state as a log value.
+func encodeJournalJob(jj *JournalJob) []byte {
+	b := make([]byte, 0, 1+3*4+len(jj.Key)+len(jj.Payload)+len(jj.WorkerID)+4)
+	b = wire.AppendU8(b, journalValueVersion)
+	b = wire.AppendString(b, jj.Key)
+	b = wire.AppendString(b, string(jj.Payload))
+	b = wire.AppendString(b, jj.WorkerID)
+	return wire.AppendU32(b, uint32(jj.Attempt))
+}
 
-// OpenJournal opens (or creates) the journal at path and replays it. A stale
-// compaction temp file left by a crash mid-compaction is removed — the
-// rename never happened, so the original journal is intact and authoritative.
+// decodeJournalJob is encodeJournalJob's strict inverse for the job id.
+func decodeJournalJob(id string, val []byte) (*JournalJob, error) {
+	r := wire.NewReader(val)
+	version := r.U8()
+	jj := &JournalJob{ID: id, Key: r.String(), Payload: []byte(r.String()), WorkerID: r.String(), Attempt: int(r.U32())}
+	switch {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("journal value: %w", r.Err())
+	case version != journalValueVersion:
+		return nil, fmt.Errorf("journal value version %d, want %d", version, journalValueVersion)
+	case r.Remaining() != 0:
+		return nil, fmt.Errorf("journal value has %d trailing bytes", r.Remaining())
+	}
+	return jj, nil
+}
+
+// OpenJournal opens (or creates) the journal at path and replays its open
+// jobs. A file written by the old CENJRNL1 event-log journal is refused
+// (OpenLog rejects a foreign magic before writing anything) and left untouched.
 func OpenJournal(path string) (*Journal, error) {
-	// A crash between temp-write and rename leaves <path>.compact behind;
-	// the original file is still the committed state.
-	_ = os.Remove(path + ".compact")
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := store.OpenLog(path)
 	if err != nil {
+		if head, _ := os.ReadFile(path); bytes.HasPrefix(head, []byte(oldJournalMagic)) {
+			return nil, fmt.Errorf("dispatch: %s is a pre-PR-14 %s journal, which this version cannot replay; it only holds "+
+				"the in-flight jobs of one crashed coordinator: remove it once no sweep is in flight", path, oldJournalMagic)
+		}
 		return nil, fmt.Errorf("dispatch: opening journal: %w", err)
 	}
-	j := &Journal{path: path, f: f, open: make(map[string]*JournalJob), jobBytes: make(map[string]int64)}
-	if err := j.replay(); err != nil {
-		f.Close()
-		return nil, err
+	j := &Journal{path: path, log: log, open: make(map[string]*JournalJob)}
+	for _, id := range log.Keys() {
+		val, _, err := log.Get(id)
+		if err == nil {
+			j.open[id], err = decodeJournalJob(id, val)
+		}
+		if err != nil {
+			log.Close()
+			return nil, fmt.Errorf("dispatch: journal %s: job %q: %w", path, id, err)
+		}
 	}
+	j.replayed = len(j.open)
 	return j, nil
 }
 
-// replay scans the journal, rebuilding the open-job set and truncating a
-// torn tail.
-func (j *Journal) replay() error {
-	info, err := j.f.Stat()
-	if err != nil {
-		return fmt.Errorf("dispatch: stat journal: %w", err)
-	}
-	end := info.Size()
-	if end == 0 {
-		if _, err := j.f.WriteAt([]byte(journalMagic), 0); err != nil {
-			return fmt.Errorf("dispatch: writing journal magic: %w", err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("dispatch: syncing journal magic: %w", err)
-		}
-		j.size = int64(len(journalMagic))
-		return nil
-	}
-	magic := make([]byte, len(journalMagic))
-	if _, err := j.f.ReadAt(magic, 0); err != nil || string(magic) != journalMagic {
-		return fmt.Errorf("dispatch: %s is not a centurion dispatch journal", j.path)
-	}
-
-	off := int64(len(journalMagic))
-	hdr := make([]byte, jRecHeaderLen)
-	var buf []byte
-	for off < end {
-		if off+jRecHeaderLen > end {
-			break // torn: header ran off the end
-		}
-		if _, err := j.f.ReadAt(hdr, off); err != nil {
-			return fmt.Errorf("dispatch: reading journal header at %d: %w", off, err)
-		}
-		op := binary.LittleEndian.Uint32(hdr[0:4])
-		idLen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-		auxLen := int64(binary.LittleEndian.Uint32(hdr[8:12]))
-		payLen := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-		sum := binary.LittleEndian.Uint32(hdr[16:20])
-		if op < jOpEnqueue || op > jOpFail || idLen == 0 || idLen > maxJournalField ||
-			auxLen > maxJournalField || payLen > maxJournalField ||
-			off+jRecHeaderLen+idLen+auxLen+payLen > end {
-			break // torn or corrupt
-		}
-		n := idLen + auxLen + payLen
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := j.f.ReadAt(buf, off+jRecHeaderLen); err != nil {
-			return fmt.Errorf("dispatch: reading journal record at %d: %w", off, err)
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			break // torn mid-payload
-		}
-		id := string(buf[:idLen])
-		aux := string(buf[idLen : idLen+auxLen])
-		payload := buf[idLen+auxLen:]
-		recLen := jRecHeaderLen + n
-		j.applyRecord(op, id, aux, payload, recLen)
-		off += recLen
-	}
-	if off < end {
-		j.truncatedTail = true
-		j.truncatedBytes = end - off
-		if err := j.f.Truncate(off); err != nil {
-			return fmt.Errorf("dispatch: truncating torn journal tail at %d: %w", off, err)
-		}
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("dispatch: syncing journal truncation: %w", err)
-		}
-	}
-	j.size = off
-	j.replayed = len(j.open)
-	return nil
-}
-
-// applyRecord folds one replayed (or freshly appended) record into the
-// open-job set and the live/dead accounting. Callers hold j.mu (or own the
-// journal exclusively during replay).
-func (j *Journal) applyRecord(op uint32, id, aux string, payload []byte, recLen int64) {
-	switch op {
-	case jOpEnqueue:
-		j.open[id] = &JournalJob{ID: id, Key: aux, Payload: append([]byte(nil), payload...)}
-		j.jobBytes[id] += recLen
-		j.liveBytes += recLen
-	case jOpLease:
-		if jj, ok := j.open[id]; ok {
-			jj.WorkerID = aux
-			if len(payload) == 4 {
-				jj.Attempt = int(binary.LittleEndian.Uint32(payload))
-			}
-			j.jobBytes[id] += recLen
-			j.liveBytes += recLen
-		} else {
-			j.deadBytes += recLen
-		}
-	case jOpRequeue:
-		if jj, ok := j.open[id]; ok {
-			jj.WorkerID = ""
-			j.jobBytes[id] += recLen
-			j.liveBytes += recLen
-		} else {
-			j.deadBytes += recLen
-		}
-	case jOpComplete, jOpFail:
-		if b, ok := j.jobBytes[id]; ok {
-			j.liveBytes -= b
-			j.deadBytes += b
-			delete(j.jobBytes, id)
-		}
-		delete(j.open, id)
-		j.deadBytes += recLen
-	}
-}
-
-// Pending returns the jobs open at replay time, sorted by numeric job ID —
-// the enqueue order, which is the best queue-order reconstruction the
-// journal affords (a requeued-to-front position is not journaled).
+// Pending returns the open jobs sorted by numeric job ID — the enqueue
+// order, which is the best queue-order reconstruction the journal affords (a
+// requeued-to-front position is not journaled).
 func (j *Journal) Pending() []*JournalJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -221,207 +118,91 @@ func (j *Journal) Pending() []*JournalJob {
 	for _, jj := range j.open {
 		out = append(out, jj)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return jobIDLess(out[a].ID, out[b].ID)
+	slices.SortFunc(out, func(a, b *JournalJob) int {
+		return cmp.Or(cmp.Compare(jobIDNum(a.ID), jobIDNum(b.ID)), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }
 
-// jobIDLess orders "dj-N" ids numerically, falling back to string order for
-// foreign ids.
-func jobIDLess(a, b string) bool {
-	na, aok := jobIDNum(a)
-	nb, bok := jobIDNum(b)
-	if aok && bok {
-		return na < nb
+// jobIDNum extracts N from "dj-N"; a foreign id counts as 0.
+func jobIDNum(id string) uint64 {
+	rest, ok := strings.CutPrefix(id, "dj-")
+	if n, err := strconv.ParseUint(rest, 10, 64); ok && err == nil {
+		return n
 	}
-	return a < b
+	return 0
 }
 
-// jobIDNum extracts N from "dj-N".
-func jobIDNum(id string) (uint64, bool) {
-	const prefix = "dj-"
-	if len(id) <= len(prefix) || id[:len(prefix)] != prefix {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range id[len(prefix):] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	return n, true
-}
-
-// MaxJobID returns the highest numeric "dj-N" suffix seen across the whole
-// journal's open set, so a restarted coordinator resumes IDs beyond it.
+// MaxJobID returns the highest numeric "dj-N" suffix in the open set, so a
+// restarted coordinator resumes IDs beyond it.
 func (j *Journal) MaxJobID() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var max uint64
+	var top uint64
 	for id := range j.open {
-		if n, ok := jobIDNum(id); ok && n > max {
-			max = n
-		}
+		top = max(top, jobIDNum(id))
 	}
-	return max
+	return top
 }
 
-// append writes one synced record and folds it into the live state.
-func (j *Journal) append(op uint32, id, aux string, payload []byte) error {
-	rec := make([]byte, jRecHeaderLen+len(id)+len(aux)+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], op)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(id)))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(aux)))
-	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(payload)))
-	copy(rec[jRecHeaderLen:], id)
-	copy(rec[jRecHeaderLen+len(id):], aux)
-	copy(rec[jRecHeaderLen+len(id)+len(aux):], payload)
-	binary.LittleEndian.PutUint32(rec[16:20], crc32.ChecksumIEEE(rec[jRecHeaderLen:]))
+// put makes jj the durable state of its job, then the in-memory one. Callers
+// hold j.mu.
+func (j *Journal) put(jj *JournalJob) error {
+	if err := j.log.Put(jj.ID, encodeJournalJob(jj)); err != nil {
+		return err
+	}
+	j.open[jj.ID] = jj
+	return nil
+}
 
+// update journals a changed copy of open job id; a job that is not open has
+// no state to change.
+func (j *Journal) update(id string, change func(*JournalJob)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("dispatch: append on closed journal")
+	old, ok := j.open[id]
+	if !ok {
+		return nil
 	}
-	off := j.size
-	if _, err := j.f.WriteAt(rec, off); err != nil {
-		return fmt.Errorf("dispatch: appending journal record: %w", err)
-	}
-	if !j.noSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("dispatch: syncing journal record: %w", err)
-		}
-	}
-	j.size = off + int64(len(rec))
-	j.appends++
-	j.applyRecord(op, id, aux, payload, int64(len(rec)))
-
-	if j.deadBytes > jCompactMinDead && j.deadBytes > j.liveBytes {
-		return j.compactLocked()
-	}
-	return nil
+	next := *old
+	change(&next)
+	return j.put(&next)
 }
 
 // Enqueue journals a job's admission.
 func (j *Journal) Enqueue(id, key string, payload []byte) error {
-	return j.append(jOpEnqueue, id, key, payload)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.put(&JournalJob{ID: id, Key: key, Payload: append([]byte(nil), payload...)})
 }
 
-// Lease journals a lease grant.
+// Lease journals a lease grant: the holder and attempt are what fence a
+// replayed lease after a restart.
 func (j *Journal) Lease(id, workerID string, attempt int) error {
-	var a [4]byte
-	binary.LittleEndian.PutUint32(a[:], uint32(attempt))
-	return j.append(jOpLease, id, workerID, a[:])
+	return j.update(id, func(jj *JournalJob) { jj.WorkerID, jj.Attempt = workerID, attempt })
 }
 
 // Requeue journals an expired lease returning the job to the queue.
 func (j *Journal) Requeue(id string) error {
-	return j.append(jOpRequeue, id, "", nil)
+	return j.update(id, func(jj *JournalJob) { jj.WorkerID = "" })
 }
 
 // Complete journals a successful completion, closing the job.
 func (j *Journal) Complete(id string) error {
-	return j.append(jOpComplete, id, "", nil)
-}
-
-// Fail journals a terminal failure, closing the job.
-func (j *Journal) Fail(id string) error {
-	return j.append(jOpFail, id, "", nil)
-}
-
-// Compact rewrites the journal to exactly the open set: one enqueue record
-// per open job plus a lease record for leased ones, into a temp file
-// installed by atomic rename (same crash discipline as LogStore compaction).
-func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("dispatch: compact on closed journal")
+	if err := j.log.Delete(id); err != nil {
+		return err
 	}
-	return j.compactLocked()
-}
-
-// compactLocked does the rewrite. Callers hold j.mu.
-func (j *Journal) compactLocked() error {
-	ids := make([]string, 0, len(j.open))
-	for id := range j.open {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return jobIDLess(ids[a], ids[b]) })
-
-	tmpPath := j.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("dispatch: creating journal compaction file: %w", err)
-	}
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpPath)
-	}
-	if _, err := tmp.WriteAt([]byte(journalMagic), 0); err != nil {
-		cleanup()
-		return fmt.Errorf("dispatch: writing journal compaction magic: %w", err)
-	}
-	off := int64(len(journalMagic))
-	newBytes := make(map[string]int64, len(ids))
-	write := func(op uint32, id, aux string, payload []byte) error {
-		rec := make([]byte, jRecHeaderLen+len(id)+len(aux)+len(payload))
-		binary.LittleEndian.PutUint32(rec[0:4], op)
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(len(id)))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(aux)))
-		binary.LittleEndian.PutUint32(rec[12:16], uint32(len(payload)))
-		copy(rec[jRecHeaderLen:], id)
-		copy(rec[jRecHeaderLen+len(id):], aux)
-		copy(rec[jRecHeaderLen+len(id)+len(aux):], payload)
-		binary.LittleEndian.PutUint32(rec[16:20], crc32.ChecksumIEEE(rec[jRecHeaderLen:]))
-		if _, err := tmp.WriteAt(rec, off); err != nil {
-			return err
-		}
-		newBytes[id] += int64(len(rec))
-		off += int64(len(rec))
-		return nil
-	}
-	for _, id := range ids {
-		jj := j.open[id]
-		if err := write(jOpEnqueue, id, jj.Key, jj.Payload); err != nil {
-			cleanup()
-			return fmt.Errorf("dispatch: journal compaction write for %s: %w", id, err)
-		}
-		if jj.WorkerID != "" {
-			var a [4]byte
-			binary.LittleEndian.PutUint32(a[:], uint32(jj.Attempt))
-			if err := write(jOpLease, id, jj.WorkerID, a[:]); err != nil {
-				cleanup()
-				return fmt.Errorf("dispatch: journal compaction write for %s: %w", id, err)
-			}
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("dispatch: syncing journal compaction file: %w", err)
-	}
-	if err := os.Rename(tmpPath, j.path); err != nil {
-		cleanup()
-		return fmt.Errorf("dispatch: installing compacted journal: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(j.path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	j.f.Close()
-	j.f = tmp
-	j.size = off
-	j.jobBytes = newBytes
-	j.liveBytes = 0
-	for _, b := range newBytes {
-		j.liveBytes += b
-	}
-	j.deadBytes = 0
-	j.compactions++
+	delete(j.open, id)
 	return nil
 }
+
+// Fail journals a terminal failure, closing the job: durably the same Delete.
+func (j *Journal) Fail(id string) error { return j.Complete(id) }
+
+// Compact rewrites the log to exactly the open set.
+func (j *Journal) Compact() error { return j.log.Compact() }
 
 // JournalStats is the journal section of the coordinator's health surface.
 type JournalStats struct {
@@ -436,34 +217,24 @@ type JournalStats struct {
 	TruncatedBytes int64  `json:"truncated_bytes,omitempty"`
 }
 
-// Stats snapshots the journal.
+// Stats snapshots the journal: the log's own numbers under the journal's
+// field names, Appends being its synced records (puts + deletes).
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	st := j.log.Stats()
 	return JournalStats{
 		Path:           j.path,
 		OpenJobs:       len(j.open),
-		LogBytes:       j.size,
-		DeadBytes:      j.deadBytes,
-		Appends:        j.appends,
-		Compactions:    j.compactions,
+		LogBytes:       st.LogBytes,
+		DeadBytes:      st.DeadBytes,
+		Appends:        st.Puts + st.Deletes,
+		Compactions:    st.Compactions,
 		Replayed:       j.replayed,
-		TruncatedTail:  j.truncatedTail,
-		TruncatedBytes: j.truncatedBytes,
+		TruncatedTail:  st.TruncatedTail,
+		TruncatedBytes: st.TruncatedBytes,
 	}
 }
 
 // Close flushes and releases the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }

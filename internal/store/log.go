@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -41,8 +42,6 @@ type LogStore struct {
 	live  int64 // sum of live value payload sizes
 	dead  int64 // bytes held by superseded records (reclaimable)
 
-	noSync bool // test hook: skip per-put fsync
-
 	puts, deletes, hits, misses uint64
 	compactions                 uint64
 	lastCompaction              time.Time
@@ -72,6 +71,8 @@ const (
 	// rewriting a tiny log to save a few KB is churn, not reclamation.
 	compactMinDead = 1 << 20
 )
+
+var errClosed = errors.New("store: log is closed")
 
 // OpenLog opens (or creates) the log at path and replays it into memory.
 func OpenLog(path string) (*LogStore, error) {
@@ -145,20 +146,7 @@ func (s *LogStore) replay() error {
 		if crc32.ChecksumIEEE(buf) != sum {
 			break // torn mid-payload (the sync boundary is the whole record)
 		}
-		key := string(buf[:keyLen])
-		if old, ok := s.index[key]; ok {
-			s.dead += old.recLen()
-			s.live -= int64(old.valLen)
-			delete(s.index, key)
-		}
-		if valLen == 0 {
-			// Tombstone: the key is gone, and the tombstone record itself is
-			// immediately reclaimable.
-			s.dead += recHeaderLen + keyLen
-		} else {
-			s.index[key] = recLoc{off: off, valOff: off + recHeaderLen + keyLen, keyLen: int32(keyLen), valLen: int32(valLen)}
-			s.live += valLen
-		}
+		s.indexRecord(string(buf[:keyLen]), off, valLen)
 		off += recHeaderLen + n
 	}
 	if off < end {
@@ -192,6 +180,55 @@ func (s *LogStore) Get(key string) ([]byte, bool, error) {
 	return val, true, nil
 }
 
+// encodeRecord frames key→val as one log record; an empty val is a tombstone.
+func encodeRecord(key string, val []byte) []byte {
+	rec := make([]byte, recHeaderLen+len(key)+len(val))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
+	copy(rec[recHeaderLen:], key)
+	copy(rec[recHeaderLen+len(key):], val)
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(rec[recHeaderLen:]))
+	return rec
+}
+
+// indexRecord folds the record for key at off (valLen 0: a tombstone) into
+// the index and the live/dead accounting, on replay and on append alike.
+func (s *LogStore) indexRecord(key string, off, valLen int64) {
+	if old, ok := s.index[key]; ok {
+		s.dead += old.recLen()
+		s.live -= int64(old.valLen)
+		delete(s.index, key)
+	}
+	keyLen := int64(len(key))
+	if valLen == 0 {
+		// The key is gone, and the tombstone record itself is immediately
+		// reclaimable.
+		s.dead += recHeaderLen + keyLen
+		return
+	}
+	s.index[key] = recLoc{off: off, valOff: off + recHeaderLen + keyLen, keyLen: int32(keyLen), valLen: int32(valLen)}
+	s.live += valLen
+}
+
+// appendLocked is the one write path: append key's encoded record, sync it,
+// index it, count it, and compact if the log is now mostly dead weight.
+// Callers hold s.mu on an open store and have validated the key.
+func (s *LogStore) appendLocked(key string, rec []byte, count *uint64) error {
+	if _, err := s.f.WriteAt(rec, s.size); err != nil {
+		return fmt.Errorf("store: appending record: %w", err)
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("store: syncing record: %w", err)
+	}
+	s.indexRecord(key, s.size, int64(len(rec)-len(key))-recHeaderLen)
+	s.size += int64(len(rec))
+	*count++
+	if s.dead > compactMinDead && s.dead > s.live {
+		return s.compactLocked()
+	}
+	return nil
+}
+
 // Put implements Store: one synced append, then an index update. A key
 // already present is superseded in place (its old record becomes dead
 // weight for the next compaction).
@@ -205,40 +242,13 @@ func (s *LogStore) Put(key string, val []byte) error {
 	if len(val) > maxValLen {
 		return fmt.Errorf("store: value length %d exceeds %d", len(val), maxValLen)
 	}
-	rec := make([]byte, recHeaderLen+len(key)+len(val))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
-	copy(rec[recHeaderLen:], key)
-	copy(rec[recHeaderLen+len(key):], val)
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(rec[recHeaderLen:]))
-
+	rec := encodeRecord(key, val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return fmt.Errorf("store: put on closed store")
+		return errClosed
 	}
-	off := s.size
-	if _, err := s.f.WriteAt(rec, off); err != nil {
-		return fmt.Errorf("store: appending record: %w", err)
-	}
-	if !s.noSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: syncing record: %w", err)
-		}
-	}
-	s.size = off + int64(len(rec))
-	if old, ok := s.index[key]; ok {
-		s.dead += old.recLen()
-		s.live -= int64(old.valLen)
-	}
-	s.index[key] = recLoc{off: off, valOff: off + recHeaderLen + int64(len(key)), keyLen: int32(len(key)), valLen: int32(len(val))}
-	s.live += int64(len(val))
-	s.puts++
-
-	if s.dead > compactMinDead && s.dead > s.live {
-		return s.compactLocked()
-	}
-	return nil
+	return s.appendLocked(key, rec, &s.puts)
 }
 
 // Delete implements Store: a synced tombstone append (valLen==0), then the
@@ -250,36 +260,30 @@ func (s *LogStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return fmt.Errorf("store: delete on closed store")
+		return errClosed
 	}
-	old, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index[key]; !ok {
 		return nil
 	}
-	rec := make([]byte, recHeaderLen+len(key))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[4:8], 0)
-	copy(rec[recHeaderLen:], key)
-	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(rec[recHeaderLen:]))
-	off := s.size
-	if _, err := s.f.WriteAt(rec, off); err != nil {
-		return fmt.Errorf("store: appending tombstone: %w", err)
-	}
-	if !s.noSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: syncing tombstone: %w", err)
-		}
-	}
-	s.size = off + int64(len(rec))
-	s.dead += old.recLen() + int64(len(rec)) // the superseded record and the tombstone itself
-	s.live -= int64(old.valLen)
-	delete(s.index, key)
-	s.deletes++
+	return s.appendLocked(key, encodeRecord(key, nil), &s.deletes)
+}
 
-	if s.dead > compactMinDead && s.dead > s.live {
-		return s.compactLocked()
+// Keys returns every live key in sorted order: the iteration a client that
+// keeps structured state in the log (the dispatch journal) replays from.
+func (s *LogStore) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keysLocked()
+}
+
+// keysLocked is Keys for callers holding s.mu.
+func (s *LogStore) keysLocked() []string {
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
 	}
-	return nil
+	sort.Strings(keys)
+	return keys
 }
 
 // Compact implements Store: rewrite live records (in sorted key order, so
@@ -289,19 +293,13 @@ func (s *LogStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return fmt.Errorf("store: compact on closed store")
+		return errClosed
 	}
 	return s.compactLocked()
 }
 
 // compactLocked does the rewrite. Callers hold s.mu.
 func (s *LogStore) compactLocked() error {
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	tmpPath := s.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -317,19 +315,14 @@ func (s *LogStore) compactLocked() error {
 	}
 	newIndex := make(map[string]recLoc, len(s.index))
 	off := int64(len(logMagic))
-	for _, key := range keys {
+	for _, key := range s.keysLocked() {
 		loc := s.index[key]
 		val := make([]byte, loc.valLen)
 		if _, err := s.f.ReadAt(val, loc.valOff); err != nil {
 			cleanup()
 			return fmt.Errorf("store: compaction read for %s: %w", key, err)
 		}
-		rec := make([]byte, recHeaderLen+len(key)+len(val))
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(len(val)))
-		copy(rec[recHeaderLen:], key)
-		copy(rec[recHeaderLen+len(key):], val)
-		binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(rec[recHeaderLen:]))
+		rec := encodeRecord(key, val)
 		if _, err := tmp.WriteAt(rec, off); err != nil {
 			cleanup()
 			return fmt.Errorf("store: compaction write for %s: %w", key, err)
