@@ -400,16 +400,47 @@ func BenchmarkAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectoryNearest measures the task-directory lookup on the hot
-// path of packet retargeting.
+// BenchmarkDirectoryNearest measures the task-directory lookups behind every
+// generated packet — Nearest (join binding, retargeting) and NearestK at the
+// fork pool size 2n+2 = 8 — on a random fork-join mapping at three fabric
+// sizes, with a task switch every 64 lookups as in an adapting colony. The
+// search is local, so the rows should read alike: benchgate fails when a
+// 256x256 row exceeds twice its 16x8 row.
 func BenchmarkDirectoryNearest(b *testing.B) {
-	topo := noc.NewTopology(16, 8)
 	g := taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
-	m := taskgraph.RandomMapper{}.Map(g, 16, 8, sim.NewRNG(1))
-	d := node.NewDirectory(topo, m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Nearest(taskgraph.ForkWorker, noc.NodeID(i%128))
+	for _, size := range []struct{ w, h int }{{16, 8}, {64, 64}, {256, 256}} {
+		topo := noc.NewTopology(size.w, size.h)
+		nodes := topo.Nodes()
+		d := node.NewDirectory(topo, taskgraph.RandomMapper{}.Map(g, size.w, size.h, sim.NewRNG(1)))
+		// Anchors and switching nodes are drawn from a seeded stream: a short
+		// repeating walk would let the branch predictor learn a 16x8 grid by
+		// heart and flatter the small end of the comparison. A switch is
+		// undone by the next one, so the mapping stays the mapper's.
+		run := func(name string, lookup func(from noc.NodeID)) {
+			b.Run(fmt.Sprintf("%dx%d/%s", size.w, size.h, name), func(b *testing.B) {
+				rng := sim.NewRNG(2)
+				var flipped noc.NodeID
+				var home taskgraph.TaskID
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					switch i % 128 {
+					case 0:
+						flipped = noc.NodeID(rng.Intn(nodes))
+						home = d.TaskOf(flipped)
+						if home == taskgraph.ForkWorker {
+							d.Set(flipped, taskgraph.ForkSink)
+						} else {
+							d.Set(flipped, taskgraph.ForkWorker)
+						}
+					case 64:
+						d.Set(flipped, home)
+					}
+					lookup(noc.NodeID(rng.Intn(nodes)))
+				}
+				d.Set(flipped, home)
+			})
+		}
+		run("Nearest", func(from noc.NodeID) { d.Nearest(taskgraph.ForkSink, from) })
+		run("NearestK8", func(from noc.NodeID) { d.NearestK(taskgraph.ForkWorker, from, 8) })
 	}
 }

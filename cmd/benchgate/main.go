@@ -1,7 +1,9 @@
 // Command benchgate compares `go test -bench` output against the repo's
 // BENCH_platform.json snapshot and fails when a benchmark regressed beyond a
 // relative tolerance — the CI perf gate guarding the simulator's hot paths
-// (not just their allocation counts).
+// (not just their allocation counts). It also holds the task directory to a
+// cost that is flat in fabric size: each BenchmarkDirectoryNearest/256x256/*
+// row must stay within twice its 16x8 row, whatever the snapshot says.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -167,6 +170,36 @@ func gate(meas map[string]measurement, base map[string]baselineEntry, tol float6
 	return failures, notes
 }
 
+// flatSmall and flatLarge name the two ends of the directory's size axis.
+const (
+	flatSmall = "BenchmarkDirectoryNearest/16x8/"
+	flatLarge = "BenchmarkDirectoryNearest/256x256/"
+)
+
+// flatness fails every 256x256 directory row that costs more than twice its
+// 16x8 counterpart from the same run: a nearest-owner lookup searches
+// outward from the asking node, so a 512-fold larger fabric must not make it
+// dearer. Relative within one run, so it needs no snapshot and no tolerance
+// for the hardware.
+func flatness(meas map[string]measurement) (failures []string) {
+	for name, large := range meas {
+		variant, ok := strings.CutPrefix(name, flatLarge)
+		if !ok {
+			continue
+		}
+		small, ok := meas[flatSmall+variant]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: no %s%s row to compare with", name, flatSmall, variant))
+		} else if large.nsPerOp > 2*small.nsPerOp {
+			failures = append(failures, fmt.Sprintf(
+				"%s: %.1f ns/op is more than twice the %.1f ns/op of %s%s — lookup cost grows with fabric size",
+				name, large.nsPerOp, small.nsPerOp, flatSmall, variant))
+		}
+	}
+	slices.Sort(failures)
+	return failures
+}
+
 func run() error {
 	benchPath := flag.String("bench", "", "path to `go test -bench` output")
 	basePath := flag.String("baseline", "BENCH_platform.json", "path to the benchmark snapshot")
@@ -209,7 +242,9 @@ func run() error {
 		}
 	}
 
-	failures, notes := gate(parseBench(lines), base.Benchmarks, *tol, req)
+	meas := parseBench(lines)
+	failures, notes := gate(meas, base.Benchmarks, *tol, req)
+	failures = append(failures, flatness(meas)...)
 	for _, n := range notes {
 		fmt.Println("note:", n)
 	}

@@ -45,3 +45,21 @@ func TestGate(t *testing.T) {
 		t.Fatalf("failures = %v, want alloc failure on A and timing failure on B", failures)
 	}
 }
+
+func TestFlatness(t *testing.T) {
+	meas := map[string]measurement{
+		"BenchmarkDirectoryNearest/16x8/Nearest":      {nsPerOp: 40},
+		"BenchmarkDirectoryNearest/64x64/Nearest":     {nsPerOp: 500}, // not an end of the axis
+		"BenchmarkDirectoryNearest/256x256/Nearest":   {nsPerOp: 80},  // exactly 2x: passes
+		"BenchmarkDirectoryNearest/16x8/NearestK8":    {nsPerOp: 200},
+		"BenchmarkDirectoryNearest/256x256/NearestK8": {nsPerOp: 401},
+		"BenchmarkDirectoryNearest/256x256/Orphan":    {nsPerOp: 1},
+	}
+	failures := flatness(meas)
+	if len(failures) != 2 {
+		t.Fatalf("failures = %v, want NearestK8 over 2x and Orphan without a 16x8 row", failures)
+	}
+	if flatness(map[string]measurement{"BenchmarkPlatformStep/none": {nsPerOp: 1}}) != nil {
+		t.Fatal("flatness gated a run without directory rows")
+	}
+}

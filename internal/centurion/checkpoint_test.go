@@ -184,6 +184,20 @@ func TestCheckpointRestoreIntoPooledPlatform(t *testing.T) {
 	})
 }
 
+// TestCheckpointRestoreIntoDirtyPlatform is the same restore without the
+// pool's say in it (a sync.Pool may hand back a fresh platform after a GC,
+// and then the test above proves nothing): the target is always the
+// platform still dirty from the byzantine run.
+func TestCheckpointRestoreIntoDirtyPlatform(t *testing.T) {
+	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 11)
+	dirty := New(cfg)
+	driveHostile(dirty, buildHostile(t, dirty, hostileProfiles[3], 0xbada))
+
+	probe := New(cfg)
+	sched := buildHostile(t, probe, hostileProfiles[0], 11)
+	forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return dirty })
+}
+
 // TestCheckpointParallelTick covers the tiled tick kernel: snapshots taken
 // while the fabric steps in parallel epochs, restored into platforms
 // sweeping the same four tiles serially (W=1), in parallel (W=4), and

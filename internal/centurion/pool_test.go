@@ -165,8 +165,8 @@ func TestPacketConservationRCAPAndDebug(t *testing.T) {
 
 // TestPlatformStepSteadyStateAllocFree is the allocation regression guard
 // behind the CI bench-smoke threshold: at steady state a platform tick must
-// not allocate (averaged over many ticks — rare task switches may refill the
-// directory's memoized lookups).
+// not allocate (averaged over many ticks — a rare task switch may grow an
+// owner list).
 func TestPlatformStepSteadyStateAllocFree(t *testing.T) {
 	models := []struct {
 		name    string

@@ -80,6 +80,24 @@ func (c CMesh) Distance(a, b NodeID) int {
 	return dx + dy
 }
 
+// Ring implements Topology: the mesh diamond on the hub express grid, every
+// hub then standing for its four cluster members.
+func (c CMesh) Ring(from NodeID, d int, buf []NodeID) []NodeID {
+	co := c.coords[from]
+	start := len(buf)
+	buf = ringAt(false, c.w/2, c.h/2, co.X/2, co.Y/2, d, buf)
+	// Expand in place from the back, so no hub is overwritten before it is
+	// read.
+	hubs := len(buf) - start
+	buf = append(buf, make([]NodeID, 3*hubs)...)
+	for i := hubs - 1; i >= 0; i-- {
+		hub := int(buf[start+i])
+		id := NodeID(hub/(c.w/2)*2*c.w + hub%(c.w/2)*2)
+		copy(buf[start+4*i:], []NodeID{id, id + 1, id + NodeID(c.w), id + NodeID(c.w) + 1})
+	}
+	return buf
+}
+
 // BaseNextHop implements Topology: XY dimension-order routing over the hub
 // express grid; Local when both nodes share a router.
 func (c CMesh) BaseNextHop(from, dst NodeID) Port {

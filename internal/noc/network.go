@@ -186,16 +186,12 @@ type Network struct {
 	tables *routeTables
 	// healthy caches the fault-free route tables so Reset can restore them
 	// without recomputation (they are immutable once built).
-	healthy *routeTables
-	// xy[from][dst] is the topology's dimension-order next hop, precomputed
-	// once so the healthy-fabric forwarding path is a single indexed load
-	// instead of two coordinate decompositions per packet per tick.
-	xy         [][]Port
+	healthy    *routeTables
 	haveFaults bool
 	faultyCnt  int
 
 	// huge marks a fabric beyond hugeNodes: the O(nodes²) routing
-	// structures (per-router hop rows, xy rows, BFS tables) are not built —
+	// structures (per-router hop rows, BFS tables) are not built —
 	// forwarding computes the dimension-order hop on the fly and routes
 	// stay XY even under faults (blocked heads take the deadlock-recovery
 	// path, like the FPGA's router). See liveHop.
@@ -313,26 +309,6 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 			}
 		}
 	}
-	if !n.huge {
-		// Like the route tables, xy rows depend only on the serving router,
-		// so cluster members alias their hub's row.
-		n.xy = make([][]Port, nodes)
-		for from := range n.xy {
-			if topo.RouterOf(NodeID(from)) != NodeID(from) {
-				continue
-			}
-			row := make([]Port, nodes)
-			for dst := range row {
-				row[dst] = xyNextHop(topo, NodeID(from), NodeID(dst))
-			}
-			n.xy[from] = row
-		}
-		for from := range n.xy {
-			if n.xy[from] == nil {
-				n.xy[from] = n.xy[topo.RouterOf(NodeID(from))]
-			}
-		}
-	}
 	k := cfg.Tiles
 	if k == 0 {
 		k = autoTiles(topo.Width(), topo.Height())
@@ -347,7 +323,7 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 }
 
 // hugeNodes is the node count beyond which the quadratic routing structures
-// (hop rows, xy rows, BFS tables) are skipped: a 65536-node fabric's hop
+// (hop rows, BFS tables) are skipped: a 65536-node fabric's hop
 // rows alone would be 4 GiB. 64×64 (4096 nodes) keeps the precomputed fast
 // path and full fault-aware routing.
 const hugeNodes = 8192
@@ -381,22 +357,65 @@ func (n *Network) applyRoutingRows() {
 		n.stirAll()
 		return
 	}
-	useXY := n.cfg.Mode == RouteXY || (n.cfg.Mode == RouteAuto && !n.haveFaults)
-	for _, r := range n.uniq {
-		var row []Port
-		if useXY {
-			row = n.xy[r.ID]
-		} else {
-			row = n.tables.next[r.ID]
-		}
-		dst := n.state[r.ID].hop
-		for i, p := range row {
-			dst[i] = int8(p)
+	if n.useXY() {
+		n.fillXYRows()
+	} else {
+		for _, r := range n.uniq {
+			copy(n.state[r.ID].hop, n.tables.next[r.ID])
 		}
 	}
 	// New rows can change any parked head's fate (fresh detour, newly
 	// unreachable destination): wake everything holding traffic.
 	n.stirAll()
+}
+
+// fillXYRows writes every router's dimension-order next-hop row straight
+// from the topology. A dimension-order route corrects X before Y, so a
+// router's hop toward (x, y) is its hop toward column x — the same for
+// every router of its column — unless that column is already right (Local),
+// and then it is its hop toward row y, the same for every router of its row.
+// A row is therefore one column template repeated per node-row with the
+// router's own column(s) patched: W+H BaseNextHop calls per router column
+// and row, not W·H per router.
+func (n *Network) fillXYRows() {
+	topo := n.Topo
+	w, h := topo.Width(), topo.Height()
+	horiz := make([]int8, w*w) // horiz[fx*w+x]: from a router in column fx toward column x
+	haveX := make([]bool, w)
+	down := make([]int8, h) // from a router in the current row toward row y, column right
+	downY := -1
+	for _, r := range n.uniq { // ascending IDs: row by row
+		fc := topo.Coord(r.ID)
+		tmpl := horiz[fc.X*w : (fc.X+1)*w]
+		if !haveX[fc.X] {
+			haveX[fc.X] = true
+			for x := range tmpl {
+				tmpl[x] = int8(topo.BaseNextHop(r.ID, NodeID(fc.Y*w+x)))
+			}
+		}
+		if downY != fc.Y {
+			downY = fc.Y
+			for y := range down {
+				down[y] = int8(topo.BaseNextHop(r.ID, NodeID(y*w+fc.X)))
+			}
+		}
+		// The router's own columns are the template's Local entries — one,
+		// or a cluster's two, always adjacent.
+		lo, hi := w, 0
+		for x, p := range tmpl {
+			if Port(p) == Local {
+				lo, hi = min(lo, x), x+1
+			}
+		}
+		row := n.state[r.ID].hop
+		for y := 0; y < h; y++ {
+			dst := row[y*w : (y+1)*w]
+			copy(dst, tmpl)
+			for x := lo; x < hi; x++ {
+				dst[x] = down[y]
+			}
+		}
+	}
 }
 
 // Router returns the router serving the given node (shared by the whole
@@ -1163,20 +1182,16 @@ func (n *Network) NextHop(from, dst NodeID) Port {
 	if dst < 0 || int(dst) >= n.nodes {
 		return PortInvalid
 	}
-	if n.huge {
-		return n.liveHop(n.routers[from].ID, int32(dst))
+	if n.huge || n.useXY() {
+		return xyNextHop(n.Topo, from, dst)
 	}
-	switch n.cfg.Mode {
-	case RouteXY:
-		return n.xy[from][dst]
-	case RouteTables:
-		return n.tables.NextHop(from, dst)
-	default: // RouteAuto
-		if !n.haveFaults {
-			return n.xy[from][dst]
-		}
-		return n.tables.NextHop(from, dst)
-	}
+	return n.tables.NextHop(from, dst)
+}
+
+// useXY reports whether forwarding currently follows the topology's
+// dimension-order hop rather than the shortest-path tables.
+func (n *Network) useXY() bool {
+	return n.cfg.Mode == RouteXY || (n.cfg.Mode == RouteAuto && !n.haveFaults)
 }
 
 // Alive reports whether the node's router is functioning.

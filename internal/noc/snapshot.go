@@ -14,7 +14,7 @@ import (
 // accounting), the shared ring-slot slice, the per-router hot records and
 // next-hop row contents, the active sets, byzantine arming (including each
 // router's private RNG stream), fault flags and fabric counters. Everything
-// immutable — topology, xy rows, neighbour wiring, tile layout, the healthy
+// immutable — topology, neighbour wiring, tile layout, the healthy
 // route tables — stays with the platform and is never copied.
 //
 // The fault-aware route tables sit in between: their *contents* are
@@ -167,8 +167,14 @@ func (n *Network) SaveState(st *NetworkState) {
 		}
 	}
 
-	st.hasByz = n.byz != nil
-	st.byz = append(st.byz[:0], n.byz...)
+	// Arming travels only while some router is armed: a fabric that merely
+	// still holds the slice from an earlier run must encode like one that
+	// never allocated it.
+	st.hasByz = n.byzAny
+	st.byz = st.byz[:0]
+	if st.hasByz {
+		st.byz = append(st.byz, n.byz...)
+	}
 	st.byzCnt, st.byzAny = n.byzCnt, n.byzAny
 
 	st.haveFaults, st.faultyCnt = n.haveFaults, n.faultyCnt

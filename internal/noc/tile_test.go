@@ -397,7 +397,7 @@ func TestHugeFabricLiveRouting(t *testing.T) {
 	if !n.huge {
 		t.Fatal("16384-node fabric did not enter huge mode")
 	}
-	if n.state[0].hop != nil || n.xy != nil {
+	if n.state[0].hop != nil {
 		t.Fatal("huge fabric built per-router hop rows")
 	}
 	if got := n.TileCount(); got != 16 {

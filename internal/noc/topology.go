@@ -133,6 +133,11 @@ type Topology interface {
 	// Distance returns the hop distance between the two nodes' routers on
 	// the healthy fabric (0 for nodes sharing a router).
 	Distance(a, b NodeID) int
+	// Ring appends to buf every node at Distance exactly d from from, each
+	// once and in no particular order, and returns the extended slice. Rings
+	// over d = 0, 1, 2, … partition the grid, which is what lets a search
+	// outward from a node stop at the first ring that answers it.
+	Ring(from NodeID, d int, buf []NodeID) []NodeID
 	// RouterOf returns the node whose router serves id: id itself except in
 	// concentrated fabrics, where cluster members map to their hub.
 	RouterOf(id NodeID) NodeID
@@ -246,6 +251,60 @@ func (g grid) gridNeighbor(id NodeID, p Port) (NodeID, bool) {
 	return g.ID(c), true
 }
 
+// axisAt returns the positions at distance e from a0 on an axis of n
+// positions — a0-e and a0+e, clipped at the ends of a line or carried around
+// a ring — with -1 for "none" and the first filled before the second. A
+// ring's farthest position is n/2 steps away and on an even ring both
+// directions reach it; like e = 0, it is reported once.
+func axisAt(wrap bool, n, a0, e int) (p, q int) {
+	p, q = a0-e, a0+e
+	if wrap {
+		if 2*e > n {
+			return -1, -1
+		}
+		if p < 0 {
+			p += n
+		}
+		if q >= n {
+			q -= n
+		}
+	}
+	if q >= n || q == p {
+		q = -1
+	}
+	if p < 0 {
+		p, q = q, -1
+	}
+	return p, q
+}
+
+// ringAt appends the IDs of the positions at distance d from (x0, y0) on a w×h
+// grid whose metric is separable — a column part plus a row part, both lines
+// or both rings — which all three topologies' are. The positions at distance
+// d are the columns at axis distance d-ey crossed with the rows at axis
+// distance ey, for every split of d; a position's split is unique, so none
+// is appended twice.
+func ringAt(wrap bool, w, h, x0, y0, d int, buf []NodeID) []NodeID {
+	for ey := 0; ey <= d; ey++ {
+		y1, y2 := axisAt(wrap, h, y0, ey)
+		x1, x2 := axisAt(wrap, w, x0, d-ey)
+		if y1 < 0 || x1 < 0 {
+			continue
+		}
+		buf = append(buf, NodeID(y1*w+x1))
+		if x2 >= 0 {
+			buf = append(buf, NodeID(y1*w+x2))
+		}
+		if y2 >= 0 {
+			buf = append(buf, NodeID(y2*w+x1))
+			if x2 >= 0 {
+				buf = append(buf, NodeID(y2*w+x2))
+			}
+		}
+	}
+	return buf
+}
+
 // Mesh is the paper's fabric: a W×H rectangular mesh with one router per
 // node and XY dimension-order routing. It is the bit-for-bit reference
 // topology every equivalence test anchors on.
@@ -270,6 +329,12 @@ func (m Mesh) Lateral(id NodeID, p Port) (NodeID, bool) { return m.gridNeighbor(
 // Distance implements Topology: the Manhattan metric.
 func (m Mesh) Distance(a, b NodeID) int {
 	return m.Coord(a).Manhattan(m.Coord(b))
+}
+
+// Ring implements Topology: the Manhattan diamond clipped to the grid.
+func (m Mesh) Ring(from NodeID, d int, buf []NodeID) []NodeID {
+	c := m.coords[from]
+	return ringAt(false, m.w, m.h, c.X, c.Y, d, buf)
 }
 
 // RouterOf implements Topology: every node owns its router.

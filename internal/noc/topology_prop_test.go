@@ -285,3 +285,69 @@ func TestTorusDim2LateralDedup(t *testing.T) {
 		t.Error("South lateral missing on 2-tall torus")
 	}
 }
+
+// ringTopologies are the shapes the Ring properties run over: degenerate
+// 1-wide meshes, the 2×2 and 2×N tori whose rings fold onto themselves, odd
+// sizes (no antipode) and even ones (one shared antipode), and the smallest
+// clusters.
+func ringTopologies() []Topology {
+	return []Topology{
+		NewMesh(1, 1), NewMesh(1, 7), NewMesh(7, 1), NewMesh(5, 3), NewMesh(16, 8),
+		NewTorus(2, 2), NewTorus(2, 5), NewTorus(5, 2), NewTorus(3, 3), NewTorus(4, 4), NewTorus(7, 5), NewTorus(6, 8),
+		NewCMesh(2, 2), NewCMesh(2, 6), NewCMesh(4, 4), NewCMesh(6, 10),
+	}
+}
+
+// TestTopologyRingMatchesDistance: Ring(from, d) is exactly the set
+// {id : Distance(from, id) == d}, each node once, for every node and every d
+// from 0 to well past the fabric's diameter (so past half a torus ring,
+// where the two directions meet), and it appends without disturbing what the
+// buffer already held. Together the rings partition the grid.
+func TestTopologyRingMatchesDistance(t *testing.T) {
+	for _, topo := range ringTopologies() {
+		t.Run(topo.String(), func(t *testing.T) {
+			n := topo.Nodes()
+			for from := NodeID(0); int(from) < n; from++ {
+				seen := make([]int, n)
+				total := 0
+				for d := 0; d <= topo.Width()+topo.Height()+2; d++ {
+					ring := topo.Ring(from, d, []NodeID{Invalid})
+					if ring[0] != Invalid {
+						t.Fatalf("Ring(%d, %d) overwrote the buffer's prefix", from, d)
+					}
+					for _, id := range ring[1:] {
+						if got := topo.Distance(from, id); got != d {
+							t.Fatalf("Ring(%d, %d) holds %d at distance %d", from, d, id, got)
+						}
+						seen[id]++
+					}
+					total += len(ring) - 1
+				}
+				for id, c := range seen {
+					if c != 1 {
+						t.Fatalf("from %d: node %d (distance %d) appeared in %d rings", from, id, topo.Distance(from, NodeID(id)), c)
+					}
+				}
+				if total != n {
+					t.Fatalf("from %d: rings hold %d nodes, grid has %d", from, total, n)
+				}
+			}
+		})
+	}
+}
+
+// TestTopologyXYRowsMatchBaseNextHop: the templated row fill of a healthy
+// fabric holds exactly what one BaseNextHop call per (router, destination)
+// would have written.
+func TestTopologyXYRowsMatchBaseNextHop(t *testing.T) {
+	for _, topo := range ringTopologies() {
+		n := NewNetwork(topo, DefaultConfig())
+		for _, r := range n.UniqueRouters() {
+			for dst, got := range n.state[r.ID].hop {
+				if want := topo.BaseNextHop(r.ID, NodeID(dst)); Port(got) != want {
+					t.Fatalf("%s: hop[%d→%d] = %v, BaseNextHop = %v", topo, r.ID, dst, Port(got), want)
+				}
+			}
+		}
+	}
+}

@@ -75,6 +75,12 @@ func (t Torus) Distance(a, b NodeID) int {
 	return ringDist(ac.X, bc.X, t.w) + ringDist(ac.Y, bc.Y, t.h)
 }
 
+// Ring implements Topology: the diamond wrapped around both rings.
+func (t Torus) Ring(from NodeID, d int, buf []NodeID) []NodeID {
+	c := t.coords[from]
+	return ringAt(true, t.w, t.h, c.X, c.Y, d, buf)
+}
+
 // RouterOf implements Topology: every node owns its router.
 func (Torus) RouterOf(id NodeID) NodeID { return id }
 

@@ -6,6 +6,8 @@
 package node
 
 import (
+	"slices"
+
 	"centurion/internal/noc"
 	"centurion/internal/taskgraph"
 )
@@ -15,63 +17,36 @@ import (
 // addressing of the real platform, where packets are steered toward nodes
 // advertising a task (router settings updated through RCAP when a node's
 // AIM switches its task).
+//
+// A query searches outward from the asking node, ring by ring of topology
+// distance, and stops at the first rings that answer it (DESIGN.md §5), so
+// its cost depends on how near the owners are, not on how large the fabric
+// is. Nothing is memoized: a lookup always reads the current assignment.
 type Directory struct {
 	topo   noc.Topology
 	taskOf []taskgraph.TaskID
 	alive  []bool
-	byTask map[taskgraph.TaskID][]noc.NodeID
-	// Version increments on every mutation; cached lookups use it to detect
-	// staleness.
+	// owners[task] lists the live nodes running task, in no particular
+	// order; slot[id] is a live node's index in its task's list, so every
+	// mutation is a swap-remove and an append. len(owners[task]) is the live
+	// count that tells a search when it has found everyone.
+	owners [][]noc.NodeID
+	slot   []int32
+	// Version counts mutations. No lookup consults it; it stays because it
+	// travels in checkpoints (the CENCKPT1 bytes are pinned).
 	Version uint64
 
-	// nearCache and nearKCache memoize Nearest/NearestK results per
-	// (task, anchor) query; they are valid while Version == nearVersion and
-	// are flushed lazily on the first lookup after a mutation. Both lookups
-	// sit on hot paths — Nearest on packet retargeting, NearestK on every
-	// fork spread in generate/finish — and the directory mutates only on
-	// task switches and deaths, so between switches every repeated lookup
-	// is a single map probe instead of an owner scan.
-	nearCache   map[nearestKey]noc.NodeID
-	nearKCache  map[nearestKKey][]noc.NodeID
-	nearVersion uint64
-
-	// arena backs the slices stored in nearKCache: results are carved off
-	// its tail and the whole arena is truncated on flush, so cache refills
-	// after a mutation stop allocating once it has grown to the working-set
-	// size. candBuf is the owner-scan scratch of NearestK.
-	arena   []noc.NodeID
+	// ringBuf holds one ring of candidates, candBuf the scanned owner list
+	// with distances, and kBuf backs NearestK's result.
+	ringBuf []noc.NodeID
 	candBuf []ownerCand
+	kBuf    []noc.NodeID
 }
 
 // ownerCand is NearestK's owner-scan scratch entry.
 type ownerCand struct {
 	id   noc.NodeID
 	dist int
-}
-
-// nearestKey identifies one memoized Nearest query.
-type nearestKey struct {
-	task taskgraph.TaskID
-	from noc.NodeID
-}
-
-// nearestKKey identifies one memoized NearestK query.
-type nearestKKey struct {
-	task taskgraph.TaskID
-	from noc.NodeID
-	k    int
-}
-
-// flushStale lazily invalidates the memoized lookups after a mutation. The
-// arena is truncated with the cache that referenced it: the retained backing
-// array is rewritten by the next refills.
-func (d *Directory) flushStale() {
-	if d.nearVersion != d.Version {
-		clear(d.nearCache)
-		clear(d.nearKCache)
-		d.arena = d.arena[:0]
-		d.nearVersion = d.Version
-	}
 }
 
 // NewDirectory builds a directory from an initial mapping.
@@ -83,34 +58,68 @@ func NewDirectory(topo noc.Topology, m taskgraph.Mapping) *Directory {
 		topo:   topo,
 		taskOf: make([]taskgraph.TaskID, len(m)),
 		alive:  make([]bool, len(m)),
-		byTask: make(map[taskgraph.TaskID][]noc.NodeID),
+		slot:   make([]int32, len(m)),
 	}
-	for i, task := range m {
-		d.taskOf[i] = task
-		d.alive[i] = true
-		d.byTask[task] = append(d.byTask[task], noc.NodeID(i))
-	}
+	d.remap(m)
 	return d
 }
 
+// remap installs a mapping with every node alive.
+func (d *Directory) remap(m taskgraph.Mapping) {
+	copy(d.taskOf, m)
+	for i := range d.alive {
+		d.alive[i] = true
+	}
+	d.reindex()
+}
+
+// reindex rebuilds the owner lists from taskOf and alive (the lists keep
+// their capacity).
+func (d *Directory) reindex() {
+	for task := range d.owners {
+		d.owners[task] = d.owners[task][:0]
+	}
+	for i, alive := range d.alive {
+		if alive {
+			d.enlist(noc.NodeID(i))
+		}
+	}
+}
+
+// enlist adds a live node to its task's owner list.
+func (d *Directory) enlist(id noc.NodeID) {
+	task := d.taskOf[id]
+	for int(task) >= len(d.owners) {
+		d.owners = append(d.owners, nil)
+	}
+	d.slot[id] = int32(len(d.owners[task]))
+	d.owners[task] = append(d.owners[task], id)
+}
+
+// delist removes a live node from its task's owner list.
+func (d *Directory) delist(id noc.NodeID) {
+	list := d.owners[d.taskOf[id]]
+	last := list[len(list)-1]
+	list[d.slot[id]] = last
+	d.slot[last] = d.slot[id]
+	d.owners[d.taskOf[id]] = list[:len(list)-1]
+}
+
+// live returns the live owners of task.
+func (d *Directory) live(task taskgraph.TaskID) []noc.NodeID {
+	if uint(task) < uint(len(d.owners)) {
+		return d.owners[task]
+	}
+	return nil
+}
+
 // Reset rebuilds the directory in place from a fresh mapping: every node
-// comes back alive running its mapped task. The per-task owner lists retain
-// their capacity, and the memoized lookups are invalidated through the usual
-// version bump.
+// comes back alive running its mapped task.
 func (d *Directory) Reset(m taskgraph.Mapping) {
 	if len(m) != len(d.taskOf) {
 		panic("node: reset mapping size does not match directory")
 	}
-	for task, owners := range d.byTask {
-		d.byTask[task] = owners[:0]
-	}
-	for i, task := range m {
-		d.taskOf[i] = task
-		d.alive[i] = true
-		// Node IDs ascend, so the owner lists come out sorted as insertID
-		// would keep them.
-		d.byTask[task] = append(d.byTask[task], noc.NodeID(i))
-	}
+	d.remap(m)
 	d.Version++
 }
 
@@ -122,13 +131,16 @@ func (d *Directory) Alive(id noc.NodeID) bool { return d.alive[id] }
 
 // Set changes the node's task and reindexes.
 func (d *Directory) Set(id noc.NodeID, task taskgraph.TaskID) {
-	old := d.taskOf[id]
-	if old == task {
+	if d.taskOf[id] == task {
 		return
 	}
+	if d.alive[id] {
+		d.delist(id)
+	}
 	d.taskOf[id] = task
-	d.byTask[old] = removeID(d.byTask[old], id)
-	d.byTask[task] = insertID(d.byTask[task], id)
+	if d.alive[id] {
+		d.enlist(id)
+	}
 	d.Version++
 }
 
@@ -139,19 +151,16 @@ func (d *Directory) SetAlive(id noc.NodeID, alive bool) {
 		return
 	}
 	d.alive[id] = alive
+	if alive {
+		d.enlist(id)
+	} else {
+		d.delist(id)
+	}
 	d.Version++
 }
 
 // Count returns how many alive nodes run the task.
-func (d *Directory) Count(task taskgraph.TaskID) int {
-	n := 0
-	for _, id := range d.byTask[task] {
-		if d.alive[id] {
-			n++
-		}
-	}
-	return n
-}
+func (d *Directory) Count(task taskgraph.TaskID) int { return len(d.live(task)) }
 
 // Counts returns alive node counts indexed by task ID (0..maxID).
 func (d *Directory) Counts(maxID taskgraph.TaskID) []int {
@@ -164,93 +173,106 @@ func (d *Directory) Counts(maxID taskgraph.TaskID) []int {
 	return out
 }
 
+// scanList reports whether a k-nearest query over the given live owners
+// should scan their list rather than search rings. Scanning costs len(live)
+// distance evaluations; with owners spread evenly, rings reach k of them
+// after about k·nodes/len(live) candidates. The two cross where
+// len(live)² = k·nodes, so either way a query touches O(√(k·nodes)) nodes.
+// (An empty list always scans, and finds nothing.)
+func (d *Directory) scanList(live []noc.NodeID, k int) bool {
+	return len(live)*len(live) <= k*len(d.taskOf)
+}
+
 // Nearest returns the alive node running task that is closest (by topology
 // distance) to from, breaking ties toward the smaller node ID. The tie-break
 // is what keeps results deterministic across topologies: wrap-around links
-// (torus) and shared routers (cmesh) make exact-distance ties common, and
-// the per-task owner lists are kept sorted so the ascending scan always
-// lands on the same winner. ok is false when no alive node runs the task.
-// Results are memoized per (task, from) until the next directory mutation.
+// (torus) and shared routers (cmesh) make exact-distance ties common. ok is
+// false when no alive node runs the task.
 func (d *Directory) Nearest(task taskgraph.TaskID, from noc.NodeID) (noc.NodeID, bool) {
-	if d.nearCache == nil {
-		d.nearCache = make(map[nearestKey]noc.NodeID, 64)
-	}
-	d.flushStale()
-	key := nearestKey{task, from}
-	if best, ok := d.nearCache[key]; ok {
+	live := d.live(task)
+	best := noc.Invalid
+	if d.scanList(live, 1) {
+		bestDist := 1 << 30
+		for _, id := range live {
+			dist := d.topo.Distance(from, id)
+			if dist < bestDist || (dist == bestDist && id < best) {
+				best, bestDist = id, dist
+			}
+		}
 		return best, best != noc.Invalid
 	}
-	best := noc.Invalid
-	bestDist := 1 << 30
-	for _, id := range d.byTask[task] {
-		if !d.alive[id] {
-			continue
-		}
-		dist := d.topo.Distance(from, id)
-		if dist < bestDist || (dist == bestDist && id < best) {
-			best, bestDist = id, dist
+	// Off the scan rule there is at least one live owner, so some ring holds
+	// one and the loop ends; the first that does holds the nearest ones.
+	for dist := 0; best == noc.Invalid; dist++ {
+		d.ringBuf = d.topo.Ring(from, dist, d.ringBuf[:0])
+		for _, id := range d.ringBuf {
+			if d.taskOf[id] == task && d.alive[id] && (best == noc.Invalid || id < best) {
+				best = id
+			}
 		}
 	}
-	d.nearCache[key] = best
-	return best, best != noc.Invalid
+	return best, true
 }
 
 // NearestK returns up to k distinct alive owners of task ordered by
 // topology distance from from (ties toward smaller IDs — the same stable
 // order Nearest guarantees, so both lookups agree on every topology). Used
-// by fork nodes to spread parallel branches over nearby workers. Results are
-// memoized per (task, from, k) until the next directory mutation; callers
-// must not mutate the returned slice and must not retain it across a
-// mutation (its arena-backed storage is recycled on the next refill).
+// by fork nodes to spread parallel branches over nearby workers. The result
+// is the directory's scratch: it is valid until the next NearestK call and
+// callers must not mutate it.
 func (d *Directory) NearestK(task taskgraph.TaskID, from noc.NodeID, k int) []noc.NodeID {
-	if d.nearKCache == nil {
-		d.nearKCache = make(map[nearestKKey][]noc.NodeID, 64)
-	}
-	d.flushStale()
-	key := nearestKKey{task, from, k}
-	if out, ok := d.nearKCache[key]; ok {
-		return out
-	}
-	cands := d.candBuf[:0]
-	for _, id := range d.byTask[task] {
-		if d.alive[id] {
+	live := d.live(task)
+	k = max(min(k, len(live)), 0)
+	out := d.kBuf[:0]
+	if d.scanList(live, k) {
+		cands := d.candBuf[:0]
+		for _, id := range live {
 			cands = append(cands, ownerCand{id, d.topo.Distance(from, id)})
 		}
-	}
-	d.candBuf = cands // keep the grown scratch
-	// Selection sort of the first k: k is tiny (the fork fan-out).
-	if k > len(cands) {
-		k = len(cands)
-	}
-	// Carve the result off the arena tail. Appends beyond capacity move the
-	// arena to a new backing array; earlier cached slices keep referencing
-	// the old one, which stays alive until they are flushed with it.
-	start := len(d.arena)
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].dist < cands[best].dist ||
-				(cands[j].dist == cands[best].dist && cands[j].id < cands[best].id) {
-				best = j
+		d.candBuf = cands // keep the grown scratch
+		// Selection sort of the first k: k is tiny (the fork fan-out).
+		for i := 0; i < k; i++ {
+			best := i
+			for j := i + 1; j < len(cands); j++ {
+				if cands[j].dist < cands[best].dist ||
+					(cands[j].dist == cands[best].dist && cands[j].id < cands[best].id) {
+					best = j
+				}
+			}
+			cands[i], cands[best] = cands[best], cands[i]
+			out = append(out, cands[i].id)
+		}
+	} else {
+		// Rings come in distance order; inside one, sort what it contributed
+		// by ID. The k live owners exist, so the loop ends.
+		for dist := 0; len(out) < k; dist++ {
+			d.ringBuf = d.topo.Ring(from, dist, d.ringBuf[:0])
+			ringStart := len(out)
+			for _, id := range d.ringBuf {
+				if d.taskOf[id] != task || !d.alive[id] {
+					continue
+				}
+				i := len(out)
+				out = append(out, id)
+				for ; i > ringStart && out[i-1] > id; i-- {
+					out[i] = out[i-1]
+				}
+				out[i] = id
 			}
 		}
-		cands[i], cands[best] = cands[best], cands[i]
-		d.arena = append(d.arena, cands[i].id)
+		if len(out) > k {
+			out = out[:k]
+		}
 	}
-	out := d.arena[start:len(d.arena):len(d.arena)]
-	d.nearKCache[key] = out
+	d.kBuf = out[:0]
 	return out
 }
 
 // Owners returns the alive owners of a task (ascending IDs). The slice is
 // freshly allocated.
 func (d *Directory) Owners(task taskgraph.TaskID) []noc.NodeID {
-	var out []noc.NodeID
-	for _, id := range d.byTask[task] {
-		if d.alive[id] {
-			out = append(out, id)
-		}
-	}
+	out := slices.Clone(d.live(task))
+	slices.Sort(out)
 	return out
 }
 
@@ -259,31 +281,4 @@ func (d *Directory) Mapping() taskgraph.Mapping {
 	m := make(taskgraph.Mapping, len(d.taskOf))
 	copy(m, d.taskOf)
 	return m
-}
-
-func removeID(s []noc.NodeID, id noc.NodeID) []noc.NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// insertID keeps the per-task owner lists sorted so that iteration order —
-// and therefore tie-breaking — is deterministic.
-func insertID(s []noc.NodeID, id noc.NodeID) []noc.NodeID {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = id
-	return s
 }

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -110,14 +112,13 @@ func TestDirectoryNearestK(t *testing.T) {
 	}
 }
 
-// The memoized Nearest/NearestK lookups must stay coherent across directory
-// mutations: a cached answer from before a Set/SetAlive would steer packets
-// at stale owners. Version is the staleness signal.
-func TestDirectoryNearestCacheInvalidation(t *testing.T) {
+// Nearest/NearestK track Set/SetAlive immediately: an answer from before a
+// mutation would steer packets at stale owners.
+func TestDirectoryLookupsTrackMutations(t *testing.T) {
 	topo := noc.NewTopology(4, 1)
 	d := NewDirectory(topo, taskgraph.Mapping{1, 2, 2, 1})
 
-	// Prime the caches.
+	// Ask once before mutating.
 	if got, _ := d.Nearest(2, 0); got != 1 {
 		t.Fatalf("Nearest(2,0) = %d, want 1", got)
 	}
@@ -131,16 +132,16 @@ func TestDirectoryNearestCacheInvalidation(t *testing.T) {
 	// Mutate: node 1 leaves task 2, node 0 joins task 3.
 	d.Set(1, 3)
 	if got, _ := d.Nearest(2, 0); got != 2 {
-		t.Errorf("Nearest(2,0) after Set = %d, want 2 (stale cache?)", got)
+		t.Errorf("Nearest(2,0) after Set = %d, want 2 (stale answer?)", got)
 	}
 	if got := d.NearestK(2, 0, 2); len(got) != 1 || got[0] != 2 {
 		t.Errorf("NearestK(2,0,2) after Set = %v, want [2]", got)
 	}
 	if got, ok := d.Nearest(3, 0); !ok || got != 1 {
-		t.Errorf("Nearest(3,0) after Set = %d,%v, want 1 (negative result cached?)", got, ok)
+		t.Errorf("Nearest(3,0) after Set = %d,%v, want 1 (stale miss?)", got, ok)
 	}
 
-	// Death must invalidate too.
+	// Death must show up too.
 	d.SetAlive(2, false)
 	if _, ok := d.Nearest(2, 0); ok {
 		t.Error("Nearest returned a dead owner after SetAlive")
@@ -250,8 +251,7 @@ func TestNearestTieBreakAcrossTopologies(t *testing.T) {
 			if da != db {
 				t.Fatalf("test premise broken: owners at distances %d and %d", da, db)
 			}
-			// Nearest picks the smaller ID, however often it is asked and in
-			// whatever cache state.
+			// Nearest picks the smaller ID, however often it is asked.
 			for i := 0; i < 3; i++ {
 				if got, ok := d.Nearest(2, tc.from); !ok || got != tc.owner[0] {
 					t.Fatalf("Nearest tie = %d,%v, want %d", got, ok, tc.owner[0])
@@ -262,7 +262,7 @@ func TestNearestTieBreakAcrossTopologies(t *testing.T) {
 			if len(got) != 2 || got[0] != tc.owner[0] || got[1] != tc.owner[1] {
 				t.Fatalf("NearestK tie order = %v, want %v", got, tc.owner)
 			}
-			// The order survives an unrelated mutation (cache flush + refill).
+			// The order survives an unrelated mutation.
 			d.Set(tc.from, 3)
 			if got, _ := d.Nearest(2, tc.from); got != tc.owner[0] {
 				t.Fatalf("Nearest tie after mutation = %d, want %d", got, tc.owner[0])
@@ -300,4 +300,168 @@ func TestNearestAgreesWithNearestK(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearestOracle sorts every live owner of task by (distance, ID) the slow,
+// obvious way and returns the first k.
+func nearestOracle(d *Directory, topo noc.Topology, task taskgraph.TaskID, from noc.NodeID, k int) []noc.NodeID {
+	var owners []noc.NodeID
+	for id := noc.NodeID(0); int(id) < topo.Nodes(); id++ {
+		if d.Alive(id) && d.TaskOf(id) == task {
+			owners = append(owners, id)
+		}
+	}
+	sort.Slice(owners, func(i, j int) bool {
+		di, dj := topo.Distance(from, owners[i]), topo.Distance(from, owners[j])
+		return di < dj || (di == dj && owners[i] < owners[j])
+	})
+	if k < len(owners) {
+		owners = owners[:k]
+	}
+	return owners
+}
+
+// checkAgainstOracle compares Nearest and NearestK (k from 1 past the live
+// count) with the oracle for one (task, from) query.
+func checkAgainstOracle(t testing.TB, d *Directory, topo noc.Topology, task taskgraph.TaskID, from noc.NodeID) {
+	t.Helper()
+	all := nearestOracle(d, topo, task, from, topo.Nodes())
+	if got := d.Count(task); got != len(all) {
+		t.Fatalf("%s: Count(%d) = %d, want %d", topo, task, got, len(all))
+	}
+	got, ok := d.Nearest(task, from)
+	if ok != (len(all) > 0) || (ok && got != all[0]) {
+		t.Fatalf("%s: Nearest(%d, %d) = %d,%v, oracle %v", topo, task, from, got, ok, all)
+	}
+	for _, k := range []int{1, 2, 3, 8, len(all) - 1, len(all), len(all) + 2} {
+		if k < 1 {
+			continue
+		}
+		want := nearestOracle(d, topo, task, from, k)
+		if got := d.NearestK(task, from, k); !slices.Equal(got, want) {
+			t.Fatalf("%s: NearestK(%d, %d, %d) = %v, oracle %v", topo, task, from, k, got, want)
+		}
+	}
+}
+
+// TestDirectoryMatchesBruteForce drives seeded random mappings through
+// interleaved Set/SetAlive on every topology plus one huge-mode size and
+// compares every lookup with the brute-force oracle. Task 1 is dense and
+// task 2 moderately so (ring search); task 3 is held at exactly four owners
+// on the 64-node grids — 4² = 1·64, so on the scan rule for k = 1 and over
+// it once two die; task 4 is a handful (list scan); task 5 has no owner.
+func TestDirectoryMatchesBruteForce(t *testing.T) {
+	topos := []noc.Topology{
+		noc.NewMesh(8, 8), noc.NewTorus(8, 8), noc.NewCMesh(8, 8),
+		noc.NewMesh(1, 9), noc.NewTorus(2, 7), noc.NewMesh(128, 128),
+	}
+	for ti, topo := range topos {
+		n := topo.Nodes()
+		rng := sim.NewRNG(uint64(1000 + ti))
+		m := make(taskgraph.Mapping, n)
+		for i := range m {
+			m[i] = taskgraph.TaskID(1 + rng.Intn(10)/7) // 70 % task 1, 30 % task 2
+		}
+		for i := 0; i < 4; i++ {
+			m[rng.Intn(n)] = 4
+		}
+		for placed := 0; placed < 4; {
+			if id := rng.Intn(n); m[id] != 3 {
+				m[id] = 3
+				placed++
+			}
+		}
+		d := NewDirectory(topo, m)
+		queries, rounds := 12, 40
+		if n > 1024 {
+			queries, rounds = 3, 6 // the oracle sorts 16k nodes per query
+		}
+		for round := 0; round < rounds; round++ {
+			for q := 0; q < queries; q++ {
+				checkAgainstOracle(t, d, topo, taskgraph.TaskID(1+rng.Intn(5)), noc.NodeID(rng.Intn(n)))
+			}
+			// Mutate: switch a task, kill, revive. Task 3's owners only die,
+			// so its live count walks down through the rule's boundary.
+			if id := noc.NodeID(rng.Intn(n)); d.TaskOf(id) != 3 {
+				d.Set(id, taskgraph.TaskID(1+rng.Intn(2)*3)) // to 1 or 4
+			}
+			d.SetAlive(noc.NodeID(rng.Intn(n)), false)
+			d.SetAlive(noc.NodeID(rng.Intn(n)), true)
+		}
+		// A checkpoint round trip and a Reset rebuild the same index.
+		var st DirectoryState
+		d.SaveState(&st)
+		fresh := NewDirectory(topo, make(taskgraph.Mapping, n))
+		fresh.LoadState(&st)
+		for task := taskgraph.TaskID(1); task <= 5; task++ {
+			checkAgainstOracle(t, fresh, topo, task, noc.NodeID(rng.Intn(n)))
+		}
+		d.Reset(m)
+		for task := taskgraph.TaskID(1); task <= 5; task++ {
+			checkAgainstOracle(t, d, topo, task, noc.NodeID(rng.Intn(n)))
+		}
+	}
+}
+
+// TestDirectoryScanRuleBoundary pins which side of live² ≤ k·nodes each
+// strategy serves, and that both sides answer alike across it.
+func TestDirectoryScanRuleBoundary(t *testing.T) {
+	topo := noc.NewMesh(8, 8)
+	m := make(taskgraph.Mapping, topo.Nodes())
+	for i := range m {
+		m[i] = 1
+	}
+	for _, id := range []int{5, 22, 41, 63, 17, 30, 48, 9} {
+		m[id] = 2
+	}
+	d := NewDirectory(topo, m)
+	live := d.live(2)
+	if !d.scanList(live, 1) || !d.scanList(live, 8) || d.scanList(d.live(1), 8) {
+		t.Fatalf("8 owners on 64 nodes: 8² = 1·64 must scan, 56 owners must not")
+	}
+	d.Set(0, 2) // 9 owners: 81 > 64 searches rings for k = 1, still scans for k = 2
+	live = d.live(2)
+	if d.scanList(live, 1) || !d.scanList(live, 2) {
+		t.Fatalf("9 owners on 64 nodes: want rings for k=1, scan for k=2")
+	}
+	for from := noc.NodeID(0); int(from) < topo.Nodes(); from++ {
+		checkAgainstOracle(t, d, topo, 2, from)
+	}
+}
+
+// FuzzDirectoryNearest builds a directory from fuzzed bytes — topology kind
+// and size, a task per node, a dead mask — and checks one query against the
+// oracle, before and after a Set/SetAlive pair derived from the same bytes.
+func FuzzDirectoryNearest(f *testing.F) {
+	f.Add(uint8(0), uint8(8), uint8(4), []byte{1, 2, 2, 1, 3}, []byte{0x10}, uint16(5), uint8(2))
+	f.Add(uint8(1), uint8(2), uint8(2), []byte{1}, []byte{0xff}, uint16(3), uint8(1))
+	f.Add(uint8(1), uint8(7), uint8(5), []byte{1, 1, 1, 2}, []byte{}, uint16(34), uint8(2))
+	f.Add(uint8(2), uint8(6), uint8(10), []byte{2, 1, 1, 1, 1, 1, 1}, []byte{0x01, 0x80}, uint16(59), uint8(2))
+	f.Add(uint8(0), uint8(1), uint8(16), []byte{4, 4, 1}, []byte{0x02}, uint16(0), uint8(4))
+	f.Fuzz(func(t *testing.T, kind, w, h uint8, tasks, dead []byte, query uint16, task uint8) {
+		kinds := []string{noc.KindMesh, noc.KindTorus, noc.KindCMesh}
+		topo, err := noc.MakeTopology(kinds[int(kind)%len(kinds)], int(w%24), int(h%24))
+		if err != nil {
+			t.Skip()
+		}
+		n := topo.Nodes()
+		m := make(taskgraph.Mapping, n)
+		for i := range m {
+			if len(tasks) > 0 {
+				m[i] = taskgraph.TaskID(tasks[i%len(tasks)] % 6)
+			}
+		}
+		d := NewDirectory(topo, m)
+		for i := 0; i < n && i/8 < len(dead); i++ {
+			if dead[i/8]>>(i%8)&1 != 0 {
+				d.SetAlive(noc.NodeID(i), false)
+			}
+		}
+		from, want := noc.NodeID(int(query)%n), taskgraph.TaskID(task%6)
+		checkAgainstOracle(t, d, topo, want, from)
+		other := noc.NodeID((int(query) * 31) % n)
+		d.Set(other, want)
+		d.SetAlive(from, !d.Alive(from))
+		checkAgainstOracle(t, d, topo, want, from)
+	})
 }

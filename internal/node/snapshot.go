@@ -163,9 +163,7 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 }
 
 // DirectoryState is a deep copy of the task directory's mutable state. The
-// per-task owner index and the memoized lookups are derived data: restore
-// rebuilds the former (node IDs ascend, matching insertID's sort order) and
-// flushes the latter.
+// per-task owner lists are derived data: restore rebuilds them.
 type DirectoryState struct {
 	TaskOf  []taskgraph.TaskID
 	Alive   []bool
@@ -179,25 +177,13 @@ func (d *Directory) SaveState(st *DirectoryState) {
 	st.Version = d.Version
 }
 
-// LoadState restores the directory from st. The owner lists come out sorted
-// exactly as incremental insertID maintenance would have left them, and the
-// memo caches are flushed (they are pure memoization — refills after restore
-// recompute identical answers).
+// LoadState restores the directory from st.
 func (d *Directory) LoadState(st *DirectoryState) {
 	if len(st.TaskOf) != len(d.taskOf) {
 		panic("node: directory checkpoint size mismatch")
 	}
-	for task, owners := range d.byTask {
-		d.byTask[task] = owners[:0]
-	}
 	copy(d.taskOf, st.TaskOf)
 	copy(d.alive, st.Alive)
-	for i, task := range d.taskOf {
-		d.byTask[task] = append(d.byTask[task], noc.NodeID(i))
-	}
+	d.reindex()
 	d.Version = st.Version
-	clear(d.nearCache)
-	clear(d.nearKCache)
-	d.arena = d.arena[:0]
-	d.nearVersion = st.Version
 }
