@@ -14,7 +14,7 @@
 //	centurion serve  [-addr :8080] [-workers N] [-queue N] [-cache N] [-store DIR]
 //	                 [-journal DIR]
 //	centurion worker [-coordinator URL] [-name NAME] [-slots N]
-//	                 [-checkpoint-every MS]
+//	                 [-checkpoint-every MS]   (0 = never commit checkpoints)
 //	centurion asm    [-o out.txt] file.psm
 package main
 
@@ -33,6 +33,7 @@ import (
 	"centurion/internal/experiments"
 	"centurion/internal/noc"
 	"centurion/internal/picoblaze"
+	"centurion/internal/server"
 )
 
 func main() {
@@ -167,8 +168,8 @@ func cmdRun(args []string) error {
 	}
 	width, height := 16, 8
 	if *grid != "" {
-		if width, height, err = parseGrid(*grid); err != nil {
-			return err
+		if width, height, err = server.ParseGrid(*grid); err != nil {
+			return fmt.Errorf("-%w", err) // "grid …" → "-grid …"
 		}
 	}
 	// The noc layer owns the topology rules (valid kinds, cmesh evenness,
@@ -376,24 +377,6 @@ func modelOptions(model string) ([]centurion.Option, error) {
 		return []centurion.Option{centurion.WithModel(centurion.ModelFFW)}, nil
 	}
 	return nil, fmt.Errorf("unknown model %q", model)
-}
-
-// parseGrid parses a -grid value of the form "WxH" ("64x64").
-func parseGrid(g string) (w, h int, err error) {
-	ws, hs, ok := strings.Cut(g, "x")
-	if ok {
-		w, err = strconv.Atoi(ws)
-		if err == nil {
-			h, err = strconv.Atoi(hs)
-		}
-	}
-	if !ok || err != nil {
-		return 0, 0, fmt.Errorf("-grid %q is not of the form WxH (e.g. 64x64)", g)
-	}
-	if w <= 0 || h <= 0 {
-		return 0, 0, fmt.Errorf("-grid %q has non-positive dimensions", g)
-	}
-	return w, h, nil
 }
 
 func parseInts(csv string) ([]int, error) {

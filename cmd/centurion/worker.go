@@ -20,14 +20,16 @@ import (
 // across coordinator restarts. Every -checkpoint-every milliseconds of
 // simulated time it commits the in-flight run's state back to the
 // coordinator, so if this process dies the next attempt resumes mid-run
-// instead of starting over. Horizontal scale-out is just more of these,
-// on as many machines as you like.
+// instead of starting over; with -checkpoint-every 0 it never commits (it
+// still resumes from a checkpoint another worker left on the lease).
+// Horizontal scale-out is just more of these, on as many machines as you
+// like.
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coordinator := fs.String("coordinator", "http://localhost:8080", "coordinator base URL")
 	name := fs.String("name", "", "worker name in the registry (default hostname)")
 	slots := fs.Int("slots", runtime.GOMAXPROCS(0), "jobs leased and executed concurrently")
-	ckptEvery := fs.Int("checkpoint-every", 100, "checkpoint cadence in simulated ms (0 disables mid-run resume)")
+	ckptEvery := fs.Int("checkpoint-every", 100, "commit a resume checkpoint every this many simulated ms (0 = never commit)")
 	quiet := fs.Bool("quiet", false, "suppress per-job log lines")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,17 +66,12 @@ func cmdWorker(args []string) error {
 	} else {
 		logf("leasing from %s as %q with %d slots", *coordinator, *name, *slots)
 	}
-	wo := dispatch.WorkerOptions{
-		Coordinator: *coordinator,
-		Name:        *name,
-		Slots:       *slots,
-		Logf:        logf,
-		HardStop:    hardStop,
-	}
-	if *ckptEvery > 0 {
-		wo.ExecuteResumable = server.DispatchExecuteResumable(*ckptEvery)
-	} else {
-		wo.Execute = server.DispatchExecute
-	}
-	return dispatch.RunWorker(ctx, wo)
+	return dispatch.RunWorker(ctx, dispatch.WorkerOptions{
+		Coordinator:      *coordinator,
+		Name:             *name,
+		Slots:            *slots,
+		ExecuteResumable: server.DispatchExecuteResumable(*ckptEvery),
+		Logf:             logf,
+		HardStop:         hardStop,
+	})
 }

@@ -39,8 +39,8 @@
 // `serve -journal DIR` keeps a durable job journal replayed on restart
 // (a coordinator crash costs clients at most a retry, never a lost job),
 // and workers checkpoint in-flight runs every `-checkpoint-every`
-// simulated milliseconds so a killed worker's successor resumes mid-run
-// bit-identically instead of starting over.
+// simulated milliseconds (0 = never commit) so a killed worker's successor
+// resumes mid-run bit-identically instead of starting over.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results versus the paper.

@@ -1,6 +1,7 @@
 package centurion
 
 import (
+	"errors"
 	"fmt"
 
 	"centurion/internal/aim"
@@ -143,6 +144,22 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 	}
 }
 
+// Fits reports why the checkpoint cannot be restored into this platform, or
+// nil when it can: same dimensions, topology, node count and thermal
+// configuration. A caller holding checkpoint bytes from outside the process
+// (a dispatch lease) asks first; Restore panics on a misfit.
+func (p *Platform) Fits(cp *Checkpoint) error {
+	if cp.width != p.Cfg.Width || cp.height != p.Cfg.Height || cp.topology != p.Cfg.Topology ||
+		len(cp.pes) != len(p.pes) {
+		return fmt.Errorf("centurion: checkpoint shape mismatch: checkpoint is %dx%d %q (%d nodes), platform is %dx%d %q (%d nodes)",
+			cp.width, cp.height, cp.topology, len(cp.pes), p.Cfg.Width, p.Cfg.Height, p.Cfg.Topology, len(p.pes))
+	}
+	if cp.hasHeat != (p.heat != nil) {
+		return errors.New("centurion: checkpoint thermal-model mismatch")
+	}
+	return nil
+}
+
 // Restore rewinds the platform to the checkpointed state. The platform must
 // have been built for the same shape (dimensions, topology, engine kinds,
 // thermal configuration); everything else about its current state — fresh,
@@ -153,13 +170,8 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 // Restoring is allocation-free at steady state: bulk copies into retained
 // backing, plus one event-queue entry per pending wake or retry.
 func (p *Platform) Restore(cp *Checkpoint) {
-	if cp.width != p.Cfg.Width || cp.height != p.Cfg.Height || cp.topology != p.Cfg.Topology ||
-		len(cp.pes) != len(p.pes) {
-		panic(fmt.Sprintf("centurion: checkpoint shape mismatch: checkpoint is %dx%d %q (%d nodes), platform is %dx%d %q (%d nodes)",
-			cp.width, cp.height, cp.topology, len(cp.pes), p.Cfg.Width, p.Cfg.Height, p.Cfg.Topology, len(p.pes)))
-	}
-	if cp.hasHeat != (p.heat != nil) {
-		panic("centurion: checkpoint thermal-model mismatch")
+	if err := p.Fits(cp); err != nil {
+		panic(err.Error())
 	}
 
 	p.Cfg.Seed = cp.seed

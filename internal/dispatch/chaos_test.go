@@ -195,11 +195,11 @@ func TestChaosExactlyOnceUnderDuplicateDelivery(t *testing.T) {
 			Transport:   tr,
 			Logf:        t.Logf,
 			MaxBackoff:  50 * time.Millisecond,
-			Execute: func(ctx context.Context, key string, payload []byte, progress func([]byte)) ([]byte, string) {
+			ExecuteResumable: func(ctx context.Context, job ResumableJob) ([]byte, string) {
 				executions.Add(1)
 				// Results cross the wire as json.RawMessage, so they must be
 				// valid JSON — exactly like the real sweep-cell executor's.
-				return []byte(fmt.Sprintf("%q", "r:"+string(payload))), ""
+				return []byte(fmt.Sprintf("%q", "r:"+string(job.Payload))), ""
 			},
 		})
 	}()

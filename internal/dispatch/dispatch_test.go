@@ -354,10 +354,10 @@ func TestWorkerHTTPEndToEnd(t *testing.T) {
 			Coordinator: ts.URL,
 			Name:        "e2e",
 			Slots:       2,
-			Execute: func(ctx context.Context, key string, payload []byte, progress func([]byte)) ([]byte, string) {
+			ExecuteResumable: func(ctx context.Context, job ResumableJob) ([]byte, string) {
 				executed.Add(1)
-				progress([]byte(fmt.Sprintf(`["progress for %s"]`, key)))
-				return []byte(`{"echo":"` + string(payload) + `"}`), ""
+				job.Progress([]byte(fmt.Sprintf(`["progress for %s"]`, job.Key)))
+				return []byte(`{"echo":"` + string(job.Payload) + `"}`), ""
 			},
 		})
 	}()

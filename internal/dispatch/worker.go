@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -11,13 +12,6 @@ import (
 
 	"centurion/internal/sim"
 )
-
-// ExecuteFunc runs one leased job's payload and returns the result payload,
-// or a non-empty errMsg when the job itself failed deterministically.
-// progress may be called with intermediate sample batches; ctx is cancelled
-// when the lease is lost or the worker is hard-stopped, at which point the
-// function should return promptly (its result will be discarded).
-type ExecuteFunc func(ctx context.Context, key string, payload []byte, progress func(samples []byte)) (result []byte, errMsg string)
 
 // ResumableJob is the worker-side view of a leased job under the
 // checkpoint-resume protocol (DESIGN.md §16). Checkpoint, when non-nil, is
@@ -41,9 +35,11 @@ type ResumableJob struct {
 	Commit func(ctx context.Context, tick int64, data []byte) error
 }
 
-// ExecuteResumableFunc is ExecuteFunc for checkpoint-aware executors. When
-// WorkerOptions.ExecuteResumable is set it is used for every job, and
-// WorkerOptions.Execute may be nil.
+// ExecuteResumableFunc runs one leased job and returns the result payload,
+// or a non-empty errMsg when the job itself failed deterministically. ctx is
+// cancelled when the lease is lost or the worker is hard-stopped, at which
+// point the function should return promptly (its result will be discarded).
+// An executor that wants no checkpoints ignores job.Commit.
 type ExecuteResumableFunc func(ctx context.Context, job ResumableJob) (result []byte, errMsg string)
 
 // WorkerOptions configures RunWorker.
@@ -54,10 +50,7 @@ type WorkerOptions struct {
 	Name string
 	// Slots is how many jobs the worker leases concurrently (default 1).
 	Slots int
-	// Execute runs one job. Required unless ExecuteResumable is set.
-	Execute ExecuteFunc
-	// ExecuteResumable, when set, runs jobs with checkpoint-resume support
-	// and takes precedence over Execute.
+	// ExecuteResumable runs one job. Required.
 	ExecuteResumable ExecuteResumableFunc
 	// Client is the HTTP client (default a fresh one; it must not set a
 	// global timeout, long-polls outlive typical timeouts).
@@ -111,8 +104,8 @@ type worker struct {
 // re-registers when the coordinator no longer knows it. It returns nil on a
 // clean drain.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
-	if o.Execute == nil && o.ExecuteResumable == nil {
-		return fmt.Errorf("dispatch: WorkerOptions.Execute or ExecuteResumable is required")
+	if o.ExecuteResumable == nil {
+		return errors.New("dispatch: WorkerOptions.ExecuteResumable is required")
 	}
 	if o.Slots < 1 {
 		o.Slots = 1
@@ -308,12 +301,24 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	base := "/v1/jobs/" + lease.JobID
 	auth := jobPost{WorkerID: reg.id, Attempt: lease.Attempt}
 
+	// Only a coordinator-confirmed fencing rejection (409/404: the lease
+	// really is gone) abandons the attempt; a flaky network never does on
+	// its own.
+	var leaseLost atomic.Bool
+	fenced := func(status int) bool {
+		if status != http.StatusConflict && status != http.StatusNotFound {
+			return false
+		}
+		if !leaseLost.Swap(true) {
+			w.logf("slot %d: lease on %s lost; abandoning", slot, lease.JobID)
+		}
+		cancel()
+		return true
+	}
+
 	// Heartbeat at a third of the TTL: two beats may be lost before the
 	// lease dies. Within each beat, transient delivery failures are retried
-	// a few times on a short fuse — only a coordinator-confirmed fencing
-	// rejection (409/404: the lease really is gone) abandons the attempt; a
-	// flaky network never does on its own.
-	var leaseLost atomic.Bool
+	// a few times on a short fuse.
 	hbInterval := reg.ttl / 3
 	if hbInterval < 5*time.Millisecond {
 		hbInterval = 5 * time.Millisecond
@@ -347,10 +352,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 					case <-time.After(w.jitter(retryGap)):
 					}
 				}
-				if err == nil && (status == http.StatusConflict || status == http.StatusNotFound) {
-					w.logf("slot %d: lease on %s lost; abandoning", slot, lease.JobID)
-					leaseLost.Store(true)
-					cancel()
+				if err == nil && fenced(status) {
 					return
 				}
 			}
@@ -360,45 +362,32 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	progress := func(samples []byte) {
 		p := auth
 		p.Samples = samples
-		status, err := w.post(jobCtx, base+"/progress", p, nil)
-		if err == nil && (status == http.StatusConflict || status == http.StatusNotFound) {
-			leaseLost.Store(true)
-			cancel() // lease lost mid-run
+		if status, err := w.post(jobCtx, base+"/progress", p, nil); err == nil {
+			fenced(status)
 		}
 	}
-
-	var result []byte
-	var execErr string
-	if w.o.ExecuteResumable != nil {
-		commit := func(cctx context.Context, tick int64, data []byte) error {
-			p := auth
-			p.Tick = tick
-			p.Checkpoint = data
-			status, err := w.post(cctx, base+"/checkpoint", p, nil)
-			if err != nil {
-				return err
-			}
-			if status == http.StatusConflict || status == http.StatusNotFound {
-				// Coordinator-confirmed: this attempt is fenced off.
-				w.logf("slot %d: checkpoint for %s rejected; lease lost", slot, lease.JobID)
-				leaseLost.Store(true)
-				cancel()
-				return fmt.Errorf("dispatch: checkpoint rejected with status %d", status)
-			}
-			return nil
+	commit := func(cctx context.Context, tick int64, data []byte) error {
+		p := auth
+		p.Tick = tick
+		p.Checkpoint = data
+		status, err := w.post(cctx, base+"/checkpoint", p, nil)
+		if err != nil {
+			return err
 		}
-		result, execErr = w.o.ExecuteResumable(jobCtx, ResumableJob{
-			Key:            lease.Key,
-			Payload:        lease.Payload,
-			Attempt:        lease.Attempt,
-			Checkpoint:     lease.Checkpoint,
-			CheckpointTick: lease.CheckpointTick,
-			Progress:       progress,
-			Commit:         commit,
-		})
-	} else {
-		result, execErr = w.o.Execute(jobCtx, lease.Key, lease.Payload, progress)
+		if fenced(status) {
+			return fmt.Errorf("dispatch: checkpoint rejected with status %d", status)
+		}
+		return nil
 	}
+	result, execErr := w.o.ExecuteResumable(jobCtx, ResumableJob{
+		Key:            lease.Key,
+		Payload:        lease.Payload,
+		Attempt:        lease.Attempt,
+		Checkpoint:     lease.Checkpoint,
+		CheckpointTick: lease.CheckpointTick,
+		Progress:       progress,
+		Commit:         commit,
+	})
 	cancel()
 	hbWG.Wait()
 

@@ -218,20 +218,10 @@ func (s Spec) mapper() taskgraph.Mapper {
 // hook the serving layer uses to stream Figure-4-style series live.
 type Progress func(w int, throughput, nodesActive, switches float64)
 
-// Run executes one experiment run.
+// Run executes one experiment run from tick zero to completion.
 func Run(spec Spec) Result {
-	res, _ := RunContext(context.Background(), spec, nil)
+	res, _ := RunContext(context.Background(), spec, nil, nil, nil)
 	return res
-}
-
-// RunContext executes one experiment run, checking ctx between metric
-// windows and reporting each finished window to progress (when non-nil).
-// On cancellation it returns the partially filled result together with the
-// context's error. This is the single spec-execution path shared by the
-// table/figure harness and the internal/server job engine (which uses the
-// RunResumable variant for checkpoint-resume).
-func RunContext(ctx context.Context, spec Spec, progress Progress) (Result, error) {
-	return runCtx(ctx, spec, progress, nil, nil)
 }
 
 // faultProfile returns the spec's fault plan as a profile: the explicit one,
@@ -245,8 +235,14 @@ func faultProfile(spec Spec) *faults.Profile {
 	return spec.FaultProfile
 }
 
-// runCtx is the shared execution core behind RunContext and RunResumable.
-func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckpoint, hook *CheckpointHook) (Result, error) {
+// RunContext executes one experiment run — the single spec-execution path
+// behind the table/figure harness, the server's job engine and the dispatch
+// workers. It checks ctx between metric windows and reports each finished
+// window to progress (when non-nil); on cancellation it returns the partially
+// filled result together with the context's error. A non-nil resume that is a
+// prefix of this run (see fits) starts the run at its boundary, replaying the
+// prefix to progress; a non-nil hook emits checkpoints as the run advances.
+func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCheckpoint, hook *CheckpointHook) (Result, error) {
 	if spec.DurationMs <= 0 {
 		spec.DurationMs = 1000
 	}
@@ -316,69 +312,46 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 	clear(lastWork)
 	var lastCompleted, lastSwitches uint64
 
-	// Warm start: fork this run from a cached settled prefix, or mark the
-	// prefix for caching as this run passes the divergence boundary. On a
-	// fork the sampler baselines are recomputed from the restored state (the
-	// watermark invariantly equals the live value at a window boundary).
-	startWin := 0
-	servedFull := false
+	// Start from a prefix when there is one: the boundary a previous attempt
+	// committed, else the settled prefix a sibling variant cached (warm start,
+	// DESIGN.md §15) — or mark the prefix for caching as this run passes the
+	// divergence boundary. A resumed run bypasses the warm-start machinery:
+	// its prefix is already decided.
+	from := resume
 	var buildKey warmKey
 	buildDiv := -1
-	if resume != nil && resume.Win > 0 && resume.Platform != nil {
-		// Mid-run resume: restore the checkpoint boundary exactly as a warm
-		// fork would — replay the recorded prefix, restore the platform, and
-		// rebase the sampler watermarks on the restored counters (invariantly
-		// equal to the live values at a window boundary). The warm-start
-		// machinery is bypassed: the prefix is already decided.
-		div := resume.Win
-		if div > windows {
-			div = windows
-		}
-		copy(res.Throughput.Values[:div], resume.Thr)
-		copy(res.NodesActive.Values[:div], resume.Act)
-		copy(res.Switches.Values[:div], resume.Sw)
-		p.Restore(resume.Platform)
-		c := p.Counters()
-		lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
-		for i, pe := range pes {
-			lastWork[i] = pe.WorkCount()
-		}
-		waveSnaps = append(waveSnaps, resume.WaveSnaps...)
-		if progress != nil {
-			for w := 0; w < div; w++ {
-				progress(w, res.Throughput.Values[w], res.NodesActive.Values[w], res.Switches.Values[w])
+	if !from.fits(p, windows, windowTicks, waveWins) {
+		from = nil
+		if warmApplicable(spec) {
+			if div := warmDivergenceWin(sched, windows, windowTicks); div > 0 {
+				key := warmKeyOf(spec, div)
+				if from = warmCache.get(key); from == nil {
+					buildKey, buildDiv = key, div
+				}
 			}
 		}
-		startWin = div
-	} else if warmApplicable(spec) {
-		if div := warmDivergenceWin(sched, windows, windowTicks); div > 0 {
-			key := warmKeyOf(spec, div)
-			if e, ok := warmCache.get(key); ok {
-				copy(res.Throughput.Values[:div], e.thr)
-				copy(res.NodesActive.Values[:div], e.act)
-				copy(res.Switches.Values[:div], e.sw)
-				if e.cp != nil {
-					p.Restore(e.cp)
-					warmCache.forkServed()
-					c := p.Counters()
-					lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
-					for i, pe := range pes {
-						lastWork[i] = pe.WorkCount()
-					}
-				} else {
-					// Full-duration entry: the whole run replays from
-					// samples; the leased platform is never touched.
-					res.Counters = e.counters
-					servedFull = true
-				}
-				if progress != nil {
-					for w := 0; w < div; w++ {
-						progress(w, res.Throughput.Values[w], res.NodesActive.Values[w], res.Switches.Values[w])
-					}
-				}
-				startWin = div
-			} else {
-				buildKey, buildDiv = key, div
+	}
+	startWin := 0
+	if from != nil {
+		startWin = from.Win
+		copy(res.Throughput.Values, from.Thr)
+		copy(res.NodesActive.Values, from.Act)
+		copy(res.Switches.Values, from.Sw)
+		waveSnaps = append(waveSnaps, from.WaveSnaps...)
+		if from.Platform != nil {
+			// The sampler baselines are recomputed from the restored state
+			// (the watermark invariantly equals the live value at a window
+			// boundary).
+			p.Restore(from.Platform)
+			c := p.Counters()
+			lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
+			for i, pe := range pes {
+				lastWork[i] = pe.WorkCount()
+			}
+		}
+		if progress != nil {
+			for w := 0; w < startWin; w++ {
+				progress(w, res.Throughput.Values[w], res.NodesActive.Values[w], res.Switches.Values[w])
 			}
 		}
 	}
@@ -415,28 +388,20 @@ func runCtx(ctx context.Context, spec Spec, progress Progress, resume *RunCheckp
 			// The divergence boundary: every armed fault event is still in
 			// the future, so the state is the variant-independent settled
 			// prefix. Cache it for the sibling runs to fork from.
-			warmCache.put(buildKey, buildWarmEntry(p, &res, buildDiv, windows))
+			warmCache.put(buildKey, capturePrefix(p, &res, waveSnaps, buildDiv, windows))
 		}
 		if hook != nil && hook.EveryWins > 0 && (w+1)%hook.EveryWins == 0 && w+1 < windows {
-			// Checkpoint at absolute-index boundaries, so every attempt of a
-			// run checkpoints at the same windows regardless of where it
-			// started.
-			cp := &RunCheckpoint{
-				Win:       w + 1,
-				Thr:       append([]float64(nil), res.Throughput.Values[:w+1]...),
-				Act:       append([]float64(nil), res.NodesActive.Values[:w+1]...),
-				Sw:        append([]float64(nil), res.Switches.Values[:w+1]...),
-				WaveSnaps: append([]NetSnap(nil), waveSnaps...),
-				Platform:  p.Snapshot(),
-			}
-			if err := hook.Fn(w+1, cp); err != nil {
+			if err := hook.Fn(w+1, capturePrefix(p, &res, waveSnaps, w+1, windows)); err != nil {
 				res.Counters = p.Counters()
 				return res, err
 			}
 		}
 	}
-	if !servedFull {
-		res.Counters = p.Counters()
+	res.Counters = p.Counters()
+	if from != nil && from.Platform == nil {
+		// A whole-run prefix replayed from samples; the leased platform was
+		// never touched.
+		res.Counters = from.counters
 	}
 	waveSnaps = append(waveSnaps, snapAt())
 

@@ -34,7 +34,7 @@ func runUntilKilled(t *testing.T, spec Spec, resume *RunCheckpoint, everyWins, k
 			return nil
 		},
 	}
-	_, err := RunResumable(context.Background(), spec, nil, resume, hook)
+	_, err := RunContext(context.Background(), spec, nil, resume, hook)
 	if !errors.Is(err, errKilled) {
 		t.Fatalf("interrupted run returned %v, want the kill error", err)
 	}
@@ -104,7 +104,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 				}
 				progressed = append(progressed, thr)
 			}
-			resumed, err := RunResumable(context.Background(), tc.spec, progress, cp, nil)
+			resumed, err := RunContext(context.Background(), tc.spec, progress, cp, nil)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -127,7 +127,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			if cp2.Win <= cp1.Win {
 				t.Fatalf("second attempt made no progress: %d -> %d", cp1.Win, cp2.Win)
 			}
-			final, err := RunResumable(context.Background(), tc.spec, nil, cp2, nil)
+			final, err := RunContext(context.Background(), tc.spec, nil, cp2, nil)
 			if err != nil {
 				t.Fatalf("final resumed run: %v", err)
 			}
@@ -151,7 +151,7 @@ func TestCheckpointHookCadence(t *testing.T) {
 		}
 		return nil
 	}}
-	if _, err := RunResumable(context.Background(), spec, nil, nil, hook); err != nil {
+	if _, err := RunContext(context.Background(), spec, nil, nil, hook); err != nil {
 		t.Fatal(err)
 	}
 	if len(wins) != 2 || wins[0] != 25 || wins[1] != 50 {

@@ -193,39 +193,6 @@ func WarmPrefixKey(spec Spec) (string, bool) {
 	return hex.EncodeToString(k[:]), true
 }
 
-// warmEntry is one cached settled prefix. Entries are immutable once stored:
-// forks restore from cp (read-only) and copy the sample arrays out, so one
-// entry may serve many concurrent RunMany workers. cp is nil for
-// full-duration (fault-free) entries, which replay from samples alone.
-type warmEntry struct {
-	cp           *centurion.Checkpoint
-	thr, act, sw []float64
-	counters     centurion.Counters
-	bytes        int
-}
-
-// buildWarmEntry captures the platform at the divergence boundary together
-// with the prefix window samples. For a prefix covering the whole run the
-// checkpoint is skipped — the samples and final counters reproduce the
-// entire Result without touching a platform.
-func buildWarmEntry(p *centurion.Platform, res *Result, div, windows int) *warmEntry {
-	e := &warmEntry{
-		thr: append([]float64(nil), res.Throughput.Values[:div]...),
-		act: append([]float64(nil), res.NodesActive.Values[:div]...),
-		sw:  append([]float64(nil), res.Switches.Values[:div]...),
-	}
-	e.bytes = 3 * 8 * div
-	if div < windows {
-		e.cp = p.Snapshot()
-		// The encoded length is the exact payload size of the state held —
-		// the honest budget figure for eviction accounting.
-		e.bytes += len(centurion.EncodeCheckpoint(e.cp))
-	} else {
-		e.counters = p.Counters()
-	}
-	return e
-}
-
 // warmLRU is the byte-budgeted LRU of settled prefixes, shared process-wide
 // (sweep harness, server jobs and worker daemons all fork from it).
 type warmLRU struct {
@@ -238,9 +205,13 @@ type warmLRU struct {
 	hits, misses, builds, forks, evictions uint64
 }
 
+// warmLRUEntry is one cached settled prefix. Prefixes are immutable once
+// stored: forks restore from Platform (read-only) and copy the sample arrays
+// out, so one entry may serve many concurrent RunMany workers.
 type warmLRUEntry struct {
-	key warmKey
-	e   *warmEntry
+	key   warmKey
+	e     *RunCheckpoint
+	bytes int
 }
 
 var warmCache = newWarmLRU(warmBudgetDefault)
@@ -253,32 +224,45 @@ func newWarmLRU(budget int) *warmLRU {
 	}
 }
 
-func (c *warmLRU) get(key warmKey) (*warmEntry, bool) {
+// get returns the cached prefix for key, or nil. A hit that carries a
+// platform snapshot counts as a fork served; whole-run prefixes replay from
+// samples alone.
+func (c *warmLRU) get(key warmKey) *RunCheckpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*warmLRUEntry).e, true
+	e := el.Value.(*warmLRUEntry).e
+	if e.Platform != nil {
+		c.forks++
+	}
+	return e
 }
 
-func (c *warmLRU) put(key warmKey, e *warmEntry) {
+func (c *warmLRU) put(key warmKey, e *RunCheckpoint) {
+	size := 3 * 8 * e.Win
+	if e.Platform != nil {
+		// The encoded length is the exact payload size of the state held —
+		// the honest budget figure for eviction accounting.
+		size += len(centurion.EncodeCheckpoint(e.Platform))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.builds++
 	if el, ok := c.byKey[key]; ok {
 		// Two workers raced to build the same prefix; keep the newest.
 		le := el.Value.(*warmLRUEntry)
-		c.bytes += e.bytes - le.e.bytes
-		le.e = e
+		c.bytes += size - le.bytes
+		le.e, le.bytes = e, size
 		c.order.MoveToFront(el)
 	} else {
-		c.byKey[key] = c.order.PushFront(&warmLRUEntry{key: key, e: e})
-		c.bytes += e.bytes
+		c.byKey[key] = c.order.PushFront(&warmLRUEntry{key: key, e: e, bytes: size})
+		c.bytes += size
 	}
 	// Evict from the cold end until the budget holds. A lone entry may
 	// exceed the budget (it still serves its siblings; evicting it would
@@ -288,16 +272,9 @@ func (c *warmLRU) put(key warmKey, e *warmEntry) {
 		le := oldest.Value.(*warmLRUEntry)
 		c.order.Remove(oldest)
 		delete(c.byKey, le.key)
-		c.bytes -= le.e.bytes
+		c.bytes -= le.bytes
 		c.evictions++
 	}
-}
-
-// forkServed counts one variant served by restoring a cached checkpoint.
-func (c *warmLRU) forkServed() {
-	c.mu.Lock()
-	c.forks++
-	c.mu.Unlock()
 }
 
 // setBudget rebounds the byte budget (tests exercise eviction with tiny

@@ -94,10 +94,10 @@ func benchDistributedSweep(b *testing.B, workers int) {
 	for i := 0; i < workers; i++ {
 		go func(i int) {
 			_ = dispatch.RunWorker(ctx, dispatch.WorkerOptions{
-				Coordinator: ts.URL,
-				Name:        fmt.Sprintf("bench-%d", i),
-				Slots:       2,
-				Execute:     DispatchExecute,
+				Coordinator:      ts.URL,
+				Name:             fmt.Sprintf("bench-%d", i),
+				Slots:            2,
+				ExecuteResumable: DispatchExecuteResumable(0),
 			})
 		}(i)
 	}

@@ -19,33 +19,14 @@ import (
 )
 
 // startTestWorker runs an in-process worker daemon against the service URL
-// and returns its stop function. exec defaults to DispatchExecute.
-func startTestWorker(t *testing.T, url, name string, hardStop <-chan struct{}, exec dispatch.ExecuteFunc) func() {
+// and returns its stop function. exec defaults to the never-committing
+// DispatchExecuteResumable(0).
+func startTestWorker(t *testing.T, url, name string, hardStop <-chan struct{}, exec dispatch.ExecuteResumableFunc) func() {
 	t.Helper()
 	if exec == nil {
-		exec = DispatchExecute
+		exec = DispatchExecuteResumable(0)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = dispatch.RunWorker(ctx, dispatch.WorkerOptions{
-			Coordinator: url,
-			Name:        name,
-			Slots:       2,
-			Execute:     exec,
-			HardStop:    hardStop,
-			MaxBackoff:  100 * time.Millisecond,
-		})
-	}()
-	return func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Errorf("worker %s did not stop", name)
-		}
-	}
+	return startResumableWorker(t, url, name, hardStop, nil, exec)
 }
 
 func waitForWorkers(t *testing.T, c *dispatch.Coordinator, n int) {
@@ -113,11 +94,11 @@ func TestDistributedSweep(t *testing.T) {
 	const killAfter = 5
 	hardStop := make(chan struct{})
 	var doomedJobs atomic.Int64
-	doomedExec := func(ctx context.Context, key string, payload []byte, post func([]byte)) ([]byte, string) {
+	doomedExec := func(ctx context.Context, job dispatch.ResumableJob) ([]byte, string) {
 		if doomedJobs.Add(1) == killAfter {
 			close(hardStop)
 		}
-		return DispatchExecute(ctx, key, payload, post)
+		return DispatchExecuteResumable(0)(ctx, job)
 	}
 	stopDoomed := startTestWorker(t, ts.URL, "doomed", hardStop, doomedExec)
 	defer stopDoomed()

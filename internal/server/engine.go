@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"centurion/internal/centurion"
 	"centurion/internal/experiments"
 	"centurion/internal/metrics"
 )
@@ -552,19 +553,45 @@ func (e *Engine) work() {
 	}
 }
 
-// Execute synchronously runs a canonicalized spec's batch through the
-// shared experiment runner, without any engine machinery: the direct path
-// for library callers (centurion.RunSpec). progress may be nil.
+// Execute synchronously runs a canonicalized spec's batch from its first
+// run, without any engine machinery: the direct path for library callers
+// (centurion.RunSpec) and the engine's default Executor. progress may be nil.
 func Execute(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResult, error) {
+	return runBatch(ctx, spec, progress, nil, 0, nil)
+}
+
+// runBatch is the one batch loop (DESIGN.md §16): each of the spec's runs
+// goes through experiments.RunContext, window samples stream to progress
+// (when non-nil), and the summaries fold into the result. from, when it is a
+// checkpoint of this batch, supplies the runs already completed and the
+// in-flight run's prefix; anything else about it is ignored and the batch (or
+// the run) starts from scratch, which is always correct. With everyWins > 0
+// the batch commits a checkpoint every everyWins windows of a run and at
+// every run boundary, stamped run*windows + win.
+func runBatch(ctx context.Context, spec RunSpec, progress func(Sample), from *jobCheckpoint, everyWins int, commit func(tick int64, jc *jobCheckpoint)) (*RunResult, error) {
 	res := &RunResult{Spec: spec, Key: spec.CanonicalKey()}
-	for run := 0; run < spec.Runs; run++ {
+	windows := int64(spec.DurationMs / spec.WindowMs)
+	var resume *experiments.RunCheckpoint
+	if from != nil && from.Run < spec.Runs && len(from.Runs) == from.Run {
+		res.Runs, res.Series = from.Runs, from.Series
+		if cp, err := centurion.DecodeCheckpoint(from.Platform); err == nil {
+			resume = &experiments.RunCheckpoint{
+				Win:       from.Win,
+				Thr:       from.Thr,
+				Act:       from.Act,
+				Sw:        from.Sw,
+				WaveSnaps: from.WaveSnaps,
+				Platform:  cp,
+			}
+		}
+	}
+	for run := len(res.Runs); run < spec.Runs; run++ {
 		espec := spec.toExperiment(run)
 		var onWindow experiments.Progress
 		if progress != nil {
-			r := run
 			onWindow = func(w int, tp, active, switches float64) {
 				progress(Sample{
-					Run:         r,
+					Run:         run,
 					TimeMs:      float64(w) * float64(spec.WindowMs),
 					Throughput:  tp,
 					NodesActive: active,
@@ -572,7 +599,30 @@ func Execute(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResu
 				})
 			}
 		}
-		r, err := experiments.RunContext(ctx, espec, onWindow)
+		var hook *experiments.CheckpointHook
+		if everyWins > 0 {
+			hook = &experiments.CheckpointHook{
+				EveryWins: everyWins,
+				Fn: func(_ int, cp *experiments.RunCheckpoint) error {
+					commit(int64(run)*windows+int64(cp.Win), &jobCheckpoint{
+						Run:       run,
+						Runs:      res.Runs,
+						Series:    res.Series,
+						Win:       cp.Win,
+						Thr:       cp.Thr,
+						Act:       cp.Act,
+						Sw:        cp.Sw,
+						WaveSnaps: cp.WaveSnaps,
+						Platform:  centurion.EncodeCheckpoint(cp.Platform),
+					})
+					// Commits are best-effort; lease loss surfaces as ctx
+					// cancellation (a fencing rejection cancels the job ctx).
+					return ctx.Err()
+				},
+			}
+		}
+		r, err := experiments.RunContext(ctx, espec, onWindow, resume, hook)
+		resume = nil
 		if err != nil {
 			return nil, fmt.Errorf("run %d (seed %d): %w", run, espec.Seed, err)
 		}
@@ -584,6 +634,11 @@ func Execute(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResu
 				NodesActive: r.NodesActive.Values,
 				Switches:    r.Switches.Values,
 			}
+		}
+		if everyWins > 0 && run+1 < spec.Runs {
+			// Run boundary: the next run starts fresh (no platform), but the
+			// completed summaries are safe.
+			commit(int64(run+1)*windows, &jobCheckpoint{Run: run + 1, Runs: res.Runs, Series: res.Series})
 		}
 	}
 	res.Aggregate = aggregate(res.Runs)

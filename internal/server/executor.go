@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"centurion/internal/centurion"
 	"centurion/internal/dispatch"
 	"centurion/internal/experiments"
 )
@@ -166,149 +165,49 @@ func (b *sampleBatcher) flush() {
 	b.buf = b.buf[:0]
 }
 
-// DispatchExecute is the worker daemon's dispatch.ExecuteFunc: decode a
-// leased run-spec payload, execute the batch through the same path the
-// local engine uses, stream sample batches back, and return the encoded
-// result.
-func DispatchExecute(ctx context.Context, key string, payload []byte, post func(samples []byte)) (result []byte, errMsg string) {
-	spec, err := parseDispatchPayload(payload)
-	if err != nil {
-		return nil, err.Error()
-	}
-	batch := sampleBatcher{post: post}
-	res, err := Execute(ctx, spec, batch.add)
-	batch.flush()
-	if err != nil {
-		return nil, err.Error()
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return nil, err.Error()
-	}
-	return b, ""
-}
-
-// DispatchExecuteResumable is DispatchExecute under the checkpoint-resume
-// protocol: every checkpointEveryMs of simulated time the in-flight run's
-// state is committed to the coordinator, and a leased job that carries a
-// prior attempt's checkpoint picks the batch up there — completed runs'
-// summaries are reused and the interrupted run resumes mid-flight, so a
-// kill costs at most one checkpoint interval of re-execution. A checkpoint
-// that fails to decode is discarded (the batch restarts from scratch, which
-// is always correct), and commit delivery failures are tolerated — only a
-// fencing rejection stops the attempt, via the job ctx.
+// DispatchExecuteResumable is the worker daemon's executor: decode a leased
+// envelope, run the batch through the same loop the local engine uses
+// (runBatch), stream sample batches back, and return the encoded result. A
+// lease that carries a prior attempt's checkpoint picks the batch up there —
+// completed runs' summaries are reused and the interrupted run resumes
+// mid-flight; a checkpoint that does not decode or does not fit is discarded.
+// With checkpointEveryMs > 0 the in-flight state is committed to the
+// coordinator every checkpointEveryMs of simulated time (at least every
+// window) and at run boundaries, so a kill costs at most one interval of
+// re-execution; commit delivery failures are tolerated — only a fencing
+// rejection stops the attempt, via the job ctx. With checkpointEveryMs <= 0
+// the executor never commits.
 func DispatchExecuteResumable(checkpointEveryMs int) dispatch.ExecuteResumableFunc {
-	if checkpointEveryMs <= 0 {
-		checkpointEveryMs = 100
-	}
 	return func(ctx context.Context, job dispatch.ResumableJob) (result []byte, errMsg string) {
 		spec, err := parseDispatchPayload(job.Payload)
 		if err != nil {
 			return nil, err.Error()
 		}
-		windows := spec.DurationMs / spec.WindowMs
-		everyWins := checkpointEveryMs / spec.WindowMs
-		if everyWins < 1 {
-			everyWins = 1
+		everyWins := 0
+		if checkpointEveryMs > 0 {
+			everyWins = max(1, checkpointEveryMs/spec.WindowMs)
 		}
-
-		res := &RunResult{Spec: spec, Key: spec.CanonicalKey()}
-		startRun := 0
-		var resume *experiments.RunCheckpoint
-		if len(job.Checkpoint) > 0 {
-			var jc jobCheckpoint
-			if json.Unmarshal(job.Checkpoint, &jc) == nil && jc.Run <= spec.Runs && len(jc.Runs) == jc.Run {
-				startRun = jc.Run
-				res.Runs = jc.Runs
-				res.Series = jc.Series
-				if jc.Win > 0 && len(jc.Platform) > 0 {
-					if cp, derr := centurion.DecodeCheckpoint(jc.Platform); derr == nil {
-						resume = &experiments.RunCheckpoint{
-							Win:       jc.Win,
-							Thr:       jc.Thr,
-							Act:       jc.Act,
-							Sw:        jc.Sw,
-							WaveSnaps: jc.WaveSnaps,
-							Platform:  cp,
-						}
-					}
-				}
+		var jc jobCheckpoint
+		var from *jobCheckpoint
+		if len(job.Checkpoint) > 0 && json.Unmarshal(job.Checkpoint, &jc) == nil {
+			from = &jc
+		}
+		commit := func(tick int64, jc *jobCheckpoint) {
+			if b, merr := json.Marshal(jc); merr == nil {
+				// Best-effort: a failed delivery only widens the re-execution
+				// window of a later attempt.
+				_ = job.Commit(ctx, tick, b)
 			}
 		}
-
-		commit := func(run int, win int, jc jobCheckpoint) {
-			b, merr := json.Marshal(jc)
-			if merr != nil {
-				return
-			}
-			tick := int64(run)*int64(windows) + int64(win)
-			// Best-effort: a failed delivery only widens the re-execution
-			// window of a later attempt.
-			_ = job.Commit(ctx, tick, b)
-		}
-
 		batch := sampleBatcher{post: job.Progress}
-		for run := startRun; run < spec.Runs; run++ {
-			espec := spec.toExperiment(run)
-			r := run
-			onWindow := func(w int, tp, active, switches float64) {
-				batch.add(Sample{
-					Run:         r,
-					TimeMs:      float64(w) * float64(spec.WindowMs),
-					Throughput:  tp,
-					NodesActive: active,
-					Switches:    switches,
-				})
-			}
-			hook := &experiments.CheckpointHook{
-				EveryWins: everyWins,
-				Fn: func(win int, cp *experiments.RunCheckpoint) error {
-					commit(r, win, jobCheckpoint{
-						Run:       r,
-						Runs:      res.Runs,
-						Series:    res.Series,
-						Win:       cp.Win,
-						Thr:       cp.Thr,
-						Act:       cp.Act,
-						Sw:        cp.Sw,
-						WaveSnaps: cp.WaveSnaps,
-						Platform:  centurion.EncodeCheckpoint(cp.Platform),
-					})
-					// Lease loss surfaces as ctx cancellation (the commit's
-					// fencing rejection cancels the job ctx); everything else
-					// is best-effort.
-					return ctx.Err()
-				},
-			}
-			rr, err := experiments.RunResumable(ctx, espec, onWindow, resume, hook)
-			resume = nil
-			if err != nil {
-				batch.flush()
-				return nil, fmt.Sprintf("run %d (seed %d): %v", run, espec.Seed, err)
-			}
-			res.Runs = append(res.Runs, runSummaryOf(&rr))
-			if run == 0 {
-				res.Series = &Series{
-					WindowMs:    rr.Throughput.WindowMs,
-					Throughput:  rr.Throughput.Values,
-					NodesActive: rr.NodesActive.Values,
-					Switches:    rr.Switches.Values,
-				}
-			}
-			if run+1 < spec.Runs {
-				// Run boundary: the next run starts fresh (no platform), but
-				// the completed summaries are safe.
-				commit(run+1, 0, jobCheckpoint{Run: run + 1, Runs: res.Runs, Series: res.Series})
-			}
-		}
+		res, err := runBatch(ctx, spec, batch.add, from, everyWins, commit)
 		batch.flush()
-		res.Aggregate = aggregate(res.Runs)
-		if spec.Runs > 1 {
-			res.Series = nil
+		if err != nil {
+			return nil, err.Error()
 		}
-		b, merr := json.Marshal(res)
-		if merr != nil {
-			return nil, merr.Error()
+		b, err := json.Marshal(res)
+		if err != nil {
+			return nil, err.Error()
 		}
 		return b, ""
 	}

@@ -12,12 +12,39 @@ import (
 	"centurion/internal/experiments"
 )
 
-// TestDispatchEnvelopeAndLegacyPayload pins the leased-job wire format: the
+// runLeased runs one leased payload through the worker executor, outside any
+// coordinator: commits (when the cadence asks for any) go to commit.
+func runLeased(ctx context.Context, everyMs int, payload, checkpoint []byte, commit func(tick int64, data []byte)) ([]byte, string) {
+	return DispatchExecuteResumable(everyMs)(ctx, dispatch.ResumableJob{
+		Payload:    payload,
+		Checkpoint: checkpoint,
+		Commit: func(_ context.Context, tick int64, data []byte) error {
+			commit(tick, append([]byte(nil), data...))
+			return nil
+		},
+	})
+}
+
+// envelopeOf wraps a canonical spec the way NewDispatchExecutor ships it.
+func envelopeOf(t testing.TB, spec RunSpec) []byte {
+	t.Helper()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := json.Marshal(dispatchEnvelope{Spec: specJSON})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// TestDispatchEnvelopeIsTheOnlyPayload pins the leased-job wire format: the
 // coordinator ships {"spec": ..., "warm_prefix": ...} envelopes and workers
-// accept nothing else — the pre-envelope bare-spec payload (and anything
-// that is not JSON) is an error, not a second decode path. An enveloped job
-// executes to the same encoded result as the local engine path.
-func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
+// accept nothing else — a bare-spec payload (and anything that is not JSON)
+// is an error, not a second decode path. An enveloped job executes to the
+// same encoded result as the local engine path.
+func TestDispatchEnvelopeIsTheOnlyPayload(t *testing.T) {
 	ctx := context.Background()
 	spec, err := ParseSpec([]byte(fastSpecJSON))
 	if err != nil {
@@ -29,7 +56,7 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	}
 
 	for _, bad := range [][]byte{specJSON, []byte("not json"), []byte(`{"warm_prefix":"deadbeef"}`)} {
-		if res, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), bad, nil); errMsg == "" || res != nil {
+		if res, errMsg := runLeased(ctx, 0, bad, nil, nil); errMsg == "" || res != nil {
 			t.Fatalf("non-envelope payload %q was accepted (result %d bytes)", bad, len(res))
 		}
 	}
@@ -51,7 +78,7 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	skewBefore := WarmPrefixSkew()
-	enveloped, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), env, nil)
+	enveloped, errMsg := runLeased(ctx, 0, env, nil, nil)
 	if errMsg != "" {
 		t.Fatalf("envelope payload failed: %s", errMsg)
 	}
@@ -68,7 +95,7 @@ func TestDispatchEnvelopeAndLegacyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, errMsg := DispatchExecute(ctx, spec.CanonicalKey(), badEnv, nil)
+	skewed, errMsg := runLeased(ctx, 0, badEnv, nil, nil)
 	if errMsg != "" {
 		t.Fatalf("skewed envelope failed: %s", errMsg)
 	}
@@ -98,9 +125,9 @@ func TestDispatchExecutorShipsEnvelope(t *testing.T) {
 	defer func() { ts.Close(); s.Close() }()
 
 	payloads := make(chan []byte, 4)
-	capture := func(ctx context.Context, key string, payload []byte, post func([]byte)) ([]byte, string) {
-		payloads <- append([]byte(nil), payload...)
-		return DispatchExecute(ctx, key, payload, post)
+	capture := func(ctx context.Context, job dispatch.ResumableJob) ([]byte, string) {
+		payloads <- append([]byte(nil), job.Payload...)
+		return DispatchExecuteResumable(0)(ctx, job)
 	}
 	defer startTestWorker(t, ts.URL, "capture", nil, capture)()
 	waitForWorkers(t, s.Coordinator(), 1)
