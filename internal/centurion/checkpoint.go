@@ -15,10 +15,10 @@ import (
 // simulation state at a between-step boundary (DESIGN.md §15): the packet
 // arena, ring slots and router records, PE/engine/directory/thermal state,
 // every RNG stream, the activity sets and the pending wake/retry timers.
-// Everything construction-derived — topology, task graph, routing rows,
-// wiring closures, tile layout — stays with the platform, so restoring a
-// checkpoint into a same-shape platform is a handful of bulk copies, and the
-// fault-aware route tables are shared by reference across every fork.
+// Everything construction-derived — topology, task graph, wiring closures,
+// tile layout — stays with the platform, and the routers' next-hop rows
+// travel with their records, so restoring a checkpoint into a same-shape
+// platform is a handful of bulk copies with no route recomputation.
 //
 // What is deliberately NOT captured is the event queue itself (it holds
 // closures): Restore rebuilds the pending wake and controller-retry events
@@ -146,7 +146,8 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 
 // Fits reports why the checkpoint cannot be restored into this platform, or
 // nil when it can: same dimensions, topology, node count and thermal
-// configuration. A caller holding checkpoint bytes from outside the process
+// configuration, and a network section that fits the fabric (noc
+// Network.Fits). A caller holding checkpoint bytes from outside the process
 // (a dispatch lease) asks first; Restore panics on a misfit.
 func (p *Platform) Fits(cp *Checkpoint) error {
 	if cp.width != p.Cfg.Width || cp.height != p.Cfg.Height || cp.topology != p.Cfg.Topology ||
@@ -157,7 +158,7 @@ func (p *Platform) Fits(cp *Checkpoint) error {
 	if cp.hasHeat != (p.heat != nil) {
 		return errors.New("centurion: checkpoint thermal-model mismatch")
 	}
-	return nil
+	return p.Net.Fits(&cp.net)
 }
 
 // Restore rewinds the platform to the checkpointed state. The platform must

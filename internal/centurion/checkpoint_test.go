@@ -375,3 +375,25 @@ func TestCheckpointShapeMismatchPanics(t *testing.T) {
 	}()
 	other.Restore(cp)
 }
+
+// TestCheckpointFitsRejectsFabricMisfit: a checkpoint of the same grid whose
+// fabric was built with another ring capacity carries a network section the
+// target cannot hold. Fits must say so — it is what a worker asks before
+// trusting checkpoint bytes from a lease — rather than let Restore panic.
+func TestCheckpointFitsRejectsFabricMisfit(t *testing.T) {
+	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
+	wide := cfg
+	wide.NoC.BufferFlits = 16
+	src := New(wide)
+	src.RunFor(sim.Ms(10), nil)
+	cp, err := DecodeCheckpoint(EncodeCheckpoint(src.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(cfg).Fits(cp); err == nil {
+		t.Fatal("Fits accepted a checkpoint of a fabric with twice the ring capacity")
+	}
+	if err := New(wide).Fits(cp); err != nil {
+		t.Fatalf("Fits refused the checkpoint on its own fabric: %v", err)
+	}
+}

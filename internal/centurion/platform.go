@@ -278,10 +278,10 @@ func (p *Platform) Thermal() *thermal.Model { return p.heat }
 
 // Reset rewinds the platform to the state New would construct for the same
 // configuration with the given seed, reusing every allocation: topology,
-// route tables, task graph and wiring closures are shared read-only, while
-// routers, PEs, engines, the directory, the thermal field and all counters
-// are cleared in place. Packets still held from the previous run are recycled
-// into the pool. The replayed construction sequence (mapping draw, then one
+// task graph and wiring closures are shared read-only, while routers (hop
+// rows back to dimension order), PEs, engines, the directory, the thermal
+// field and all counters are cleared in place. Packets still held from the
+// previous run are recycled into the pool. The replayed construction sequence (mapping draw, then one
 // generation-phase draw per node) makes a reset platform bit-identical to a
 // freshly built one for every seed — the contract the pooled runners rely on
 // (see TestSteppingEquivalencePooledReuse).
@@ -749,8 +749,8 @@ func (p *Platform) InjectFaults(nodes []noc.NodeID) {
 }
 
 // ReviveNodes returns downed nodes to service now — the churn half of the
-// fault engine. The node's router rejoins the fabric (routes recompute or
-// collapse back to the healthy tables), and every dead PE behind it revives
+// fault engine. The node's router rejoins the fabric (routes recompute,
+// back to dimension order once no fault is left), and every dead PE behind it revives
 // as an idle recruit: directory re-registered, intelligence engine told the
 // node is unassigned and re-enrolled for polling. On a concentrated fabric
 // the shared router is the cluster's attachment point, so reviving any

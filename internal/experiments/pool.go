@@ -13,8 +13,8 @@ import (
 
 // The platform pool: RunContext leases assembled platforms from per-shape
 // sync.Pools instead of calling centurion.New per run. A leased platform is
-// Reset(seed) in place — immutable structure (topology, route tables, task
-// graph, wiring) is reused, mutable state is cleared — which makes the
+// Reset(seed) in place — immutable structure (topology, task graph, wiring,
+// the hop-row backing) is reused, mutable state is cleared — which makes the
 // construction cost of a run O(state), not O(structure), and keeps sweeps
 // allocation-free at steady state. Platform.Reset's bit-identity contract
 // (TestSteppingEquivalencePooledReuse) guarantees pooled runs equal fresh

@@ -106,11 +106,12 @@ type routerState struct {
 	// round-robin pointer, so tickRouter does exactly that and returns. Any
 	// push resets it — a new packet may be ready sooner.
 	quiet sim.Tick
-	// hop is this router's row of the active next-hop table (XY while the
-	// fabric is healthy, fault-aware tables otherwise), narrowed to one
-	// byte per destination so a 128-node row is two cache lines instead of
-	// sixteen. The network rewrites it whenever the routing state changes,
-	// so forwarding is one indexed load. -1 encodes PortInvalid.
+	// hop is this router's next-hop row — the fabric's only routing state
+	// (dimension order while the fabric is healthy, shortest paths around
+	// faults otherwise) — narrowed to one byte per destination so a
+	// 128-node row is two cache lines instead of sixteen. reroute rewrites
+	// it in place whenever the fault set changes, so forwarding, NextHop and
+	// Reachable are one indexed load. -1 encodes PortInvalid.
 	hop []int8
 	// queued is the packet count across all input rings, maintained on
 	// every push/pop so the idle check and the active-router set are O(1).
@@ -183,18 +184,12 @@ type Network struct {
 	sppMask  uint32
 	capFlits uint32
 
-	tables *routeTables
-	// healthy caches the fault-free route tables so Reset can restore them
-	// without recomputation (they are immutable once built).
-	healthy    *routeTables
-	haveFaults bool
-	faultyCnt  int
+	faultyCnt int
 
-	// huge marks a fabric beyond hugeNodes: the O(nodes²) routing
-	// structures (per-router hop rows, BFS tables) are not built —
-	// forwarding computes the dimension-order hop on the fly and routes
-	// stay XY even under faults (blocked heads take the deadlock-recovery
-	// path, like the FPGA's router). See liveHop.
+	// huge marks a fabric beyond hugeNodes: the O(nodes²) per-router hop
+	// rows are not built — forwarding computes the dimension-order hop on
+	// the fly and routes stay XY even under faults (blocked heads take the
+	// deadlock-recovery path, like the FPGA's router). See liveHop.
 	huge bool
 
 	// tiles are the K ≥ 1 row bands the kernel sweeps, each with its own
@@ -314,18 +309,13 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 		k = autoTiles(topo.Width(), topo.Height())
 	}
 	n.buildTiles(k)
-	if cfg.Mode == RouteTables && !n.huge {
-		n.RecomputeRoutes()
-	} else {
-		n.applyRoutingRows()
-	}
+	n.reroute()
 	return n
 }
 
-// hugeNodes is the node count beyond which the quadratic routing structures
-// (hop rows, BFS tables) are skipped: a 65536-node fabric's hop
-// rows alone would be 4 GiB. 64×64 (4096 nodes) keeps the precomputed fast
-// path and full fault-aware routing.
+// hugeNodes is the node count beyond which the quadratic hop rows are
+// skipped: a 65536-node fabric's rows alone would be 4 GiB. 64×64 (4096
+// nodes) keeps the precomputed fast path and full fault-aware routing.
 const hugeNodes = 8192
 
 // liveHop is the mega-fabric forwarding path: the topology's dimension-order
@@ -338,7 +328,7 @@ func (n *Network) liveHop(from NodeID, dst int32) Port {
 	if uint32(dst) >= uint32(n.nodes) {
 		return PortInvalid
 	}
-	return xyNextHop(n.Topo, from, NodeID(dst))
+	return n.Topo.BaseNextHop(from, NodeID(dst))
 }
 
 // Pool returns the fabric's packet arena. Every packet that enters the
@@ -346,26 +336,21 @@ func (n *Network) liveHop(from NodeID, dst int32) Port {
 // it so the whole system shares one recycler.
 func (n *Network) Pool() *PacketPool { return &n.pool }
 
-// applyRoutingRows rebinds every router's next-hop row to the table the
-// current routing state selects (dimension-order on a healthy fabric,
-// shortest-path tables otherwise). Called whenever mode-relevant state
-// changes.
-func (n *Network) applyRoutingRows() {
-	if n.huge {
-		// No precomputed rows to rebind; forwarding goes through liveHop.
-		// Parked heads still re-evaluate (a fault changes what they observe).
-		n.stirAll()
-		return
-	}
-	if n.useXY() {
+// reroute rebuilds the hop rows in place for the current fault set:
+// dimension order on a healthy fabric, shortest paths around the dead
+// routers otherwise. Under RouteXY the rows stay dimension order, and a huge
+// fabric has no rows (forwarding goes through liveHop).
+func (n *Network) reroute() {
+	switch {
+	case n.huge:
+	case n.faultyCnt == 0:
 		n.fillXYRows()
-	} else {
-		for _, r := range n.uniq {
-			copy(n.state[r.ID].hop, n.tables.next[r.ID])
-		}
+	case n.cfg.Mode != RouteXY:
+		n.fillTableRows()
 	}
-	// New rows can change any parked head's fate (fresh detour, newly
-	// unreachable destination): wake everything holding traffic.
+	// New rows — or, with none rebuilt, the fault itself — can change any
+	// parked head's fate (fresh detour, newly unreachable or dead next hop):
+	// wake everything holding traffic.
 	n.stirAll()
 }
 
@@ -775,7 +760,7 @@ func (n *Network) stirRouter(id int) {
 }
 
 // stirAll wakes every router holding traffic. Called on events that can
-// change what any parked scan would observe: route-table rebinds, port
+// change what any parked scan would observe: hop-row rebuilds, port
 // enable/disable, faults.
 func (n *Network) stirAll() {
 	for _, r := range n.uniq {
@@ -1036,10 +1021,9 @@ func (n *Network) SetLinkHealth(id NodeID, p Port, healthy bool, now sim.Tick) {
 
 // Revive returns a failed router to service: rings were already drained at
 // Fail time, so the router restarts empty, routes recompute around the
-// restored fabric (or collapse back to the cached healthy tables when the
-// last fault heals), and parked neighbours re-evaluate. On concentrated
-// topologies this re-attaches the node's whole cluster. Reviving a healthy
-// router is a no-op.
+// restored fabric (back to dimension order when the last fault heals), and
+// parked neighbours re-evaluate. On concentrated topologies this re-attaches
+// the node's whole cluster. Reviving a healthy router is a no-op.
 func (n *Network) Revive(id NodeID, now sim.Tick) {
 	r := n.routers[id]
 	rid := int(r.ID)
@@ -1050,17 +1034,7 @@ func (n *Network) Revive(id NodeID, now sim.Tick) {
 	st.faulty = false
 	st.quiet = 0
 	n.faultyCnt--
-	n.haveFaults = n.faultyCnt > 0
-	if n.faultyCnt == 0 {
-		// All healed: restore the cached fault-free tables (nil under modes
-		// that never computed them — the XY rows take over either way).
-		n.tables = n.healthy
-		n.applyRoutingRows()
-	} else if n.cfg.Mode != RouteXY {
-		n.RecomputeRoutes() // stirs every parked router via applyRoutingRows
-	} else {
-		n.stirAll()
-	}
+	n.reroute()
 	_ = now
 }
 
@@ -1176,22 +1150,16 @@ func (n *Network) Inject(at NodeID, p *Packet, now sim.Tick) bool {
 	return false
 }
 
-// NextHop returns the output port at from toward dst under the current
-// routing mode.
+// NextHop returns the output port at from toward dst: the serving router's
+// hop row, exactly what forwarding reads (PortInvalid when unreachable).
 func (n *Network) NextHop(from, dst NodeID) Port {
 	if dst < 0 || int(dst) >= n.nodes {
 		return PortInvalid
 	}
-	if n.huge || n.useXY() {
-		return xyNextHop(n.Topo, from, dst)
+	if n.huge {
+		return n.liveHop(from, int32(dst))
 	}
-	return n.tables.NextHop(from, dst)
-}
-
-// useXY reports whether forwarding currently follows the topology's
-// dimension-order hop rather than the shortest-path tables.
-func (n *Network) useXY() bool {
-	return n.cfg.Mode == RouteXY || (n.cfg.Mode == RouteAuto && !n.haveFaults)
+	return Port(n.state[n.routers[from].ID].hop[dst])
 }
 
 // Alive reports whether the node's router is functioning.
@@ -1240,35 +1208,13 @@ func (n *Network) Fail(id NodeID, now sim.Tick) {
 		lost[i] = nil
 	}
 	n.drainBuf = lost[:0]
-	n.haveFaults = true
-	if n.cfg.Mode != RouteXY {
-		n.RecomputeRoutes() // stirs every parked router via applyRoutingRows
-	} else {
-		// No route recomputation under pure XY, but parked neighbours must
-		// still re-evaluate heads steering into the dead router.
-		n.stirAll()
-	}
+	n.reroute()
 	_ = now
-}
-
-// RecomputeRoutes rebuilds the fault-aware shortest-path tables. A huge
-// fabric never builds tables (they are O(nodes²)); it stays on live XY and
-// only re-evaluates parked heads.
-func (n *Network) RecomputeRoutes() {
-	if n.huge {
-		n.stirAll()
-		return
-	}
-	n.tables = computeTables(n.Topo, func(id NodeID) bool { return !n.state[n.routers[id].ID].faulty })
-	if !n.haveFaults && n.healthy == nil {
-		n.healthy = n.tables
-	}
-	n.applyRoutingRows()
 }
 
 // Reset restores the fabric to its as-constructed state in place: routers
 // revive with empty rings and default settings, counters clear, and the
-// fault-free route tables are restored. Buffered packets are recycled into
+// hop rows return to dimension order. Buffered packets are recycled into
 // the pool without drop accounting — a reset ends the run they belonged to.
 func (n *Network) Reset() {
 	for _, r := range n.uniq {
@@ -1298,7 +1244,6 @@ func (n *Network) Reset() {
 	}
 	n.stagedOps = 0
 	n.drainedOps = 0
-	n.haveFaults = false
 	n.faultyCnt = 0
 	for i := range n.byz {
 		n.byz[i] = byzState{}
@@ -1306,28 +1251,15 @@ func (n *Network) Reset() {
 	n.byzCnt = 0
 	n.byzAny = false
 	n.stats = NetworkStats{}
-	n.tables = n.healthy
-	n.applyRoutingRows()
+	n.reroute()
 }
 
 // Reachable reports whether dst can be reached from src under the current
-// routing state.
+// routing state. A huge fabric has no rows to consult and is optimistic
+// under faults: a wrong answer costs a rescue retry through deadlock
+// recovery, not correctness.
 func (n *Network) Reachable(src, dst NodeID) bool {
-	if !n.Alive(src) || !n.Alive(dst) {
-		return false
-	}
-	if src == dst {
-		return true
-	}
-	if !n.haveFaults || n.cfg.Mode == RouteXY {
-		return true // healthy mesh is fully connected
-	}
-	if n.huge {
-		// No tables to consult: optimistic under faults. A wrong answer
-		// costs a rescue retry through deadlock recovery, not correctness.
-		return true
-	}
-	return n.tables.NextHop(src, dst) != PortInvalid
+	return n.Alive(src) && n.Alive(dst) && n.NextHop(src, dst) != PortInvalid
 }
 
 // InFlight counts packets currently buffered anywhere in the fabric.

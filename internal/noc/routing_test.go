@@ -12,7 +12,7 @@ func TestXYRoutingProgress(t *testing.T) {
 	cur := src
 	hops := 0
 	for cur != dst {
-		p := xyNextHop(topo, cur, dst)
+		p := topo.BaseNextHop(cur, dst)
 		nb, ok := topo.Neighbor(cur, p)
 		if !ok {
 			t.Fatalf("XY routed off-mesh at %v via %v", topo.Coord(cur), p)
@@ -32,14 +32,14 @@ func TestXYRoutesXFirst(t *testing.T) {
 	topo := NewTopology(8, 8)
 	from := topo.ID(Coord{2, 2})
 	to := topo.ID(Coord{5, 5})
-	if got := xyNextHop(topo, from, to); got != East {
+	if got := topo.BaseNextHop(from, to); got != East {
 		t.Errorf("XY first hop = %v, want East (X before Y)", got)
 	}
 	sameCol := topo.ID(Coord{2, 5})
-	if got := xyNextHop(topo, from, sameCol); got != South {
+	if got := topo.BaseNextHop(from, sameCol); got != South {
 		t.Errorf("XY same-column hop = %v, want South", got)
 	}
-	if got := xyNextHop(topo, from, from); got != Local {
+	if got := topo.BaseNextHop(from, from); got != Local {
 		t.Errorf("XY self hop = %v, want Local", got)
 	}
 }
@@ -51,9 +51,9 @@ func TestXYMonotoneProperty(t *testing.T) {
 		src := NodeID(int(rs) % topo.Nodes())
 		dst := NodeID(int(rd) % topo.Nodes())
 		if src == dst {
-			return xyNextHop(topo, src, dst) == Local
+			return topo.BaseNextHop(src, dst) == Local
 		}
-		p := xyNextHop(topo, src, dst)
+		p := topo.BaseNextHop(src, dst)
 		nb, ok := topo.Neighbor(src, p)
 		return ok && topo.Distance(nb, dst) == topo.Distance(src, dst)-1
 	}
@@ -64,7 +64,7 @@ func TestXYMonotoneProperty(t *testing.T) {
 
 func TestTablesMatchXYOnHealthyMesh(t *testing.T) {
 	topo := NewTopology(16, 8)
-	rt := computeTables(topo, func(NodeID) bool { return true })
+	rt := tableRows(topo, func(NodeID) bool { return true })
 	for src := NodeID(0); int(src) < topo.Nodes(); src++ {
 		for dst := NodeID(0); int(dst) < topo.Nodes(); dst++ {
 			got := rt.NextHop(src, dst)
@@ -92,7 +92,7 @@ func TestTablesRouteAroundFaults(t *testing.T) {
 	for y := 0; y < 7; y++ {
 		dead[topo.ID(Coord{4, y})] = true
 	}
-	rt := computeTables(topo, func(id NodeID) bool { return !dead[id] })
+	rt := tableRows(topo, func(id NodeID) bool { return !dead[id] })
 	src := topo.ID(Coord{0, 0})
 	dst := topo.ID(Coord{7, 0})
 	cur := src
@@ -125,7 +125,7 @@ func TestTablesUnreachable(t *testing.T) {
 	for y := 0; y < 4; y++ {
 		dead[topo.ID(Coord{2, y})] = true
 	}
-	rt := computeTables(topo, func(id NodeID) bool { return !dead[id] })
+	rt := tableRows(topo, func(id NodeID) bool { return !dead[id] })
 	left := topo.ID(Coord{0, 0})
 	right := topo.ID(Coord{3, 3})
 	if got := rt.NextHop(left, right); got != PortInvalid {
@@ -148,7 +148,7 @@ func TestTablesSoundnessProperty(t *testing.T) {
 			dead[NodeID(rng.Intn(topo.Nodes()))] = true
 		}
 		alive := func(id NodeID) bool { return !dead[id] }
-		rt := computeTables(topo, alive)
+		rt := tableRows(topo, alive)
 		// Check a handful of random pairs per damage pattern.
 		for i := 0; i < 10; i++ {
 			src := NodeID(rng.Intn(topo.Nodes()))
@@ -190,6 +190,17 @@ func TestTablesSoundnessProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// tableRows builds a fabric whose routers are dead exactly where alive says
+// no and fills its hop rows with the shortest-path BFS; NextHop reads them.
+func tableRows(topo Topology, alive func(NodeID) bool) *Network {
+	n := NewNetwork(topo, DefaultConfig())
+	for _, r := range n.uniq {
+		n.state[r.ID].faulty = !alive(r.ID)
+	}
+	n.fillTableRows()
+	return n
 }
 
 func bfsReachable(topo Topology, alive func(NodeID) bool, src, dst NodeID) bool {

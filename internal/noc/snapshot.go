@@ -12,17 +12,11 @@ import (
 // deep, self-contained copy of everything a Network mutates while running:
 // the packet arena (per-slot packet values, generation tags, free list and
 // accounting), the shared ring-slot slice, the per-router hot records and
-// next-hop row contents, the active sets, byzantine arming (including each
-// router's private RNG stream), fault flags and fabric counters. Everything
-// immutable — topology, neighbour wiring, tile layout, the healthy
-// route tables — stays with the platform and is never copied.
-//
-// The fault-aware route tables sit in between: their *contents* are
-// immutable once computed (faults swap the pointer, never edit in place), so
-// an in-memory snapshot shares them by reference across every fork. Only a
-// checkpoint decoded from a file lacks the pointer; LoadState then recomputes
-// the tables from the restored fault flags, which is deterministic and yields
-// identical contents.
+// next-hop rows (the fabric's only routing state, so a restore copies routes
+// and never recomputes them), the active sets, byzantine arming (including
+// each router's private RNG stream), fault flags and fabric counters.
+// Everything immutable — topology, tile layout — stays with the platform and
+// is never copied.
 
 // ArenaIndex resolves the arena slot a packet is bound to in this pool —
 // how higher layers record packet references in a checkpoint (the slot
@@ -110,15 +104,10 @@ type NetworkState struct {
 	byz        []byzState
 	byzCnt     int
 	byzAny     bool
-	haveFaults bool
 	faultyCnt  int
 	stats      NetworkStats
 	stagedOps  uint64
 	drainedOps uint64
-
-	// tables is the in-memory shared reference (nil after DecodeBinary and
-	// on fabrics that are healthy under XY routing).
-	tables *routeTables
 
 	// Shape guard: a state only restores into the fabric geometry it came
 	// from.
@@ -177,28 +166,59 @@ func (n *Network) SaveState(st *NetworkState) {
 	}
 	st.byzCnt, st.byzAny = n.byzCnt, n.byzAny
 
-	st.haveFaults, st.faultyCnt = n.haveFaults, n.faultyCnt
+	st.faultyCnt = n.faultyCnt
 	st.stats = n.stats
 	st.stagedOps, st.drainedOps = n.stagedOps, n.drainedOps
-	st.tables = n.tables
 
 	st.nodes, st.spp, st.uniqN, st.tileN = n.nodes, n.spp, len(n.uniq), len(st.tileActive)
 	st.huge = n.huge
 }
 
-// LoadState restores a previously saved state into the fabric. The target
-// must have the same geometry (node count, ring capacity, router set, tile
-// layout) as the fabric the state was saved from; construction-derived
-// wiring is reused, so the restore is a handful of bulk copies.
-func (n *Network) LoadState(st *NetworkState) {
+// Fits reports why st cannot be restored into this fabric, or nil when it
+// can: the same geometry (node count, ring capacity, router set, tile
+// layout, huge mode) as the fabric it was saved from, and every section
+// LoadState indexes by sized for that geometry. Checkpoint bytes from
+// outside the process are asked first; LoadState panics on a misfit.
+func (n *Network) Fits(st *NetworkState) error {
 	tileN := len(n.tiles)
 	if tileN == 1 {
 		tileN = 0 // a single tile is recorded as the whole-fabric set
 	}
-	if st.nodes != n.nodes || st.spp != n.spp || st.uniqN != len(n.uniq) ||
-		st.tileN != tileN || len(st.tileActive) != tileN || st.huge != n.huge {
-		panic(fmt.Sprintf("noc: checkpoint shape mismatch: state is %d nodes/%d spp/%d routers/%d tiles, fabric is %d/%d/%d/%d",
-			st.nodes, st.spp, st.uniqN, st.tileN, n.nodes, n.spp, len(n.uniq), tileN))
+	if st.nodes != n.nodes || st.spp != n.spp || st.uniqN != len(n.uniq) || st.tileN != tileN || st.huge != n.huge {
+		return fmt.Errorf("noc: checkpoint shape mismatch: state is %d nodes/%d spp/%d routers/%d tiles, fabric is %d/%d/%d/%d",
+			st.nodes, st.spp, st.uniqN, st.tileN, n.nodes, n.spp, len(n.uniq), tileN)
+	}
+	hopN, byzN := len(n.uniq)*n.nodes, 0
+	if n.huge {
+		hopN = 0
+	}
+	if st.hasByz {
+		byzN = n.nodes
+	}
+	if len(st.recs) != len(n.uniq) || len(st.cold) != len(n.uniq) || len(st.slots) != len(n.slots) ||
+		len(st.hop) != hopN || len(st.tileActive) != tileN || len(st.byz) != byzN ||
+		len(st.pool.gen) != len(st.pool.packets) || len(st.pool.packets) > pidIndexMask+1 {
+		return fmt.Errorf("noc: checkpoint sections mis-sized: %d/%d router records, %d slots, %d hops, %d tile sets, %d byzantine, %d/%d arena for a %d-router %d-node fabric",
+			len(st.recs), len(st.cold), len(st.slots), len(st.hop), len(st.tileActive), len(st.byz), len(st.pool.gen), len(st.pool.packets), len(n.uniq), n.nodes)
+	}
+	for i := range n.tiles {
+		set := &st.active
+		if tileN > 0 {
+			set = &st.tileActive[i]
+		}
+		if t := &n.tiles[i]; len(set.Words) != (t.hi-t.lo+63)/64 {
+			return fmt.Errorf("noc: checkpoint active set %d holds %d words for %d routers", i, len(set.Words), t.hi-t.lo)
+		}
+	}
+	return nil
+}
+
+// LoadState restores a previously saved state into the fabric, which must
+// fit it (see Fits). Construction-derived wiring is reused and the hop rows
+// are copied, not recomputed, so the restore is a handful of bulk copies.
+func (n *Network) LoadState(st *NetworkState) {
+	if err := n.Fits(st); err != nil {
+		panic(err.Error())
 	}
 	n.pool.loadState(&st.pool)
 	copy(n.slots, st.slots)
@@ -236,24 +256,12 @@ func (n *Network) LoadState(st *NetworkState) {
 	}
 	n.byzCnt, n.byzAny = st.byzCnt, st.byzAny
 
-	n.haveFaults, n.faultyCnt = st.haveFaults, st.faultyCnt
+	// No reroute here: the rows were restored verbatim above, and a rebuild
+	// would stir parked routers, perturbing the quiet fast-forwards the
+	// snapshot captured.
+	n.faultyCnt = st.faultyCnt
 	n.stats = st.stats
 	n.stagedOps, n.drainedOps = st.stagedOps, st.drainedOps
-
-	// Route tables: share the in-memory reference when the state carries
-	// one. A file-decoded state does not; recompute from the restored fault
-	// flags (deterministic — identical contents to the source's tables).
-	// Note applyRoutingRows is NOT called anywhere here: the hop rows were
-	// restored verbatim above, and rebinding them would stir parked routers,
-	// perturbing the quiet fast-forwards the snapshot captured.
-	switch {
-	case st.tables != nil:
-		n.tables = st.tables
-	case !n.huge && n.haveFaults && n.cfg.Mode != RouteXY:
-		n.tables = computeTables(n.Topo, func(id NodeID) bool { return !n.state[n.routers[id].ID].faulty })
-	default:
-		n.tables = n.healthy
-	}
 }
 
 // --- binary encoding (the network section of a checkpoint file) ---
@@ -386,8 +394,7 @@ func readRouterStats(r *wire.Reader, s *RouterStats) {
 	s.LapsesSeen = r.U64()
 }
 
-// AppendBinary serializes the state (excluding the shared route-table
-// reference, which LoadState recomputes after a file restore).
+// AppendBinary serializes the state.
 func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(st.nodes))
 	b = wire.AppendU32(b, uint32(st.spp))
@@ -458,7 +465,7 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendI64(b, int64(st.byzCnt))
 	b = wire.AppendBool(b, st.byzAny)
 
-	b = wire.AppendBool(b, st.haveFaults)
+	b = wire.AppendBool(b, st.faultyCnt > 0) // a have-faults byte the format keeps
 	b = wire.AppendI64(b, int64(st.faultyCnt))
 
 	b = wire.AppendU64(b, st.stats.Injected)
@@ -474,9 +481,8 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// DecodeBinary reads a state serialized by AppendBinary. The decoded state
-// carries no route-table reference; LoadState recomputes the tables from
-// the fault flags.
+// DecodeBinary reads a state serialized by AppendBinary. It checks framing
+// only; Network.Fits checks the decoded sizes against a fabric.
 func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.nodes = int(r.U32())
 	st.spp = int(r.U32())
@@ -556,7 +562,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.byzCnt = int(r.I64())
 	st.byzAny = r.Bool()
 
-	st.haveFaults = r.Bool()
+	r.Bool() // have-faults: faultyCnt > 0 says the same
 	st.faultyCnt = int(r.I64())
 
 	st.stats.Injected = r.U64()
@@ -569,7 +575,5 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.stats.ByzDuplicated = r.U64()
 	st.stagedOps = r.U64()
 	st.drainedOps = r.U64()
-
-	st.tables = nil
 	return r.Err()
 }

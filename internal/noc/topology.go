@@ -13,7 +13,7 @@
 // The fabric shape is pluggable through the Topology interface: Mesh is the
 // paper's Centurion-V6 reference, Torus adds wrap-around links, and CMesh is
 // a concentrated mesh where a 2×2 cluster of processing elements shares one
-// router. Everything above this file (routing tables, thermal conduction,
+// router. Everything above this file (hop rows, thermal conduction,
 // task-directory distances, fault regions) works in terms of Topology.
 package noc
 

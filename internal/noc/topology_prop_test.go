@@ -1,17 +1,21 @@
 package noc
 
 // Per-topology routing properties: under seeded random fault sets, the
-// shortest-path tables must (a) find a route exactly when one exists in the
+// shortest-path hop rows must (a) find a route exactly when one exists in the
 // alive router graph, (b) never route through a dead router, and (c) be free
 // of cycles — every hop strictly decreases the BFS distance to the
-// destination, so following the table always terminates (the routing sense
+// destination, so following the rows always terminates (the routing sense
 // of deadlock freedom; head-of-line deadlock across destinations is handled
 // by the router's recovery mechanism). The healthy-fabric dimension-order
 // hop must satisfy the same monotone-progress property.
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+
+	"centurion/internal/wire"
 )
 
 // propTopologies builds one instance of every fabric shape on a 16×8 grid.
@@ -63,7 +67,7 @@ func aliveComponents(topo Topology, alive func(NodeID) bool) map[NodeID]int {
 // TestTopologyRoutingProperties is the satellite property test: for every
 // topology and fault count 0/8/32 (three seeded draws each), every pair of
 // live nodes in the same alive component is mutually reachable through the
-// route tables without revisiting a router, and cross-component pairs are
+// hop rows without revisiting a router, and cross-component pairs are
 // marked unreachable.
 func TestTopologyRoutingProperties(t *testing.T) {
 	for _, topo := range propTopologies() {
@@ -85,7 +89,7 @@ func TestTopologyRoutingProperties(t *testing.T) {
 						}
 					}
 					alive := func(id NodeID) bool { return !dead[id] }
-					rt := computeTables(topo, alive)
+					rt := tableRows(topo, alive)
 					comp := aliveComponents(topo, alive)
 
 					for src := NodeID(0); int(src) < topo.Nodes(); src++ {
@@ -336,18 +340,171 @@ func TestTopologyRingMatchesDistance(t *testing.T) {
 	}
 }
 
-// TestTopologyXYRowsMatchBaseNextHop: the templated row fill of a healthy
-// fabric holds exactly what one BaseNextHop call per (router, destination)
-// would have written.
-func TestTopologyXYRowsMatchBaseNextHop(t *testing.T) {
-	for _, topo := range ringTopologies() {
-		n := NewNetwork(topo, DefaultConfig())
-		for _, r := range n.UniqueRouters() {
-			for dst, got := range n.state[r.ID].hop {
-				if want := topo.BaseNextHop(r.ID, NodeID(dst)); Port(got) != want {
-					t.Fatalf("%s: hop[%d→%d] = %v, BaseNextHop = %v", topo, r.ID, dst, Port(got), want)
+// refRows is the lifecycle test's independent routing reference, built over
+// fresh rows: for every physical router, the E/W/S/N-preferred neighbour one
+// BFS step closer to each destination's router through the routers dead does
+// not name; Local at the destination's own router; PortInvalid from a dead
+// router, toward a dead one, or across a partition.
+func refRows(topo Topology, dead map[NodeID]bool) map[NodeID][]int8 {
+	rows := map[NodeID][]int8{}
+	for _, r := range routerSet(topo) {
+		rows[r] = make([]int8, topo.Nodes())
+		for i := range rows[r] {
+			rows[r][i] = int8(PortInvalid)
+		}
+	}
+	for dst := NodeID(0); int(dst) < topo.Nodes(); dst++ {
+		rdst := topo.RouterOf(dst)
+		if dead[rdst] {
+			continue
+		}
+		dist := map[NodeID]int{rdst: 0}
+		for queue := []NodeID{rdst}; len(queue) > 0; queue = queue[1:] {
+			for p := North; p <= West; p++ {
+				if nb, ok := topo.Neighbor(queue[0], p); ok && !dead[nb] {
+					if _, seen := dist[nb]; !seen {
+						dist[nb] = dist[queue[0]] + 1
+						queue = append(queue, nb)
+					}
 				}
 			}
 		}
+		for r, row := range rows {
+			d, reached := dist[r]
+			switch {
+			case r == rdst:
+				row[dst] = int8(Local)
+			case reached:
+				for _, p := range []Port{East, West, South, North} {
+					nb, ok := topo.Neighbor(r, p)
+					if nd, closer := dist[nb]; ok && closer && nd == d-1 {
+						row[dst] = int8(p)
+						break
+					}
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// checkRows compares every router's hop row with want (nil = the healthy
+// fabric's BaseNextHop) and checks that NextHop and Reachable answer from the
+// rows forwarding reads.
+func checkRows(t *testing.T, phase string, n *Network, want map[NodeID][]int8) {
+	t.Helper()
+	topo := n.Topo
+	for _, r := range n.UniqueRouters() {
+		for dst, got := range n.state[r.ID].hop {
+			w := topo.BaseNextHop(r.ID, NodeID(dst))
+			if want != nil {
+				w = Port(want[r.ID][dst])
+			}
+			if Port(got) != w {
+				t.Fatalf("%s: %s: hop[%d→%d] = %v, want %v", topo, phase, r.ID, dst, Port(got), w)
+			}
+		}
+	}
+	for src := NodeID(0); int(src) < topo.Nodes(); src++ {
+		for dst := NodeID(0); int(dst) < topo.Nodes(); dst++ {
+			row := Port(n.state[topo.RouterOf(src)].hop[dst])
+			if got := n.NextHop(src, dst); got != row {
+				t.Fatalf("%s: %s: NextHop(%d, %d) = %v, row holds %v", topo, phase, src, dst, got, row)
+			}
+			want := n.Alive(src) && n.Alive(dst) && row != PortInvalid
+			if got := n.Reachable(src, dst); got != want {
+				t.Fatalf("%s: %s: Reachable(%d, %d) = %v, rows say %v", topo, phase, src, dst, got, want)
+			}
+		}
+	}
+}
+
+// TestTopologyRouteRows walks the hop rows — the fabric's only routing
+// state — through their lifecycle: dimension order when healthy, the
+// reference BFS of the survivors after Fail and partial Revive, dimension
+// order again after the last Revive and after Reset, dimension order
+// throughout under RouteXY, and copied byte for byte (no recomputation, no
+// allocation) through SaveState/LoadState and the binary codec.
+func TestTopologyRouteRows(t *testing.T) {
+	// Healthy rows: the templated fill holds exactly one BaseNextHop per
+	// (router, destination), on every shape including the degenerate ones.
+	for _, topo := range ringTopologies() {
+		checkRows(t, "healthy", NewNetwork(topo, DefaultConfig()), nil)
+	}
+	for _, topo := range propTopologies() {
+		t.Run(topo.Kind(), func(t *testing.T) {
+			n := NewNetwork(topo, DefaultConfig())
+			rng := newTestRNG(4099)
+			dead := map[NodeID]bool{}
+			var killed []NodeID
+			for len(killed) < 12 {
+				id := NodeID(rng.Intn(topo.Nodes()))
+				if r := topo.RouterOf(id); !dead[r] {
+					dead[r] = true
+					killed = append(killed, id)
+					n.Fail(id, 0)
+				}
+			}
+			checkRows(t, "after Fail", n, refRows(topo, dead))
+
+			// A faulted state round-trips into warm fabrics with its rows
+			// intact, and restoring recomputes nothing.
+			var st NetworkState
+			n.SaveState(&st)
+			var dec NetworkState
+			if err := dec.DecodeBinary(wire.NewReader(st.AppendBinary(nil))); err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*NetworkState{"SaveState": &st, "DecodeBinary": &dec} {
+				warm := NewNetwork(topo, DefaultConfig())
+				warm.LoadState(s)
+				for _, r := range n.UniqueRouters() {
+					if !slices.Equal(warm.state[r.ID].hop, n.state[r.ID].hop) {
+						t.Fatalf("%s: router %d's row differs after %s → LoadState", topo, r.ID, name)
+					}
+				}
+				if a := testing.AllocsPerRun(5, func() { warm.LoadState(s) }); a != 0 {
+					t.Errorf("%s: LoadState of a %s state allocates %.0f times", topo, name, a)
+				}
+			}
+
+			for _, id := range killed[:6] {
+				n.Revive(id, 0)
+				delete(dead, topo.RouterOf(id))
+			}
+			checkRows(t, "after partial Revive", n, refRows(topo, dead))
+			for _, id := range killed[6:] {
+				n.Revive(id, 0)
+			}
+			checkRows(t, "after last Revive", n, nil)
+
+			n.Fail(killed[0], 0)
+			n.Reset()
+			checkRows(t, "after Reset", n, nil)
+
+			cfg := DefaultConfig()
+			cfg.Mode = RouteXY
+			xy := NewNetwork(topo, cfg)
+			for _, id := range killed {
+				xy.Fail(id, 0)
+			}
+			checkRows(t, "RouteXY after Fail", xy, nil)
+		})
+	}
+	// A Fail+Revive pair allocates only the BFS and template scratch:
+	// O(nodes) bytes, never an n×n table.
+	n := NewNetwork(NewMesh(16, 8), DefaultConfig())
+	pair := func() { n.Fail(37, 0); n.Revive(37, 0) }
+	if a := testing.AllocsPerRun(20, pair); a > 5 {
+		t.Errorf("Fail+Revive allocates %.0f times, want ≤ 5", a)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= 128*128 {
+		t.Errorf("Fail+Revive allocates %d bytes, an n×n table's worth", b)
 	}
 }

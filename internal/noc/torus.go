@@ -8,7 +8,7 @@ import "fmt"
 // around the shorter side of its ring first, then Y, with ties broken
 // toward East/South so routes are deterministic. Following hops strictly
 // decreases the ring distance, so per-destination next-hop graphs are
-// cycle-free (the deadlock-freedom sense the route-table property tests
+// cycle-free (the deadlock-freedom sense the routing property tests
 // assert; head-of-line cycles across destinations are handled by the
 // router's recovery mechanism, as on the mesh).
 type Torus struct{ grid }

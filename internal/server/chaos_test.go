@@ -57,17 +57,20 @@ func startResumableWorker(t *testing.T, url, name string, hardStop <-chan struct
 // a seeded, deterministic mid-run kill with a fresh checkpoint behind it.
 func killAfterCommits(exec dispatch.ExecuteResumableFunc, n int64, hardStop chan struct{}, killed *atomic.Bool) dispatch.ExecuteResumableFunc {
 	var commits atomic.Int64
-	return func(ctx context.Context, job dispatch.ResumableJob) ([]byte, string) {
+	return func(jobCtx context.Context, job dispatch.ResumableJob) ([]byte, string) {
 		inner := job
 		commit := job.Commit
 		inner.Commit = func(ctx context.Context, tick int64, data []byte) error {
 			err := commit(ctx, tick, data)
 			if err == nil && commits.Add(1) == n && killed.CompareAndSwap(false, true) {
 				close(hardStop)
+				// The worker cancels the job context on another goroutine;
+				// wait for it so the run cannot finish before the kill lands.
+				<-jobCtx.Done()
 			}
 			return err
 		}
-		return exec(ctx, inner)
+		return exec(jobCtx, inner)
 	}
 }
 

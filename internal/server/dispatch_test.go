@@ -97,6 +97,9 @@ func TestDistributedSweep(t *testing.T) {
 	doomedExec := func(ctx context.Context, job dispatch.ResumableJob) ([]byte, string) {
 		if doomedJobs.Add(1) == killAfter {
 			close(hardStop)
+			// The worker cancels the job context on another goroutine; wait
+			// for it so the kill lands before this job could complete.
+			<-ctx.Done()
 		}
 		return DispatchExecuteResumable(0)(ctx, job)
 	}

@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"testing"
 
+	"centurion/internal/aim"
+	"centurion/internal/centurion"
 	"centurion/internal/experiments"
+	"centurion/internal/sim"
+	"centurion/internal/taskgraph"
 )
 
 // The run-lifecycle contract at the batch layer (DESIGN.md §16): a batch
@@ -198,6 +202,15 @@ func TestResumeDiscardsMisfitCheckpoint(t *testing.T) {
 		earlier := midRunCommit(t, spec, runs-1, 20).Platform
 		cases["wrong-shape platform"] = func(jc *jobCheckpoint, _ int) { jc.Platform = foreign }
 		cases["earlier platform"] = func(jc *jobCheckpoint, _ int) { jc.Platform = earlier }
+		// The same grid at the same tick, but a fabric with twice the ring
+		// capacity: its network section cannot restore into the leased one.
+		wide := centurion.DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, spec.Seed+uint64(runs-1))
+		wide.Width, wide.Height, wide.Topology = spec.Width, spec.Height, spec.Topology
+		wide.NoC.BufferFlits = 16
+		widep := centurion.New(wide)
+		widep.RunFor(sim.Ms(40), nil)
+		wider := centurion.EncodeCheckpoint(widep.Snapshot())
+		cases["wider-ring platform"] = func(jc *jobCheckpoint, _ int) { jc.Platform = wider }
 
 		for name, edit := range cases {
 			t.Run(fmt.Sprintf("runs=%d/%s", runs, name), func(t *testing.T) {
