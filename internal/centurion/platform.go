@@ -18,7 +18,6 @@ import (
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
-	"centurion/internal/trace"
 )
 
 // Config assembles a platform.
@@ -45,15 +44,9 @@ type Config struct {
 	NoC noc.Params
 	// PE are the processing-element parameters.
 	PE node.Params
-	// MaxGenPhase staggers source generators uniformly in [0, MaxGenPhase)
-	// ticks (defaults to the source task's generation period).
-	MaxGenPhase sim.Tick
 	// NeighborSignals, when true, broadcasts each node's task switches to
 	// the four mesh neighbours' AIMs (the information-transfer extension).
 	NeighborSignals bool
-	// Trace, when non-nil, records switch/fault/completion/loss/drop events
-	// (the runtime data the experiment controller streams to the host).
-	Trace *trace.Log
 	// Thermal, when non-nil, enables the per-node temperature model (the
 	// AIM's temperature monitor).
 	Thermal *thermal.Params
@@ -203,17 +196,11 @@ func New(cfg Config) *Platform {
 	mapping := cfg.Mapper.Map(cfg.Graph, cfg.Width, cfg.Height, p.rng)
 	p.Dir = node.NewDirectory(p.Topo, mapping)
 
-	maxPhase := cfg.MaxGenPhase
-	if maxPhase <= 0 {
-		// Default: stagger within one generation period of the first source.
-		for _, id := range cfg.Graph.Sources() {
-			if gp := cfg.Graph.Task(id).GenPeriod; sim.Tick(gp) > maxPhase {
-				maxPhase = sim.Tick(gp)
-			}
-		}
-		if maxPhase <= 0 {
-			maxPhase = 1
-		}
+	// Source generators stagger uniformly within the longest source
+	// generation period.
+	maxPhase := sim.Tick(1)
+	for _, id := range cfg.Graph.Sources() {
+		maxPhase = max(maxPhase, sim.Tick(cfg.Graph.Task(id).GenPeriod))
 	}
 	p.maxPhase = maxPhase
 
@@ -258,9 +245,6 @@ func New(cfg Config) *Platform {
 		if pkt.Kind == noc.Data {
 			p.counters.InstancesLost++
 			p.ack(pkt.Instance, pkt.Origin)
-		}
-		if p.Cfg.Trace != nil {
-			p.Cfg.Trace.Add(trace.Event{At: p.clock.Now(), Kind: trace.KindDrop, Node: at, Task: pkt.Task, Info: pkt.ID})
 		}
 	}
 	p.Net.RecoveryHandler = p.rescuePacket
@@ -413,9 +397,6 @@ func (p *Platform) wirePE(id noc.NodeID, pe *node.PE, engine aim.Engine) {
 		// The new task changes which passing packets this node absorbs;
 		// parked heads at the serving router must re-evaluate.
 		p.Net.Stir(id)
-		if p.Cfg.Trace != nil {
-			p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindSwitch, Node: id, Task: to, Info: uint64(from)})
-		}
 		if p.Cfg.NeighborSignals {
 			for port := noc.North; port <= noc.West; port++ {
 				if nb, ok := p.Topo.Lateral(id, port); ok {
@@ -639,9 +620,6 @@ func (e platformEnv) NextInstanceID() uint64 {
 func (e platformEnv) InstanceCompleted(inst uint64, origin, at noc.NodeID, now sim.Tick) {
 	e.p.counters.InstancesCompleted++
 	e.p.ack(inst, origin)
-	if e.p.Cfg.Trace != nil {
-		e.p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindComplete, Node: at, Info: inst})
-	}
 }
 
 // InstanceLost implements node.Env: a loss report also frees the origin's
@@ -649,9 +627,6 @@ func (e platformEnv) InstanceCompleted(inst uint64, origin, at noc.NodeID, now s
 func (e platformEnv) InstanceLost(inst uint64, origin, at noc.NodeID, now sim.Tick) {
 	e.p.counters.InstancesLost++
 	e.p.ack(inst, origin)
-	if e.p.Cfg.Trace != nil {
-		e.p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindLost, Node: at, Info: inst})
-	}
 }
 
 // ack frees the origin source's flow-control window slot.
@@ -732,18 +707,12 @@ func (p *Platform) InjectFaults(nodes []noc.NodeID) {
 	for _, id := range nodes {
 		p.pes[id].Fail(now)
 		p.Net.Fail(id, now)
-		if p.Cfg.Trace != nil {
-			p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindFault, Node: id})
-		}
 		rid := p.Topo.RouterOf(id)
 		for m := noc.NodeID(0); int(m) < p.Topo.Nodes(); m++ {
 			if m == id || p.Topo.RouterOf(m) != rid || !p.pes[m].Alive() {
 				continue
 			}
 			p.pes[m].Fail(now)
-			if p.Cfg.Trace != nil {
-				p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindFault, Node: m})
-			}
 		}
 	}
 }
@@ -768,9 +737,6 @@ func (p *Platform) ReviveNodes(nodes []noc.NodeID) {
 			p.pes[m].Revive(now)
 			p.engines[m].NoteTask(taskgraph.None)
 			p.engSet.Add(int(m))
-			if p.Cfg.Trace != nil {
-				p.Cfg.Trace.Add(trace.Event{At: now, Kind: trace.KindRevive, Node: m})
-			}
 		}
 	}
 }

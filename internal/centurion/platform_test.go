@@ -1,7 +1,6 @@
 package centurion
 
 import (
-	"strings"
 	"testing"
 
 	"centurion/internal/aim"
@@ -10,7 +9,6 @@ import (
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
-	"centurion/internal/trace"
 )
 
 func heuristicPlatform(seed uint64) *Platform {
@@ -262,38 +260,6 @@ func TestDiamondGraphOnPlatform(t *testing.T) {
 	p.RunFor(sim.Ms(300), nil)
 	if p.Counters().InstancesCompleted == 0 {
 		t.Error("diamond workload completed nothing")
-	}
-}
-
-func TestTraceRecording(t *testing.T) {
-	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 43)
-	log := trace.NewLog(0)
-	cfg.Trace = log
-	p := New(cfg)
-	p.RunFor(sim.Ms(300), nil)
-	p.InjectFaults([]noc.NodeID{1, 2})
-	p.RunFor(sim.Ms(100), nil)
-
-	counts := log.CountByKind()
-	if counts[trace.KindComplete] == 0 {
-		t.Error("no completion events traced")
-	}
-	if counts[trace.KindFault] != 2 {
-		t.Errorf("fault events = %d, want 2", counts[trace.KindFault])
-	}
-	if counts[trace.KindSwitch] == 0 {
-		t.Error("no switch events traced for FFW from a random mapping")
-	}
-	if int(p.Counters().InstancesCompleted) != counts[trace.KindComplete] {
-		t.Errorf("trace completions %d != counter %d",
-			counts[trace.KindComplete], p.Counters().InstancesCompleted)
-	}
-	var b strings.Builder
-	if err := log.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if len(strings.Split(b.String(), "\n")) < log.Len() {
-		t.Error("CSV shorter than event count")
 	}
 }
 

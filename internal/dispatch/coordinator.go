@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -136,7 +137,6 @@ type job struct {
 	workerID string        // leaseholder while stateLeased
 	attempt  int           // incremented at each lease
 	deadline time.Duration // lease expiry (monotonic clock) while stateLeased
-	requeues int           // completed expiry→pending transitions
 
 	// ckpt is the latest committed checkpoint of this job's execution and
 	// ckptTick its monotonically increasing progress stamp; a re-lease ships
@@ -158,12 +158,9 @@ type job struct {
 
 // workerState tracks one registered worker daemon.
 type workerState struct {
-	id       string
-	name     string
-	slots    int
-	seen     time.Duration // last register/lease/heartbeat/progress/complete (monotonic clock)
-	leased   int           // currently held leases
-	leasedOK uint64        // lifetime completions
+	slots  int
+	seen   time.Duration // last register/lease/heartbeat/progress/checkpoint/complete (monotonic clock)
+	leased int           // currently held leases
 }
 
 // Lease is the worker-facing view of a leased job. Checkpoint, when present,
@@ -348,7 +345,7 @@ func (c *Coordinator) Register(name string, slots int) (id string, leaseTTL, pol
 	// and attempts restart with each life, so a bare w-N would let a worker
 	// that outlived a restart pass leaseHolder for an unrelated new job.
 	id = fmt.Sprintf("w-%x-%d", c.epoch.UnixNano(), c.nextWkr)
-	c.workers[id] = &workerState{id: id, name: name, slots: slots, seen: c.clock()}
+	c.workers[id] = &workerState{slots: slots, seen: c.clock()}
 	c.broadcast() // an Execute blocked on ErrNoWorkers re-checks… (callers poll, see Execute)
 	return id, c.cfg.LeaseTTL, c.cfg.PollWait, nil
 }
@@ -420,27 +417,74 @@ func (c *Coordinator) Execute(ctx context.Context, key string, payload []byte, o
 	}
 }
 
-// abandon withdraws a job whose waiter gave up: a pending job is removed
-// outright; a leased one is left to finish (its result is discarded on
-// completion because the job is no longer in byID's waiting set).
+// abandon withdraws a job whose waiter gave up. A leased job's slot is
+// freed at once: the holder's late Complete is refused as stale, and the
+// worker moves on to the next lease.
 func (c *Coordinator) abandon(j *job) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-j.done:
-		return // completed in the race window
-	default:
+	ckpt := ""
+	if j.state != stateDone { // else it ended in the race window
+		ckpt = c.finish(j, nil, context.Canceled)
 	}
-	c.journal(func(l *Journal) error { return l.Fail(j.id) })
-	delete(c.byID, j.id)
-	for i, p := range c.pending {
-		if p == j {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
+	c.mu.Unlock()
+	c.dropCheckpoint(ckpt)
+}
+
+// finish is a job's one terminal transition: every way a job ends goes
+// through here. It frees the holder's slot (or the queue place), records the
+// outcome, closes the job's journal record, releases the waiter, and returns
+// the job's checkpoint record for the caller to delete after unlocking ("" if
+// there is none). An orphan closed by shutdown is the exception: it stays
+// open in the journal, checkpoint and all, so the next life retries it.
+// Callers hold c.mu.
+func (c *Coordinator) finish(j *job, result []byte, err error) (ckptKey string) {
+	if j.state == stateLeased {
+		if w, ok := c.workers[j.workerID]; ok {
+			w.leased--
+		}
+	} else if i := slices.Index(c.pending, j); i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+	j.state, j.workerID = stateDone, ""
+	j.result, j.err = result, err
+	if err != nil {
+		c.failed++
+	} else {
+		c.completed++
+	}
+	if !j.keepsRecord() {
+		if err != nil {
+			c.journal(func(l *Journal) error { return l.Fail(j.id) })
+		} else {
+			c.journal(func(l *Journal) error { return l.Complete(j.id) })
+		}
+		if j.ckpt != nil || j.restored {
+			ckptKey = ckptKeyPrefix + j.key
 		}
 	}
-	j.err = context.Canceled
+	if j.orphan {
+		delete(c.orphans, j.key)
+	}
+	delete(c.byID, j.id)
 	close(j.done)
+	c.broadcast()
+	return ckptKey
+}
+
+// keepsRecord reports whether a finished job stays open in the journal: an
+// orphan closed by shutdown, which the next life retries.
+func (j *job) keepsRecord() bool { return j.orphan && errors.Is(j.err, ErrClosed) }
+
+// dropCheckpoint deletes the checkpoint records finish reported, outside
+// c.mu: a finished job's checkpoint is dead weight in the store.
+func (c *Coordinator) dropCheckpoint(keys ...string) {
+	if st := c.cfg.CheckpointStore; st != nil {
+		for _, k := range keys {
+			if k != "" {
+				_ = st.Delete(k)
+			}
+		}
+	}
 }
 
 // Lease blocks up to wait (capped by the configured PollWait) for a pending
@@ -512,9 +556,11 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 }
 
 // leaseHolder validates that worker id still holds job jobID at the given
-// attempt. Callers hold c.mu. The attempt check is what makes a worker that
-// lost its lease (expiry requeued the job, possibly to someone else) unable
-// to interfere: its messages carry a stale attempt.
+// attempt and, since any message from the holder is proof of life, extends
+// the lease and the worker's liveness. Callers hold c.mu. The attempt check
+// is what makes a worker that lost its lease (expiry requeued the job,
+// possibly to someone else) unable to interfere: its messages carry a stale
+// attempt.
 func (c *Coordinator) leaseHolder(jobID, workerID string, attempt int) (*job, error) {
 	j, ok := c.byID[jobID]
 	if !ok {
@@ -527,6 +573,11 @@ func (c *Coordinator) leaseHolder(jobID, workerID string, attempt int) (*job, er
 		c.staleRejected++
 		return nil, fmt.Errorf("dispatch: job %s is not leased to %s at attempt %d", jobID, workerID, attempt)
 	}
+	now := c.clock()
+	j.deadline = now + c.cfg.LeaseTTL
+	if w, ok := c.workers[workerID]; ok {
+		w.seen = now
+	}
 	return j, nil
 }
 
@@ -536,16 +587,8 @@ func (c *Coordinator) leaseHolder(jobID, workerID string, attempt int) (*job, er
 func (c *Coordinator) Heartbeat(jobID, workerID string, attempt int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, err := c.leaseHolder(jobID, workerID, attempt)
-	if err != nil {
-		return err
-	}
-	now := c.clock()
-	j.deadline = now + c.cfg.LeaseTTL
-	if w, ok := c.workers[workerID]; ok {
-		w.seen = now
-	}
-	return nil
+	_, err := c.leaseHolder(jobID, workerID, attempt)
+	return err
 }
 
 // Progress forwards a raw progress payload to the job's waiter. Stale
@@ -556,11 +599,6 @@ func (c *Coordinator) Progress(jobID, workerID string, attempt int, payload []by
 	if err != nil {
 		c.mu.Unlock()
 		return err
-	}
-	now := c.clock()
-	j.deadline = now + c.cfg.LeaseTTL // progress is proof of life
-	if w, ok := c.workers[workerID]; ok {
-		w.seen = now
 	}
 	onProgress := j.onProgress
 	c.mu.Unlock()
@@ -596,11 +634,6 @@ func (c *Coordinator) Checkpoint(jobID, workerID string, attempt int, tick int64
 	}
 	j.ckpt = append([]byte(nil), data...)
 	j.ckptTick = tick
-	now := c.clock()
-	j.deadline = now + c.cfg.LeaseTTL
-	if w, ok := c.workers[workerID]; ok {
-		w.seen = now
-	}
 	c.ckptsCommitted++
 	key := j.key
 	st := c.cfg.CheckpointStore
@@ -609,6 +642,14 @@ func (c *Coordinator) Checkpoint(jobID, workerID string, attempt int, tick int64
 		// Best-effort durability outside the lock: a failed put only means a
 		// post-restart resume falls back further (or to tick zero).
 		_ = st.Put(ckptKeyPrefix+key, data)
+		// A job that ended while the put was in flight has already had its
+		// record dropped by finish; this put must not resurrect it.
+		c.mu.Lock()
+		ended := j.state == stateDone && !j.keepsRecord()
+		c.mu.Unlock()
+		if ended {
+			c.dropCheckpoint(ckptKeyPrefix + key)
+		}
 	}
 	return nil
 }
@@ -623,43 +664,19 @@ func (c *Coordinator) Complete(jobID, workerID string, attempt int, result []byt
 		c.mu.Unlock()
 		return err
 	}
-	if w, ok := c.workers[workerID]; ok {
-		w.seen = c.clock()
-		w.leased--
-		w.leasedOK++
-	}
-	j.state = stateDone
+	var jobErr error
 	if execErr != "" {
-		j.err = &RemoteError{Msg: execErr}
-		c.failed++
-		c.journal(func(l *Journal) error { return l.Fail(j.id) })
-	} else {
-		j.result = result
-		c.completed++
-		c.journal(func(l *Journal) error { return l.Complete(j.id) })
+		result, jobErr = nil, &RemoteError{Msg: execErr}
 	}
-	hadCkpt := j.ckpt != nil || j.restored
-	orphanSink := (func(string, []byte))(nil)
-	if j.orphan {
-		delete(c.orphans, j.key)
-		orphanSink = c.cfg.OrphanResult
-	}
-	key := j.key
-	st := c.cfg.CheckpointStore
-	delete(c.byID, j.id)
-	close(j.done)
-	c.broadcast()
+	ckpt := c.finish(j, result, jobErr)
 	c.mu.Unlock()
 
-	if st != nil && hadCkpt {
-		// The job is done; its checkpoint is dead weight in the store.
-		_ = st.Delete(ckptKeyPrefix + key)
-	}
-	if orphanSink != nil && execErr == "" {
+	c.dropCheckpoint(ckpt)
+	if sink := c.cfg.OrphanResult; sink != nil && j.orphan && jobErr == nil {
 		// A replayed job finished with no waiter: hand the result to the
 		// server's sink (the durable result store) so the client's retry is
 		// answered without re-execution.
-		orphanSink(key, result)
+		sink(j.key, result)
 	}
 	return nil
 }
@@ -697,27 +714,19 @@ func (c *Coordinator) expiryLoop() {
 // no-worker fast-fail — there is nobody to strand, and failing them would
 // lose the very jobs the journal preserved.
 func (c *Coordinator) expireOverdue(now time.Duration) {
+	var ckpts []string
+	defer func() { c.dropCheckpoint(ckpts...) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	live := c.liveWorkersLocked(now)
 	// A queue with nobody left to serve it must not strand its waiters:
 	// fail pending jobs with ErrNoWorkers so they run locally instead.
-	if live == 0 && len(c.pending) > 0 {
-		kept := c.pending[:0]
-		for _, j := range c.pending {
-			if j.orphan {
-				kept = append(kept, j)
-				continue
+	if live == 0 {
+		for _, j := range slices.Clone(c.pending) {
+			if !j.orphan {
+				ckpts = append(ckpts, c.finish(j, nil, ErrNoWorkers))
 			}
-			j.state = stateDone
-			j.err = ErrNoWorkers
-			c.failed++
-			c.journal(func(l *Journal) error { return l.Fail(j.id) })
-			delete(c.byID, j.id)
-			close(j.done)
 		}
-		c.pending = kept
-		c.broadcast()
 	}
 	var overdue []*job
 	for _, j := range c.byID {
@@ -737,31 +746,16 @@ func (c *Coordinator) expireOverdue(now time.Duration) {
 	for i := len(overdue) - 1; i >= 0; i-- { // reverse: front-push preserves sorted order
 		j := overdue[i]
 		c.expired++
-		if w, ok := c.workers[j.workerID]; ok {
-			w.leased--
-		}
-		j.workerID = ""
 		switch {
 		case j.attempt >= c.cfg.MaxAttempts:
-			j.state = stateDone
-			j.err = fmt.Errorf("%w (%d leases lost)", ErrAttemptsExhausted, j.attempt)
-			c.failed++
-			c.journal(func(l *Journal) error { return l.Fail(j.id) })
-			if j.orphan {
-				delete(c.orphans, j.key)
-			}
-			delete(c.byID, j.id)
-			close(j.done)
+			ckpts = append(ckpts, c.finish(j, nil, fmt.Errorf("%w (%d leases lost)", ErrAttemptsExhausted, j.attempt)))
 		case live == 0 && !j.orphan:
-			j.state = stateDone
-			j.err = ErrNoWorkers
-			c.failed++
-			c.journal(func(l *Journal) error { return l.Fail(j.id) })
-			delete(c.byID, j.id)
-			close(j.done)
+			ckpts = append(ckpts, c.finish(j, nil, ErrNoWorkers))
 		default:
-			j.state = statePending
-			j.requeues++
+			if w, ok := c.workers[j.workerID]; ok {
+				w.leased--
+			}
+			j.state, j.workerID = statePending, ""
 			c.requeued++
 			c.journal(func(l *Journal) error { return l.Requeue(j.id) })
 			c.pending = append([]*job{j}, c.pending...)
@@ -835,36 +829,24 @@ func (c *Coordinator) Drain(ctx context.Context) {
 // submitters are gone either way, and leaving them open in the journal
 // means the next start retries them instead of losing them.
 func (c *Coordinator) failRemaining() {
+	var ckpts []string
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, j := range c.byID {
-		j.state = stateDone
-		j.err = ErrClosed
-		c.failed++
-		if !j.orphan {
-			c.journal(func(l *Journal) error { return l.Fail(j.id) })
-		} else {
-			delete(c.orphans, j.key)
-		}
-		delete(c.byID, id)
-		close(j.done)
+	for _, j := range c.byID {
+		ckpts = append(ckpts, c.finish(j, nil, ErrClosed))
 	}
-	c.pending = nil
-	c.broadcast()
+	c.mu.Unlock()
+	c.dropCheckpoint(ckpts...)
 }
 
 // Close stops the expiry clock and fails any jobs still in flight. Safe to
 // call more than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if c.closed {
-		// Drain (or a prior Close) already sealed admission.
-		c.mu.Unlock()
-	} else {
+	if !c.closed { // else Drain (or a prior Close) already sealed admission
 		c.closed = true
 		c.broadcast()
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	c.closeOnce.Do(func() { close(c.stopExpiry) })
 	<-c.expiryDone
 	c.failRemaining()

@@ -69,7 +69,7 @@ func encodeJournalJob(jj *JournalJob) []byte {
 func decodeJournalJob(id string, val []byte) (*JournalJob, error) {
 	r := wire.NewReader(val)
 	version := r.U8()
-	jj := &JournalJob{ID: id, Key: r.String(), Payload: []byte(r.String()), WorkerID: r.String(), Attempt: int(r.U32())}
+	jj := &JournalJob{ID: id, Key: r.String(), Payload: []byte(r.String()), WorkerID: r.String(), Attempt: r.Int()}
 	switch {
 	case r.Err() != nil:
 		return nil, fmt.Errorf("journal value: %w", r.Err())

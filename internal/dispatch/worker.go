@@ -69,11 +69,6 @@ type WorkerOptions struct {
 	HardStop <-chan struct{}
 	// MaxBackoff caps the retry backoff on coordinator loss (default 5s).
 	MaxBackoff time.Duration
-	// BackoffSeed seeds the deterministic jitter spread over every retry
-	// backoff, so a fleet of workers bounced by one coordinator restart
-	// de-synchronises instead of thundering back in lockstep. Zero derives
-	// the seed from Name, which already differs per worker.
-	BackoffSeed uint64
 }
 
 // registration is the identity the coordinator handed us.
@@ -94,7 +89,10 @@ type worker struct {
 	reg registration
 
 	rngMu sync.Mutex
-	rng   sim.RNG // jitter source, shared by every retry site
+	// rng is the jitter source, shared by every retry site and seeded from
+	// Name, so a fleet bounced by one coordinator restart de-synchronises
+	// instead of thundering back in lockstep.
+	rng sim.RNG
 }
 
 // RunWorker registers against the coordinator and executes leased jobs
@@ -113,13 +111,9 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 5 * time.Second
 	}
-	seed := o.BackoffSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(o.Name))
-		seed = h.Sum64()
-	}
-	w := &worker{o: o, tr: o.Transport, logf: o.Logf, rng: *sim.NewRNG(seed)}
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(o.Name))
+	w := &worker{o: o, tr: o.Transport, logf: o.Logf, rng: *sim.NewRNG(h.Sum64())}
 	if w.tr == nil {
 		w.tr = NewHTTPTransport(o.Coordinator, o.Client)
 	}
@@ -180,9 +174,31 @@ func (w *worker) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(f*float64(d))
 }
 
+// minBackoff is the first delay of every retry sequence.
+const minBackoff = 50 * time.Millisecond
+
+// backoff is the worker's one retry policy: jittered exponential delays
+// from minBackoff, capped at MaxBackoff.
+type backoff struct {
+	w     *worker
+	delay time.Duration
+}
+
+// wait sleeps the current jittered delay, then doubles it up to the cap. It
+// returns false if ctx ended first.
+func (b *backoff) wait(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(b.w.jitter(b.delay)):
+	}
+	b.delay = min(2*b.delay, b.w.o.MaxBackoff)
+	return true
+}
+
 // register obtains a worker ID, retrying with backoff until ctx dies.
 func (w *worker) register(ctx context.Context) error {
-	backoff := 50 * time.Millisecond
+	b := backoff{w, minBackoff}
 	for {
 		var resp registerResponse
 		status, err := w.post(ctx, "/v1/workers/register", registerRequest{Name: w.o.Name, Slots: w.o.Slots}, &resp)
@@ -201,14 +217,9 @@ func (w *worker) register(ctx context.Context) error {
 		if err == nil {
 			err = fmt.Errorf("register returned status %d", status)
 		}
-		w.logf("registration failed (%v); retrying in %s", err, backoff)
-		select {
-		case <-ctx.Done():
+		w.logf("registration failed (%v); retrying in %s", err, b.delay)
+		if !b.wait(ctx) {
 			return ctx.Err()
-		case <-time.After(w.jitter(backoff)):
-		}
-		if backoff *= 2; backoff > w.o.MaxBackoff {
-			backoff = w.o.MaxBackoff
 		}
 	}
 }
@@ -228,7 +239,7 @@ func (w *worker) reRegister(ctx context.Context, seenGen uint64) error {
 
 // slotLoop is one lease slot: long-poll for a job, run it, repeat.
 func (w *worker) slotLoop(leaseCtx, hardCtx context.Context, slot int) {
-	backoff := 50 * time.Millisecond
+	b := backoff{w, minBackoff}
 	for {
 		if leaseCtx.Err() != nil {
 			return
@@ -249,14 +260,9 @@ func (w *worker) slotLoop(leaseCtx, hardCtx context.Context, slot int) {
 		case err != nil || status == http.StatusServiceUnavailable:
 			// Coordinator down or draining: back off, then try to
 			// re-register (it may have restarted with an empty registry).
-			w.logf("lease poll failed (status %d, err %v); backing off %s", status, err, backoff)
-			select {
-			case <-leaseCtx.Done():
+			w.logf("lease poll failed (status %d, err %v); backing off %s", status, err, b.delay)
+			if !b.wait(leaseCtx) {
 				return
-			case <-time.After(w.jitter(backoff)):
-			}
-			if backoff *= 2; backoff > w.o.MaxBackoff {
-				backoff = w.o.MaxBackoff
 			}
 			if err := w.reRegister(leaseCtx, reg.gen); err != nil {
 				return
@@ -269,21 +275,16 @@ func (w *worker) slotLoop(leaseCtx, hardCtx context.Context, slot int) {
 			}
 			continue
 		case status == http.StatusNoContent:
-			backoff = 50 * time.Millisecond
+			b.delay = minBackoff
 			continue
 		case status != http.StatusOK:
-			w.logf("unexpected lease status %d; backing off %s", status, backoff)
-			select {
-			case <-leaseCtx.Done():
+			w.logf("unexpected lease status %d; backing off %s", status, b.delay)
+			if !b.wait(leaseCtx) {
 				return
-			case <-time.After(w.jitter(backoff)):
-			}
-			if backoff *= 2; backoff > w.o.MaxBackoff {
-				backoff = w.o.MaxBackoff
 			}
 			continue
 		}
-		backoff = 50 * time.Millisecond
+		b.delay = minBackoff
 		w.runJob(hardCtx, reg, lease, slot)
 	}
 }
@@ -406,7 +407,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	done.Error = execErr
 	// Completion retries ride out a brief coordinator blip; if the lease
 	// expires meanwhile the 409 tells us the work was requeued elsewhere.
-	backoff := 50 * time.Millisecond
+	b := backoff{w, minBackoff}
 	for attempt := 0; attempt < 5; attempt++ {
 		status, err := w.post(context.Background(), base+"/complete", done, nil)
 		switch {
@@ -417,13 +418,8 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 			w.logf("slot %d: completion of %s rejected as stale", slot, lease.JobID)
 			return
 		}
-		select {
-		case <-hardCtx.Done():
+		if !b.wait(hardCtx) {
 			return
-		case <-time.After(w.jitter(backoff)):
-		}
-		if backoff *= 2; backoff > w.o.MaxBackoff {
-			backoff = w.o.MaxBackoff
 		}
 	}
 	w.logf("slot %d: could not report completion of %s; lease will expire", slot, lease.JobID)

@@ -79,11 +79,6 @@ func (s *Series) MeanRange(from, to int) float64 {
 	return sum / float64(to-from)
 }
 
-// Smoothed returns a centred moving average with half-width k.
-func (s *Series) Smoothed(k int) []float64 {
-	return MovingAverage(s.Values, k)
-}
-
 // MovingAverage returns the centred moving average of xs with half-width k
 // (window 2k+1, truncated at the edges).
 func MovingAverage(xs []float64, k int) []float64 {

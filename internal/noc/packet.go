@@ -161,9 +161,6 @@ func (p *Packet) Lapsed(now sim.Tick) bool {
 	return true
 }
 
-// Age returns the packet's age at tick now.
-func (p *Packet) Age(now sim.Tick) sim.Tick { return now - p.Created }
-
 // String renders a compact trace form.
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %s task=%d %d->%d inst=%d.%d flits=%d",

@@ -103,14 +103,8 @@ func (r *Router) SetSink(s Sink) { r.sink = s }
 // SetConfigSink attaches the RCAP configuration handler.
 func (r *Router) SetConfigSink(s ConfigSink) { r.configSink = s }
 
-// Faulty reports whether the router has failed.
-func (r *Router) Faulty() bool { return r.net.state[r.ID].faulty }
-
 // PortDisabled reports whether a port is administratively down (RCAP knob).
 func (r *Router) PortDisabled(p Port) bool { return r.net.state[r.ID].disabled&(1<<p) != 0 }
-
-// QueuedPackets returns the number of packets across all input rings.
-func (r *Router) QueuedPackets() int { return int(r.net.state[r.ID].queued) }
 
 // QueuedHeadTask returns the destination task of the oldest ready head
 // packet across the cardinal input ports — the "next packet in the routing

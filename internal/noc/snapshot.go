@@ -484,10 +484,10 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 // DecodeBinary reads a state serialized by AppendBinary. It checks framing
 // only; Network.Fits checks the decoded sizes against a fabric.
 func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
-	st.nodes = int(r.U32())
-	st.spp = int(r.U32())
-	st.uniqN = int(r.U32())
-	st.tileN = int(r.U32())
+	st.nodes = r.Int()
+	st.spp = r.Int()
+	st.uniqN = r.Int()
+	st.tileN = r.Int()
 	st.huge = r.Bool()
 
 	n := r.Count(123) // serialized packet size

@@ -319,32 +319,45 @@ func (e *Engine) stopWorkers() {
 		select {
 		case j := <-e.queue:
 			e.mu.Lock()
-			j.State = JobFailed
-			j.Error = "engine closed before the job ran"
-			e.failed++
-			delete(e.inflight, j.Key)
-			e.retire(j.ID, j.CacheHit)
-			close(j.done)
+			e.finish(j, nil, errClosedBeforeRun)
 			e.mu.Unlock()
-			j.stream.finish()
 		default:
 			return
 		}
 	}
 }
 
-// retire records a terminal job and prunes the oldest beyond the history
-// bound. Callers must hold e.mu.
-func (e *Engine) retire(id string, cacheHit bool) {
+// errClosedBeforeRun fails the jobs still queued when the engine stops.
+var errClosedBeforeRun = errors.New("engine closed before the job ran")
+
+// finish is a job's one terminal transition, whether it ran, was answered
+// from the LRU or the store, or was still queued at shutdown: it records
+// the outcome, retires the job into queryable history (pruning the oldest
+// beyond the bound), releases its waiters and closes its stream. Callers
+// hold e.mu.
+func (e *Engine) finish(j *Job, res *RunResult, err error) {
+	if err != nil {
+		j.State = JobFailed
+		j.Error = err.Error()
+		e.failed++
+	} else {
+		j.State = JobDone
+		j.result = res
+		e.completed++
+	}
+	delete(e.inflight, j.Key)
+	e.jobs[j.ID] = j
 	hist := &e.history
-	if cacheHit {
+	if j.CacheHit || j.StoreHit {
 		hist = &e.hitHistory
 	}
-	*hist = append(*hist, id)
+	*hist = append(*hist, j.ID)
 	for len(*hist) > maxJobHistory {
 		delete(e.jobs, (*hist)[0])
 		*hist = (*hist)[1:]
 	}
+	close(j.done)
+	j.stream.finish()
 }
 
 // Submit admits a canonicalized spec. It returns immediately: with the
@@ -375,14 +388,8 @@ func (e *Engine) Submit(spec RunSpec) (*Job, error) {
 	}
 
 	if cached, ok := e.cache.Get(key); ok {
-		j.State = JobDone
 		j.CacheHit = true
-		j.result = cached
-		j.stream.finished = true
-		close(j.done)
-		e.jobs[j.ID] = j
-		e.completed++
-		e.retire(j.ID, j.CacheHit)
+		e.finish(j, cached, nil)
 		return j, nil
 	}
 
@@ -395,15 +402,9 @@ func (e *Engine) Submit(spec RunSpec) (*Job, error) {
 			res := new(RunResult)
 			if json.Unmarshal(raw, res) == nil {
 				e.cache.Put(key, res)
-				j.State = JobDone
 				j.StoreHit = true
-				j.result = res
-				j.stream.finished = true
-				close(j.done)
-				e.jobs[j.ID] = j
-				e.completed++
 				e.storeHits++
-				e.retire(j.ID, true)
+				e.finish(j, res, nil)
 				return j, nil
 			}
 		}
@@ -714,20 +715,8 @@ func (e *Engine) run(j *Job) {
 	} else {
 		e.meanLatency += (elapsed - e.meanLatency) / 5
 	}
-	delete(e.inflight, j.Key)
-	if err != nil {
-		j.State = JobFailed
-		j.Error = err.Error()
-		e.failed++
-	} else {
-		j.State = JobDone
-		j.result = res
-		e.completed++
-	}
-	e.retire(j.ID, j.CacheHit)
-	close(j.done)
+	e.finish(j, res, err)
 	e.mu.Unlock()
-	j.stream.finish()
 }
 
 // aggregate folds per-run summaries into mean ± 95% CI statistics.

@@ -23,10 +23,12 @@ import (
 // platform's components treat an extra visit as the no-op tick the dense
 // scan would have executed anyway.
 type ActiveSet struct {
-	words []uint64
 	// n is int64 (not int) so AddAtomic can maintain it with atomic.AddInt64
-	// alongside the plain single-threaded mutators.
-	n int64
+	// alongside the plain single-threaded mutators. It is the first field so
+	// it is 64-bit aligned on 32-bit platforms too, as atomic.AddInt64
+	// requires there.
+	n     int64
+	words []uint64
 }
 
 // NewActiveSet returns a set over indices [0, size).

@@ -269,16 +269,6 @@ func (g *Graph) Successors(id TaskID) []Edge {
 	return m.succ[id]
 }
 
-// Predecessors returns the incoming edges of a task, sorted by source.
-// The slice is memoized — callers must not modify it.
-func (g *Graph) Predecessors(id TaskID) []Edge {
-	m := g.memoized()
-	if int(id) >= len(m.pred) || id < 0 {
-		return nil
-	}
-	return m.pred[id]
-}
-
 // InWidth returns the total fan-in edge width of a task (the sum of the
 // widths of its incoming edges).
 func (g *Graph) InWidth(id TaskID) int {

@@ -112,9 +112,6 @@ func (m *Model) Reset() {
 // Temperature returns a node's current temperature.
 func (m *Model) Temperature(id noc.NodeID) float64 { return m.temp[id] }
 
-// Temperatures returns the full temperature field (do not mutate).
-func (m *Model) Temperatures() []float64 { return m.temp }
-
 // Hottest returns the hottest node and its temperature.
 func (m *Model) Hottest() (noc.NodeID, float64) {
 	best, bestT := noc.NodeID(0), m.temp[0]

@@ -113,17 +113,28 @@ func (r *Reader) String() string {
 	return ""
 }
 
+// Int reads a u32 as an int. A value beyond math.MaxInt32 is a misframed
+// payload: it would wrap negative in a 32-bit int.
+func (r *Reader) Int() int {
+	v := r.U32()
+	if v > math.MaxInt32 {
+		r.err = ErrShort
+		r.b = nil
+		return 0
+	}
+	return int(v)
+}
+
 // Count reads a u32 element count and validates it against the bytes left
 // in the buffer (minSize bytes per element), so a corrupt length cannot
 // drive a multi-gigabyte allocation before the mismatch is noticed.
 func (r *Reader) Count(minSize int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
-	}
-	if minSize > 0 && n > len(r.b)/minSize {
+	n := r.Int()
+	if r.err == nil && minSize > 0 && n > len(r.b)/minSize {
 		r.err = ErrShort
 		r.b = nil
+	}
+	if r.err != nil {
 		return 0
 	}
 	return n
