@@ -306,14 +306,12 @@ func (rc *runClock) advance(ms float64) error {
 	return nil
 }
 
-// restoreInto loads a checkpoint into the system, converting the platform's
-// shape-mismatch panic into a flag-level error.
-func restoreInto(sys *centurion.System, cp *platform.Checkpoint) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("checkpoint does not fit this platform (%v); pass the -model/-grid/-topology of the checkpointed run", r)
-		}
-	}()
+// restoreInto loads a checkpoint into the system, or reports as a flag-level
+// error why it does not fit.
+func restoreInto(sys *centurion.System, cp *platform.Checkpoint) error {
+	if err := sys.Platform().Fits(cp); err != nil {
+		return fmt.Errorf("checkpoint does not fit this platform (%v); pass the -model/-grid/-topology of the checkpointed run", err)
+	}
 	sys.Platform().Restore(cp)
 	return nil
 }

@@ -144,11 +144,17 @@ func TestRunRejectsOutOfRangeFaultTime(t *testing.T) {
 }
 
 // TestRunCheckpointRestoreResumesTimeline drives the run subcommand's
-// checkpoint flags end to end: a run checkpointed mid-way is undisturbed,
-// and resuming from the file continues the exact timeline — the resumed
-// segment's completions plus a straight run to the checkpoint equal a
-// straight full-length run.
+// checkpoint flags end to end for the behavioural and the embedded engine:
+// a run checkpointed mid-way is undisturbed, and resuming from the file
+// continues the exact timeline — the resumed segment's completions plus a
+// straight run to the checkpoint equal a straight full-length run.
 func TestRunCheckpointRestoreResumesTimeline(t *testing.T) {
+	for _, model := range []string{"ffw", "ni-pb"} {
+		t.Run(model, func(t *testing.T) { checkpointRoundTrip(t, model) })
+	}
+}
+
+func checkpointRoundTrip(t *testing.T, model string) {
 	ck := filepath.Join(t.TempDir(), "mid.ckpt")
 	completed := func(out string) int {
 		m := regexp.MustCompile(`(\d+) instances completed`).FindStringSubmatch(out)
@@ -161,7 +167,7 @@ func TestRunCheckpointRestoreResumesTimeline(t *testing.T) {
 		}
 		return n
 	}
-	base := []string{"-model", "ffw", "-seed", "3", "-grid", "8x4"}
+	base := []string{"-model", model, "-seed", "3", "-grid", "8x4"}
 	run := func(extra ...string) string {
 		t.Helper()
 		out, err := captureStdout(t, func() error { return cmdRun(append(append([]string{}, base...), extra...)) })

@@ -80,11 +80,40 @@ func (d *deficit) Decide(now sim.Tick) (taskgraph.TaskID, bool) {
 	return best, true
 }
 
+// NextDecide asks for a decision pass every tick: the idle grace period
+// expires on the clock, not on a stimulus.
+func (d *deficit) NextDecide(now sim.Tick) (sim.Tick, bool) { return now + 1, true }
+
 func (d *deficit) NoteTask(task taskgraph.TaskID) { d.current = task }
 func (d *deficit) SetParam(param, value int)      {}
 func (d *deficit) Reset() {
-	for t := range d.scores {
-		d.scores[t] = 0
+	clear(d.scores)
+	d.current, d.lastIn = taskgraph.None, 0
+}
+
+// stateDeficit tags this engine's checkpoint records; kinds from
+// aim.StateExternal up are free for engines outside package aim.
+const stateDeficit = aim.StateExternal
+
+// SaveState records the scores, the last-input tick and the current task in
+// the generic EngineState fields, so platforms running this engine can be
+// checkpointed, forked and resumed.
+func (d *deficit) SaveState(st *aim.EngineState) {
+	counts, ths := st.Counts[:0], st.Thresholds[:0]
+	*st = aim.EngineState{Kind: stateDeficit, Current: d.current, LastWork: d.lastIn}
+	for _, v := range d.scores {
+		counts = append(counts, int32(v))
+	}
+	st.Counts, st.Thresholds = counts, ths
+}
+
+func (d *deficit) LoadState(st *aim.EngineState) {
+	if st.Kind != stateDeficit || len(st.Counts) != len(d.scores) {
+		panic("deficit: checkpoint record does not fit this engine")
+	}
+	d.current, d.lastIn = st.Current, st.LastWork
+	for t, v := range st.Counts {
+		d.scores[t] = int(v)
 	}
 }
 

@@ -26,8 +26,11 @@ import (
 )
 
 // Engine is the decision interface of an AIM. The platform feeds it monitor
-// impulses (the router's sense taps) and polls Decide once per tick; a
-// returned decision actuates the task knob of the local node.
+// impulses (the router's sense taps) and runs a decision pass whenever the
+// engine is stimulated or asks for one; a returned decision actuates the task
+// knob of the local node. Every method is part of the one contract: the
+// platform has no fallback mode for engines that cannot park, reset or be
+// checkpointed.
 type Engine interface {
 	// Name identifies the model in tables and traces.
 	Name() string
@@ -48,9 +51,20 @@ type Engine interface {
 	// nodes" monitor; used by the information-transfer extension).
 	OnNeighborSignal(task taskgraph.TaskID, now sim.Tick)
 
-	// Decide is polled every tick. It returns the task to switch to and
+	// Decide runs one decision pass. It returns the task to switch to and
 	// true when the engine's pathways fired a switch decision.
 	Decide(now sim.Tick) (taskgraph.TaskID, bool)
+
+	// NextDecide is queried immediately after every Decide call. It returns
+	// the earliest future tick at which Decide could act or mutate engine
+	// state without any new stimulus arriving first (FFW's armed timeout
+	// expiring, an adaptive NI threshold decaying); has is false when,
+	// absent stimuli, every future Decide call would be a pure no-op
+	// returning no switch. The platform re-polls an engine on the tick of
+	// every stimulus, every RCAP SetParam and every applied switch, so
+	// NextDecide only needs to cover the engine's self-driven timers. An
+	// engine that wants a pass every tick returns now+1.
+	NextDecide(now sim.Tick) (at sim.Tick, has bool)
 
 	// NoteTask informs the engine of the node's (new) current task — at
 	// start-up and after a switch was applied.
@@ -59,8 +73,18 @@ type Engine interface {
 	// SetParam applies an RCAP parameter write (see the Param* constants).
 	SetParam(param, value int)
 
-	// Reset clears dynamic state (counters, timers).
+	// Reset restores the engine to its exactly-as-constructed state:
+	// counters and timers clear, and parameters rewritten through RCAP
+	// SetParam uploads return to their constructed values, so a recycled
+	// platform (Platform.Reset) cannot leak a previous run's configuration
+	// into the next one.
 	Reset()
+
+	// SaveState captures the engine's mutable state into st, reusing st's
+	// slices; LoadState restores it (see EngineState). LoadState panics on
+	// a record of another kind or shape.
+	SaveState(st *EngineState)
+	LoadState(st *EngineState)
 }
 
 // RCAP parameter indices understood by the engines' SetParam (uploaded by
@@ -78,32 +102,3 @@ const (
 // Factory builds one engine per node. Engines must not be shared between
 // nodes — each AIM is embedded at its own router.
 type Factory func(g *taskgraph.Graph) Engine
-
-// HardResetter is the optional contract an engine implements to support
-// platform reuse (Platform.Reset): HardReset restores the engine to its
-// exactly-as-constructed state — counters and timers like Reset, but also any
-// parameters later rewritten through RCAP SetParam uploads — so a recycled
-// platform cannot leak a previous run's configuration into the next one.
-// Engines without it are Reset instead, which is equivalent as long as no
-// RCAP parameter write occurred.
-type HardResetter interface {
-	HardReset()
-}
-
-// DecideWaker is the optional scheduling contract an engine implements to
-// opt into the platform's activity-tracked stepping: between monitor stimuli
-// the platform polls Decide only at the ticks the engine asks for.
-//
-// NextDecide is queried immediately after every Decide call. It returns the
-// earliest future tick at which Decide could act or mutate engine state
-// without any new stimulus arriving first (FFW's armed timeout expiring, an
-// adaptive NI threshold decaying); has is false when, absent stimuli, every
-// future Decide call would be a pure no-op returning no switch. A fresh
-// stimulus always re-polls the engine on its own tick, so NextDecide only
-// needs to cover the engine's self-driven timers.
-//
-// Engines that do not implement DecideWaker are conservatively polled every
-// tick, exactly like the dense reference scan.
-type DecideWaker interface {
-	NextDecide(now sim.Tick) (at sim.Tick, has bool)
-}

@@ -33,7 +33,7 @@ func DefaultFFWParams() FFWParams {
 
 // QueuePeek looks up the destination task of the next data packet in the
 // local router's queues. ok is false when nothing is queued. The platform
-// wires this to noc.Router.QueuedHeadTask.
+// wires this to noc.Router.QueuedHeadTaskFunc.
 type QueuePeek func(now sim.Tick) (taskgraph.TaskID, bool)
 
 // FFW is the Foraging for Work model, following the paper's description:
@@ -46,7 +46,7 @@ type QueuePeek func(now sim.Tick) (taskgraph.TaskID, bool)
 // routing and processing requirements, task switching is suppressed.
 type FFW struct {
 	par     FFWParams
-	base    FFWParams // as-constructed copy, restored by HardReset
+	base    FFWParams // as-constructed copy, restored by Reset
 	graph   *taskgraph.Graph
 	current taskgraph.TaskID
 	peek    QueuePeek
@@ -131,7 +131,7 @@ func (e *FFW) Decide(now sim.Tick) (taskgraph.TaskID, bool) {
 	return task, true
 }
 
-// NextDecide implements DecideWaker. In the paper's lapse-armed model the
+// NextDecide implements Engine. In the paper's lapse-armed model the
 // engine is dormant until the armed timeout expires; in the pure-idleness
 // ablation Decide re-arms lastWork every Timeout window, so the next
 // self-driven mutation is always one timeout after the last.
@@ -168,15 +168,9 @@ func (e *FFW) SetParam(param, value int) {
 	}
 }
 
-// Reset implements Engine.
+// Reset implements Engine: parameters return to their constructed values and
+// all dynamic state clears, as if the engine were rebuilt.
 func (e *FFW) Reset() {
-	e.armed = false
-	e.lastWork = 0
-}
-
-// HardReset implements HardResetter: parameters return to their constructed
-// values and all dynamic state clears, as if the engine were rebuilt.
-func (e *FFW) HardReset() {
 	e.par = e.base
 	e.armed = false
 	e.armTime = 0

@@ -52,7 +52,7 @@ func DefaultNIParams() NIParams {
 // node switches to that task and all counters reset.
 type NI struct {
 	par     NIParams
-	base    NIParams // as-constructed copy, restored by HardReset
+	base    NIParams // as-constructed copy, restored by Reset
 	graph   *taskgraph.Graph
 	current taskgraph.TaskID
 	// ths is one contiguous block of thresholders indexed by TaskID, so a
@@ -191,7 +191,7 @@ func (e *NI) decayThreshold(now sim.Tick) {
 	}
 }
 
-// NextDecide implements DecideWaker: without new stimuli the only self-driven
+// NextDecide implements Engine: without new stimuli the only self-driven
 // behaviour is the adaptive-threshold decay, which can newly satisfy a
 // counter's firing level. The base (non-adaptive) model is purely
 // stimulus-driven.
@@ -228,12 +228,9 @@ func (e *NI) SetParam(param, value int) {
 	}
 }
 
-// Reset implements Engine.
-func (e *NI) Reset() { e.resetAll() }
-
-// HardReset implements HardResetter: parameters return to their constructed
-// values and all dynamic state clears, as if the engine were rebuilt.
-func (e *NI) HardReset() {
+// Reset implements Engine: parameters return to their constructed values and
+// all dynamic state clears, as if the engine were rebuilt.
+func (e *NI) Reset() {
 	e.par = e.base
 	e.level = e.base.Threshold
 	e.lastDecay = 0

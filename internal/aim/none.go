@@ -34,7 +34,7 @@ func (None) OnNeighborSignal(taskgraph.TaskID, sim.Tick) {}
 // Decide implements Engine: the baseline never switches.
 func (None) Decide(sim.Tick) (taskgraph.TaskID, bool) { return taskgraph.None, false }
 
-// NextDecide implements DecideWaker: the baseline has no timers and never
+// NextDecide implements Engine: the baseline has no timers and never
 // needs another poll.
 func (None) NextDecide(sim.Tick) (sim.Tick, bool) { return 0, false }
 

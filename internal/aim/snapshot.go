@@ -12,11 +12,23 @@ import (
 // the target engine, which must be of the same kind and built over the same
 // graph.
 
-// EngineState kinds.
+// EngineState kinds. Kinds below StateExternal are assigned here; kinds from
+// StateExternal up belong to engines outside this package (an application's
+// own aim.Engine), which reuse the generic fields below as they see fit. The
+// checkpoint codec writes Kind and every field for any kind, so a new kind
+// moves no byte of another kind's record.
 const (
 	StateNone uint8 = iota
 	StateNI
 	StateFFW
+	// StatePB is the embedded PicoBlaze NI engine (package picoblaze):
+	// Current, NIPar.Threshold and NIPar.PinSources are its live registers,
+	// Counts holds the scratchpad bytes and Thresholds the latched impulse
+	// counts per input port.
+	StatePB
+
+	// StateExternal is the first kind free for engines outside package aim.
+	StateExternal uint8 = 128
 )
 
 // EngineState is a serializable snapshot of one engine's mutable state. The
@@ -41,15 +53,7 @@ type EngineState struct {
 	LastWork sim.Tick
 }
 
-// StateSnapshotter is implemented by every engine that supports
-// checkpointing. All in-tree engines implement it; a platform with an
-// engine that does not cannot be snapshotted.
-type StateSnapshotter interface {
-	SaveState(st *EngineState)
-	LoadState(st *EngineState)
-}
-
-// SaveState implements StateSnapshotter.
+// SaveState implements Engine.
 func (e *NI) SaveState(st *EngineState) {
 	counts, ths := st.Counts[:0], st.Thresholds[:0]
 	*st = EngineState{Kind: StateNI, Current: e.current, NIPar: e.par, Level: e.level, LastDecay: e.lastDecay}
@@ -60,7 +64,7 @@ func (e *NI) SaveState(st *EngineState) {
 	st.Counts, st.Thresholds = counts, ths
 }
 
-// LoadState implements StateSnapshotter.
+// LoadState implements Engine.
 func (e *NI) LoadState(st *EngineState) {
 	if st.Kind != StateNI {
 		panic("aim: checkpoint engine kind mismatch (want NI)")
@@ -78,7 +82,7 @@ func (e *NI) LoadState(st *EngineState) {
 	}
 }
 
-// SaveState implements StateSnapshotter.
+// SaveState implements Engine.
 func (e *FFW) SaveState(st *EngineState) {
 	counts, ths := st.Counts[:0], st.Thresholds[:0]
 	*st = EngineState{Kind: StateFFW, Current: e.current, FFWPar: e.par,
@@ -86,7 +90,7 @@ func (e *FFW) SaveState(st *EngineState) {
 	st.Counts, st.Thresholds = counts, ths
 }
 
-// LoadState implements StateSnapshotter.
+// LoadState implements Engine.
 func (e *FFW) LoadState(st *EngineState) {
 	if st.Kind != StateFFW {
 		panic("aim: checkpoint engine kind mismatch (want FFW)")
@@ -98,14 +102,14 @@ func (e *FFW) LoadState(st *EngineState) {
 	e.lastWork = st.LastWork
 }
 
-// SaveState implements StateSnapshotter (the baseline engine is stateless).
+// SaveState implements Engine (the baseline engine is stateless).
 func (None) SaveState(st *EngineState) {
 	counts, ths := st.Counts[:0], st.Thresholds[:0]
 	*st = EngineState{Kind: StateNone}
 	st.Counts, st.Thresholds = counts, ths
 }
 
-// LoadState implements StateSnapshotter.
+// LoadState implements Engine.
 func (None) LoadState(st *EngineState) {
 	if st.Kind != StateNone {
 		panic("aim: checkpoint engine kind mismatch (want None)")

@@ -109,11 +109,7 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 	}
 	cp.engines = grow(cp.engines, len(p.engines))
 	for i, e := range p.engines {
-		s, ok := e.(aim.StateSnapshotter)
-		if !ok {
-			panic(fmt.Sprintf("centurion: engine %q does not support checkpointing", e.Name()))
-		}
-		s.SaveState(&cp.engines[i])
+		e.SaveState(&cp.engines[i])
 	}
 
 	cp.hasHeat = p.heat != nil
@@ -146,19 +142,44 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 
 // Fits reports why the checkpoint cannot be restored into this platform, or
 // nil when it can: same dimensions, topology, node count and thermal
-// configuration, and a network section that fits the fabric (noc
-// Network.Fits). A caller holding checkpoint bytes from outside the process
-// (a dispatch lease) asks first; Restore panics on a misfit.
+// configuration, a network section that fits the fabric (noc Network.Fits),
+// every per-node section sized for this fabric, and one engine record per
+// node of the kind and slice lengths the platform's own engine writes. A
+// caller holding checkpoint bytes from outside the process (a dispatch
+// lease, a checkpoint file) asks first; Restore panics on a misfit.
 func (p *Platform) Fits(cp *Checkpoint) error {
+	nodes := len(p.pes)
 	if cp.width != p.Cfg.Width || cp.height != p.Cfg.Height || cp.topology != p.Cfg.Topology ||
-		len(cp.pes) != len(p.pes) {
+		len(cp.pes) != nodes {
 		return fmt.Errorf("centurion: checkpoint shape mismatch: checkpoint is %dx%d %q (%d nodes), platform is %dx%d %q (%d nodes)",
-			cp.width, cp.height, cp.topology, len(cp.pes), p.Cfg.Width, p.Cfg.Height, p.Cfg.Topology, len(p.pes))
+			cp.width, cp.height, cp.topology, len(cp.pes), p.Cfg.Width, p.Cfg.Height, p.Cfg.Topology, nodes)
 	}
 	if cp.hasHeat != (p.heat != nil) {
 		return errors.New("centurion: checkpoint thermal-model mismatch")
 	}
-	return p.Net.Fits(&cp.net)
+	if err := p.Net.Fits(&cp.net); err != nil {
+		return err
+	}
+	heatN, words := 0, (nodes+63)/64
+	if p.heat != nil {
+		heatN = nodes
+	}
+	if len(cp.dir.TaskOf) != nodes || len(cp.dir.Alive) != nodes || len(cp.engines) != nodes ||
+		len(cp.peActive.Words) != words || len(cp.engActive.Words) != words ||
+		len(cp.peWakeAt) != nodes || len(cp.engWakeAt) != nodes ||
+		len(cp.heat.Temp) != heatN || len(cp.heat.Last) != heatN || len(cp.throttled) != heatN {
+		return fmt.Errorf("centurion: checkpoint sections mis-sized for a %d-node platform", nodes)
+	}
+	own := &p.fitState
+	for i, e := range p.engines {
+		e.SaveState(own)
+		st := &cp.engines[i]
+		if st.Kind != own.Kind || len(st.Counts) != len(own.Counts) || len(st.Thresholds) != len(own.Thresholds) {
+			return fmt.Errorf("centurion: checkpoint engine %d is a kind-%d record with %d/%d counters, platform engine %q writes kind %d with %d/%d",
+				i, st.Kind, len(st.Counts), len(st.Thresholds), e.Name(), own.Kind, len(own.Counts), len(own.Thresholds))
+		}
+	}
+	return nil
 }
 
 // Restore rewinds the platform to the checkpointed state. The platform must
@@ -198,11 +219,7 @@ func (p *Platform) Restore(cp *Checkpoint) {
 		pe.LoadState(&cp.pes[i], p.pool)
 	}
 	for i, e := range p.engines {
-		s, ok := e.(aim.StateSnapshotter)
-		if !ok {
-			panic(fmt.Sprintf("centurion: engine %q does not support checkpointing", e.Name()))
-		}
-		s.LoadState(&cp.engines[i])
+		e.LoadState(&cp.engines[i])
 	}
 
 	if p.heat != nil {

@@ -26,18 +26,8 @@ import (
 	"centurion/internal/noc"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
+	"centurion/internal/thermal"
 )
-
-// ckptModels is the model matrix shared by the checkpoint suites.
-var ckptModels = []struct {
-	name    string
-	factory aim.Factory
-	mapper  taskgraph.Mapper
-}{
-	{"none", aim.NewNone, taskgraph.HeuristicMapper{}},
-	{"ni", aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
-	{"ffw", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-}
 
 // ckptWindows advances p window by window (1 ms each), appending each
 // window's completions to *series.
@@ -129,9 +119,16 @@ func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs 
 // TestCheckpointForkBitIdentity is the core matrix: every model on every
 // fabric under both stepping cores, checkpointed at 60 ms — after a 12-node
 // kill wave at 50 ms has left dead routers, rerouted tables and in-flight
-// recovery state for the snapshot to capture.
+// recovery state for the snapshot to capture. The PicoBlaze engine's record
+// leaves out registers, flags, PC and call stack, so it also forks at
+// further ticks before and after the wave: those are dead at every pass
+// boundary, whatever the latches and counters hold.
 func TestCheckpointForkBitIdentity(t *testing.T) {
-	for _, m := range ckptModels {
+	for _, m := range steppingModels {
+		snaps := []int{60}
+		if m.name == "ni-pb" {
+			snaps = []int{7, 33, 60, 91}
+		}
 		for _, topo := range []string{"mesh", "torus", "cmesh"} {
 			for _, dense := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/dense=%v", m.name, topo, dense), func(t *testing.T) {
@@ -140,7 +137,9 @@ func TestCheckpointForkBitIdentity(t *testing.T) {
 					cfg.denseStepping = dense
 					probe := New(cfg)
 					sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, 7)
-					forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return New(cfg) })
+					for _, snap := range snaps {
+						forkCheck(t, cfg, sched, snap, 120, func(*Checkpoint) *Platform { return New(cfg) })
+					}
 				})
 			}
 		}
@@ -378,8 +377,11 @@ func TestCheckpointShapeMismatchPanics(t *testing.T) {
 
 // TestCheckpointFitsRejectsFabricMisfit: a checkpoint of the same grid whose
 // fabric was built with another ring capacity carries a network section the
-// target cannot hold. Fits must say so — it is what a worker asks before
-// trusting checkpoint bytes from a lease — rather than let Restore panic.
+// target cannot hold; a CRC-valid checkpoint with any per-node section cut
+// short, or engine records of another kind or task graph, would panic
+// Restore or restore the wrong state. Fits must say so — it is what a worker
+// asks before trusting checkpoint bytes from a lease — rather than let
+// Restore panic. A checkpoint that fits still restores.
 func TestCheckpointFitsRejectsFabricMisfit(t *testing.T) {
 	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
 	wide := cfg
@@ -395,5 +397,60 @@ func TestCheckpointFitsRejectsFabricMisfit(t *testing.T) {
 	}
 	if err := New(wide).Fits(cp); err != nil {
 		t.Fatalf("Fits refused the checkpoint on its own fabric: %v", err)
+	}
+
+	hot := DefaultConfig(aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
+	th := thermal.DefaultParams()
+	hot.Thermal = &th
+	src = New(hot)
+	src.RunFor(sim.Ms(10), nil)
+	reencode := func(cp *Checkpoint) *Checkpoint {
+		t.Helper()
+		out, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cuts := []struct {
+		section string
+		cut     func(cp *Checkpoint)
+	}{
+		{"dir.TaskOf", func(cp *Checkpoint) { cp.dir.TaskOf = cp.dir.TaskOf[1:] }},
+		{"dir.Alive", func(cp *Checkpoint) { cp.dir.Alive = cp.dir.Alive[1:] }},
+		{"engines", func(cp *Checkpoint) { cp.engines = cp.engines[1:] }},
+		{"NI Counts", func(cp *Checkpoint) { cp.engines[5].Counts = cp.engines[5].Counts[1:] }},
+		{"peActive", func(cp *Checkpoint) { cp.peActive.Words = cp.peActive.Words[1:] }},
+		{"engActive", func(cp *Checkpoint) { cp.engActive.Words = cp.engActive.Words[1:] }},
+		{"peWakeAt", func(cp *Checkpoint) { cp.peWakeAt = cp.peWakeAt[1:] }},
+		{"engWakeAt", func(cp *Checkpoint) { cp.engWakeAt = cp.engWakeAt[1:] }},
+		{"heat.Temp", func(cp *Checkpoint) { cp.heat.Temp = cp.heat.Temp[1:] }},
+		{"throttled", func(cp *Checkpoint) { cp.throttled = cp.throttled[1:] }},
+	}
+	for _, c := range cuts {
+		cp := src.Snapshot()
+		c.cut(cp)
+		if err := New(hot).Fits(reencode(cp)); err == nil {
+			t.Errorf("Fits accepted a checkpoint with %s cut short", c.section)
+		}
+	}
+	ffw := hot
+	ffw.Engines = aim.NewFFWFactory(aim.DefaultFFWParams())
+	pipe := hot
+	pipe.Graph = taskgraph.Pipeline(4, 120, 24)
+	cp = reencode(src.Snapshot())
+	if err := New(ffw).Fits(cp); err == nil {
+		t.Error("Fits accepted NI engine records on an FFW platform")
+	}
+	if err := New(pipe).Fits(cp); err == nil {
+		t.Error("Fits accepted NI engine records built over another task graph")
+	}
+	dst := New(hot)
+	if err := dst.Fits(cp); err != nil {
+		t.Fatalf("Fits refused the checkpoint on its own platform: %v", err)
+	}
+	dst.Restore(cp)
+	if !bytes.Equal(EncodeCheckpoint(dst.Snapshot()), EncodeCheckpoint(src.Snapshot())) {
+		t.Error("a fitting checkpoint did not restore to the source's state")
 	}
 }

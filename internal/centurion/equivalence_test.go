@@ -15,6 +15,7 @@ import (
 	"centurion/internal/aim"
 	"centurion/internal/faults"
 	"centurion/internal/noc"
+	"centurion/internal/picoblaze"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
@@ -102,17 +103,21 @@ func compareSnapshots(t *testing.T, dense, active steppingSnapshot) {
 	}
 }
 
+// steppingModels is the model matrix of the stepping suites: the three
+// behavioural engines and the NI pathway run as PicoBlaze code.
+var steppingModels = []struct {
+	name    string
+	factory aim.Factory
+	mapper  taskgraph.Mapper
+}{
+	{"none", aim.NewNone, taskgraph.HeuristicMapper{}},
+	{"ni", aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
+	{"ffw", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
+	{"ni-pb", picoblaze.NewNIEngineFactory(picoblaze.DefaultNIEngineParams()), taskgraph.RandomMapper{}},
+}
+
 func TestSteppingEquivalence(t *testing.T) {
-	models := []struct {
-		name    string
-		factory aim.Factory
-		mapper  taskgraph.Mapper
-	}{
-		{"none", aim.NewNone, taskgraph.HeuristicMapper{}},
-		{"ni", aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
-		{"ffw", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-	}
-	for _, m := range models {
+	for _, m := range steppingModels {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, faulted := range []bool{false, true} {
 				name := fmt.Sprintf("%s/seed=%d/faulted=%v", m.name, seed, faulted)
@@ -133,27 +138,23 @@ func TestSteppingEquivalence(t *testing.T) {
 }
 
 // TestSteppingEquivalencePooledReuse is the determinism proof of platform
-// pooling (ISSUE 3): one platform per model is constructed once, dirtied by a
-// run under heavy faults, then Reset(seed) and re-run for every seed × fault
-// plan — and each reused run must be bit-identical to a fresh dense-scan
-// reference: same counters, fabric stats, per-window series, final tasks and
-// per-node stats. This is what lets RunMany and the server lease recycled
-// platforms instead of rebuilding them.
+// pooling: one platform per model is constructed once, dirtied by an RCAP
+// threshold write to every node and a run under heavy faults, then
+// Reset(seed) and re-run for every seed × fault plan — and each reused run
+// must be bit-identical to a fresh dense-scan reference: same counters,
+// fabric stats, per-window series, final tasks and per-node stats. This is
+// what lets RunMany and the server lease recycled platforms instead of
+// rebuilding them.
 func TestSteppingEquivalencePooledReuse(t *testing.T) {
-	models := []struct {
-		name    string
-		factory aim.Factory
-		mapper  taskgraph.Mapper
-	}{
-		{"none", aim.NewNone, taskgraph.HeuristicMapper{}},
-		{"ni", aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
-		{"ffw", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-	}
-	for _, m := range models {
+	for _, m := range steppingModels {
 		cfg := DefaultConfig(m.factory, m.mapper, 999)
 		reused := New(cfg)
-		// Dirty the platform thoroughly: a faulted run leaves dead routers,
-		// dead PEs, buffered packets, parked components and adapted engines.
+		// Dirty the platform thoroughly: rewritten engine parameters, and a
+		// faulted run that leaves dead routers, dead PEs, buffered packets,
+		// parked components and adapted engines.
+		if _, err := NewController(reused).BroadcastConfig(noc.OpAIMParam, aim.ParamThreshold, 2); err != nil {
+			t.Fatal(err)
+		}
 		driveStepping(reused, faults.RandomNodes(reused.Topo, 24, sim.NewRNG(0xd117)))
 
 		for seed := uint64(1); seed <= 3; seed++ {

@@ -133,12 +133,10 @@ type Platform struct {
 	// engSet hold the PEs that must be ticked and the engines that must be
 	// polled this tick; parked components are woken by stimuli or by the
 	// wake tables' events in the shared event queue.
-	peSet      *sim.ActiveSet
-	engSet     *sim.ActiveSet
-	peWake     *wakeTable
-	engWake    *wakeTable
-	engWaker   []aim.DecideWaker
-	engPollAll bool // an engine lacks NextDecide: poll all, never fast-forward
+	peSet   *sim.ActiveSet
+	engSet  *sim.ActiveSet
+	peWake  *wakeTable
+	engWake *wakeTable
 	// netPar is true only while a parallel Net.Tick is in flight: fabric
 	// callbacks (PE stirs on delivery, engine stimuli from router monitor
 	// taps) then mark the activity sets through the atomic path, since they
@@ -153,6 +151,8 @@ type Platform struct {
 	nextHeat  sim.Tick
 	throttled []bool
 	workScan  []uint64
+	// fitState is Fits' scratch record for the engines' own SaveState.
+	fitState aim.EngineState
 
 	counters Counters
 }
@@ -211,7 +211,6 @@ func New(cfg Config) *Platform {
 	p.engSet = sim.NewActiveSet(nodes)
 	p.peWake = newWakeTable(nodes, &p.events, p.peSet)
 	p.engWake = newWakeTable(nodes, &p.events, p.engSet)
-	p.engWaker = make([]aim.DecideWaker, nodes)
 	for id := 0; id < nodes; id++ {
 		nid := noc.NodeID(id)
 		phase := sim.Tick(p.rng.Intn(int(maxPhase)))
@@ -221,14 +220,6 @@ func New(cfg Config) *Platform {
 		engine := cfg.Engines(cfg.Graph)
 		engine.NoteTask(mapping[id])
 		p.engines[id] = engine
-		if w, ok := engine.(aim.DecideWaker); ok {
-			p.engWaker[id] = w
-		} else {
-			// Unknown engine (embedded PicoBlaze, user-supplied): fall back
-			// to polling every engine every tick, exactly like the dense
-			// scan, so custom Decide semantics are never skipped.
-			p.engPollAll = true
-		}
 
 		// Everything starts active; components park themselves after their
 		// first tick.
@@ -298,13 +289,8 @@ func (p *Platform) Reset(seed uint64) {
 	for id := range p.pes {
 		phase := sim.Tick(p.rng.Intn(int(p.maxPhase)))
 		p.pes[id].Restart(mapping[id], phase)
-		engine := p.engines[id]
-		if hr, ok := engine.(aim.HardResetter); ok {
-			hr.HardReset()
-		} else {
-			engine.Reset()
-		}
-		engine.NoteTask(mapping[id])
+		p.engines[id].Reset()
+		p.engines[id].NoteTask(mapping[id])
 		p.peSet.Add(id)
 		p.engSet.Add(id)
 	}
@@ -777,13 +763,7 @@ func (p *Platform) Step() {
 		p.netPar = p.Net.ParallelTick()
 		p.Net.Tick(now)
 		p.netPar = false
-		if p.engPollAll {
-			for id := range p.engines {
-				p.pollEngine(id, now)
-			}
-		} else {
-			p.engSet.Sweep(func(id int) bool { return p.pollEngine(id, now) })
-		}
+		p.engSet.Sweep(func(id int) bool { return p.pollEngine(id, now) })
 	}
 	p.clock.Step()
 }
@@ -817,11 +797,9 @@ func (p *Platform) pollEngine(id int, now sim.Tick) bool {
 			fired = true
 		}
 	}
-	if !p.Cfg.denseStepping && !p.engPollAll {
-		if w := p.engWaker[id]; w != nil {
-			if at, has := w.NextDecide(now); has {
-				p.engWake.schedule(id, at)
-			}
+	if !p.Cfg.denseStepping {
+		if at, has := engine.NextDecide(now); has {
+			p.engWake.schedule(id, at)
 		}
 	}
 	return fired
@@ -897,7 +875,7 @@ func (p *Platform) RunFor(d sim.Tick, onTick func(now sim.Tick)) {
 // capped at end. It is a no-op unless the active stepping core is in use and
 // every component is parked.
 func (p *Platform) fastForward(end sim.Tick) {
-	if p.Cfg.denseStepping || p.engPollAll {
+	if p.Cfg.denseStepping {
 		return
 	}
 	if !p.peSet.Empty() || !p.engSet.Empty() || p.Net.ActiveRouters() > 0 {

@@ -131,8 +131,13 @@ func TestControllerRCAPRoundTrip(t *testing.T) {
 		t.Fatal("engine is not NI")
 	}
 	// Threshold 3 now: three routed impulses for a non-current task fire it.
+	// Zero the counters through a state round trip (Reset would also undo
+	// the RCAP write).
 	ni.NoteTask(taskgraph.ForkSink)
-	ni.Reset()
+	var st aim.EngineState
+	ni.SaveState(&st)
+	clear(st.Counts)
+	ni.LoadState(&st)
 	for i := 0; i < 3; i++ {
 		ni.OnRouted(taskgraph.ForkWorker, p.Now())
 	}

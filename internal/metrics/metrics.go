@@ -192,11 +192,6 @@ func Quartiles(xs []float64) Summary {
 	}
 }
 
-// Scale returns the summary with every quartile multiplied by f.
-func (s Summary) Scale(f float64) Summary {
-	return Summary{Q1: s.Q1 * f, Q2: s.Q2 * f, Q3: s.Q3 * f}
-}
-
 // String renders "Q1/Q2/Q3" rounded to integers.
 func (s Summary) String() string {
 	return fmt.Sprintf("%.0f/%.0f/%.0f", s.Q1, s.Q2, s.Q3)

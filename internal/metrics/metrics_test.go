@@ -61,10 +61,6 @@ func TestQuartilesSummary(t *testing.T) {
 	if got := s.String(); got != "20/30/40" {
 		t.Errorf("String = %q", got)
 	}
-	sc := s.Scale(2)
-	if !almost(sc.Q2, 60) {
-		t.Errorf("Scale = %+v", sc)
-	}
 }
 
 // Property: quartiles are ordered and bounded by the sample extremes.

@@ -103,19 +103,11 @@ func (r *Router) SetSink(s Sink) { r.sink = s }
 // SetConfigSink attaches the RCAP configuration handler.
 func (r *Router) SetConfigSink(s ConfigSink) { r.configSink = s }
 
-// PortDisabled reports whether a port is administratively down (RCAP knob).
-func (r *Router) PortDisabled(p Port) bool { return r.net.state[r.ID].disabled&(1<<p) != 0 }
-
-// QueuedHeadTask returns the destination task of the oldest ready head
-// packet across the cardinal input ports — the "next packet in the routing
-// queue" a Foraging-for-Work node adopts when its switch timer expires.
-// ok is false when no data packet is queued.
-func (r *Router) QueuedHeadTask(now sim.Tick) (taskgraph.TaskID, bool) {
-	return r.QueuedHeadTaskFunc(now, nil)
-}
-
-// QueuedHeadTaskFunc is QueuedHeadTask restricted to tasks the accept
-// filter admits. The platform uses it to limit Foraging-for-Work adoption to
+// QueuedHeadTaskFunc returns the destination task of the oldest ready head
+// data packet across the input ports whose task the accept filter admits (a
+// nil filter admits every task) — the "next packet in the routing queue" a
+// Foraging-for-Work node adopts when its switch timer expires. ok is false
+// when no such packet is queued. The platform's filter limits adoption to
 // tasks the node could actually sink locally: a join-bound packet is owned
 // by its fork-time join node, so adopting its task cannot serve it. The
 // filter sees the queued packet's destination task only — everything the

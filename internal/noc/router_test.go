@@ -236,12 +236,13 @@ func TestConfigPortDisableEnable(t *testing.T) {
 	// Disable router 1's East output; traffic 0->3 must block and recover.
 	net.Inject(0, &Packet{ID: 1, Kind: Config, Src: 0, Dst: 1, Flits: 1, Op: OpDisablePort, Arg: int(East)}, clk.Now())
 	run(net, &clk, 20)
-	if !net.Router(1).PortDisabled(East) {
+	disabled := func() bool { return net.state[1].disabled&(1<<East) != 0 }
+	if !disabled() {
 		t.Fatal("East port not disabled")
 	}
 	net.Inject(0, &Packet{ID: 2, Kind: Config, Src: 0, Dst: 1, Flits: 1, Op: OpEnablePort, Arg: int(East)}, clk.Now())
 	run(net, &clk, 20)
-	if net.Router(1).PortDisabled(East) {
+	if disabled() {
 		t.Fatal("East port not re-enabled")
 	}
 }
@@ -381,15 +382,15 @@ func TestQueuedHeadTask(t *testing.T) {
 	net := testNet(2, 1, RouteAuto)
 	var clk sim.Clock
 	r := net.Router(0)
-	if _, ok := r.QueuedHeadTask(clk.Now()); ok {
+	if _, ok := r.QueuedHeadTaskFunc(clk.Now(), nil); ok {
 		t.Fatal("empty router reported a queued task")
 	}
 	p := dataPacket(1, 0, 1, 7, 2)
 	p.Created = clk.Now()
 	net.Inject(0, p, clk.Now())
-	task, ok := r.QueuedHeadTask(clk.Now())
+	task, ok := r.QueuedHeadTaskFunc(clk.Now(), nil)
 	if !ok || task != 7 {
-		t.Errorf("QueuedHeadTask = %d,%v, want 7,true", task, ok)
+		t.Errorf("QueuedHeadTaskFunc = %d,%v, want 7,true", task, ok)
 	}
 }
 

@@ -92,11 +92,12 @@ type NIEngine struct {
 	cpu   *CPU
 	graph *taskgraph.Graph
 
-	pending    [16]int
+	pending    [16]int // latched impulses per port, saturating at 255
 	current    taskgraph.TaskID
 	threshold  uint8
 	internalW  int
 	pinSources bool
+	base       NIEngineParams // as-constructed threshold and pin-sources, restored by Reset
 
 	decision taskgraph.TaskID
 	decided  bool
@@ -141,6 +142,7 @@ func NewNIEngine(g *taskgraph.Graph, par NIEngineParams) (*NIEngine, error) {
 		par.Threshold = 255
 	}
 	e.threshold = uint8(par.Threshold)
+	e.base = par
 	if e.internalW <= 0 {
 		e.internalW = 1
 	}
@@ -170,9 +172,6 @@ func (e *NIEngine) In(p uint8) uint8 {
 	case p > PortImpulseBase && p < PortImpulseBase+16:
 		t := int(p - PortImpulseBase)
 		v := e.pending[t]
-		if v > 255 {
-			v = 255
-		}
 		e.pending[t] = 0
 		return uint8(v)
 	case p == PortCurrentTask:
@@ -198,16 +197,16 @@ func (e *NIEngine) Out(p uint8, v uint8) {
 func (e *NIEngine) Name() string { return "network-interaction/picoblaze" }
 
 // OnRouted implements aim.Engine.
-func (e *NIEngine) OnRouted(task taskgraph.TaskID, now sim.Tick) {
-	if task > 0 && int(task) < len(e.pending) {
-		e.pending[task]++
-	}
-}
+func (e *NIEngine) OnRouted(task taskgraph.TaskID, now sim.Tick) { e.latch(task, 1) }
 
 // OnInternal implements aim.Engine.
-func (e *NIEngine) OnInternal(task taskgraph.TaskID, now sim.Tick) {
+func (e *NIEngine) OnInternal(task taskgraph.TaskID, now sim.Tick) { e.latch(task, e.internalW) }
+
+// latch adds n impulses to a task's 8-bit input latch, saturating like the
+// hardware counter.
+func (e *NIEngine) latch(task taskgraph.TaskID, n int) {
 	if task > 0 && int(task) < len(e.pending) {
-		e.pending[task] += e.internalW
+		e.pending[task] = min(e.pending[task]+n, 255)
 	}
 }
 
@@ -239,6 +238,11 @@ func (e *NIEngine) Decide(now sim.Tick) (taskgraph.TaskID, bool) {
 	return e.decision, true
 }
 
+// NextDecide implements aim.Engine: the pathway has no timers, so without a
+// new latched impulse (which re-polls the engine) or RCAP write every pass
+// leaves all counters below threshold and fires nothing.
+func (e *NIEngine) NextDecide(sim.Tick) (sim.Tick, bool) { return 0, false }
+
 // NoteTask implements aim.Engine.
 func (e *NIEngine) NoteTask(task taskgraph.TaskID) { e.current = task }
 
@@ -260,11 +264,50 @@ func (e *NIEngine) SetParam(param, value int) {
 	}
 }
 
-// Reset implements aim.Engine: clears counters and latches.
+// Reset implements aim.Engine: clears the core, its counters and latches,
+// and restores the constructed threshold and pin-sources parameters.
 func (e *NIEngine) Reset() {
 	e.cpu.Reset()
+	e.pending = [16]int{}
+	e.threshold = uint8(e.base.Threshold)
+	e.pinSources = e.base.PinSources
+}
+
+// SaveState implements aim.Engine as an aim.StatePB record: the live
+// parameters, the scratchpad and the input latches. Registers, flags, PC and
+// call stack are not captured: every decision pass restarts at PC 0, loads
+// each register before reading it and returns from every call, so they are
+// dead between passes.
+func (e *NIEngine) SaveState(st *aim.EngineState) {
+	counts, latches := st.Counts[:0], st.Thresholds[:0]
+	*st = aim.EngineState{Kind: aim.StatePB, Current: e.current}
+	st.NIPar.Threshold = int(e.threshold)
+	st.NIPar.PinSources = e.pinSources
+	for _, b := range e.cpu.Scratch {
+		counts = append(counts, int32(b))
+	}
+	for _, v := range e.pending {
+		latches = append(latches, int32(v))
+	}
+	st.Counts, st.Thresholds = counts, latches
+}
+
+// LoadState implements aim.Engine.
+func (e *NIEngine) LoadState(st *aim.EngineState) {
+	if st.Kind != aim.StatePB {
+		panic("picoblaze: checkpoint engine kind mismatch (want PicoBlaze NI)")
+	}
+	if len(st.Counts) != len(e.cpu.Scratch) || len(st.Thresholds) != len(e.pending) {
+		panic("picoblaze: checkpoint scratchpad or latch count mismatch")
+	}
+	e.current = st.Current
+	e.threshold = uint8(st.NIPar.Threshold)
+	e.pinSources = st.NIPar.PinSources
+	for i := range e.cpu.Scratch {
+		e.cpu.Scratch[i] = uint8(st.Counts[i])
+	}
 	for i := range e.pending {
-		e.pending[i] = 0
+		e.pending[i] = int(st.Thresholds[i])
 	}
 }
 

@@ -121,11 +121,19 @@ func TestPBEngineReset(t *testing.T) {
 		e.OnRouted(taskgraph.ForkWorker, 0)
 	}
 	e.Decide(0)
+	e.SetParam(aim.ParamThreshold, 2) // an RCAP write Reset must undo
 	e.Reset()
 	for _, c := range e.Counters(3) {
 		if c != 0 {
 			t.Fatal("Reset left counters")
 		}
+	}
+	e.NoteTask(taskgraph.ForkSink)
+	for i := 0; i < 5; i++ {
+		e.OnRouted(taskgraph.ForkWorker, 0)
+	}
+	if task, ok := e.Decide(0); ok {
+		t.Fatalf("5 impulses fired %d after Reset: the RCAP threshold 2 survived", task)
 	}
 }
 

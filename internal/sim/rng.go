@@ -77,18 +77,3 @@ func (r *RNG) ShuffleInts(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Pick returns a uniformly random element index of a slice of length n,
-// or -1 when n == 0.
-func (r *RNG) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
-}
-
-// Fork derives an independent generator from this one. Streams drawn from
-// the parent after forking do not correlate with the child's stream.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
-}

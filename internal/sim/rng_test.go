@@ -117,33 +117,3 @@ func TestIntnProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPickEmpty(t *testing.T) {
-	if got := NewRNG(1).Pick(0); got != -1 {
-		t.Errorf("Pick(0) = %d, want -1", got)
-	}
-	if got := NewRNG(1).Pick(1); got != 0 {
-		t.Errorf("Pick(1) = %d, want 0", got)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	parent := NewRNG(99)
-	child := parent.Fork()
-	// The child must not replay the parent's continuing stream.
-	p := make([]uint64, 32)
-	c := make([]uint64, 32)
-	for i := range p {
-		p[i] = parent.Uint64()
-		c[i] = child.Uint64()
-	}
-	same := 0
-	for i := range p {
-		if p[i] == c[i] {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("fork correlates with parent in %d/32 draws", same)
-	}
-}

@@ -234,13 +234,6 @@ func (g *Graph) MaxTaskID() TaskID {
 	return maxID
 }
 
-// Edges returns a copy of the edge list.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	return out
-}
-
 // Fingerprint returns a stable content digest of the graph: its name, every
 // task's fields in ID order and every edge in insertion order (edge order is
 // part of the digest because it is part of construction, and equal digests
@@ -279,21 +272,6 @@ func (g *Graph) InWidth(id TaskID) int {
 		}
 	}
 	return w
-}
-
-// InstanceArrivals returns, for every task, how many packets of a single
-// application instance arrive at that task, propagating edge fan-outs from
-// the sources (which each contribute one self-generated work item). A task
-// with more than one arrival per instance is a join point: the fork–join
-// sink receives 3 branch packets per instance and joins them into one
-// completion.
-func (g *Graph) InstanceArrivals() map[TaskID]int {
-	m := g.memoized()
-	arrivals := make(map[TaskID]int, len(m.ids))
-	for _, id := range m.ids {
-		arrivals[id] = m.arrivals[id]
-	}
-	return arrivals
 }
 
 // JoinWidth returns the number of packets of one instance that must arrive
@@ -437,15 +415,6 @@ func (g *Graph) topoSort() ([]TaskID, error) {
 		return nil, fmt.Errorf("cycle detected (%d of %d tasks ordered)", len(order), len(g.tasks))
 	}
 	return order, nil
-}
-
-// RatioSum returns the sum of task ratios (5 for the 1:3:1 fork–join graph).
-func (g *Graph) RatioSum() int {
-	s := 0
-	for _, t := range g.tasks {
-		s += t.Ratio
-	}
-	return s
 }
 
 // String summarises the graph for traces.

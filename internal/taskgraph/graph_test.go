@@ -10,9 +10,6 @@ func TestForkJoinStructure(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := g.RatioSum(); got != 5 {
-		t.Errorf("RatioSum = %d, want 5 (1:3:1)", got)
-	}
 	if !g.IsSource(ForkSource) {
 		t.Error("task 1 should be a source")
 	}
@@ -33,10 +30,6 @@ func TestForkJoinStructure(t *testing.T) {
 	}
 	if got := g.InWidth(ForkSource); got != 0 {
 		t.Errorf("InWidth(source) = %d, want 0", got)
-	}
-	arr := g.InstanceArrivals()
-	if arr[ForkSource] != 1 || arr[ForkWorker] != 3 || arr[ForkSink] != 3 {
-		t.Errorf("InstanceArrivals = %v, want 1/3/3", arr)
 	}
 	succ := g.Successors(ForkSource)
 	if len(succ) != 1 || succ[0].To != ForkWorker || succ[0].Width != 3 {
@@ -63,9 +56,11 @@ func TestTopoOrder(t *testing.T) {
 	for i, id := range order {
 		pos[id] = i
 	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("edge %d->%d violates topological order %v", e.From, e.To, order)
+	for _, id := range order {
+		for _, e := range g.Successors(id) {
+			if pos[e.From] >= pos[e.To] {
+				t.Errorf("edge %d->%d violates topological order %v", e.From, e.To, order)
+			}
 		}
 	}
 }
