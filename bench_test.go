@@ -206,7 +206,7 @@ func BenchmarkAblationEmbeddedAIMCost(b *testing.B) {
 	})
 	b.Run("picoblaze", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sys := NewSystem(WithModel(ModelNI), WithEmbeddedAIM(), WithSeed(4))
+			sys := NewSystem(WithModel(ModelNIPB), WithSeed(4))
 			sys.RunMs(100)
 		}
 	})
@@ -378,7 +378,7 @@ func (s recycleSink) Accept(p *noc.Packet, _ sim.Tick) bool {
 // BenchmarkPicoblazeDecide measures one embedded decision pass.
 func BenchmarkPicoblazeDecide(b *testing.B) {
 	g := taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
-	e, err := picoblaze.NewNIEngine(g, picoblaze.DefaultNIEngineParams())
+	e, err := picoblaze.NewNIEngine(g, aim.DefaultNIParams())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"centurion/internal/experiments"
 	"centurion/internal/faults"
 	"centurion/internal/noc"
-	"centurion/internal/picoblaze"
 	"centurion/internal/server"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
@@ -32,6 +31,9 @@ const (
 	// ModelRandomStatic is the adaptive models' random initial mapping with
 	// adaptation disabled (an ablation).
 	ModelRandomStatic = experiments.ModelRandomStatic
+	// ModelNIPB is the Network Interaction pathway hosted as assembled code
+	// on the emulated PicoBlaze core at every router.
+	ModelNIPB = experiments.ModelNIPB
 )
 
 // Graph identifies a built-in application workload.
@@ -47,36 +49,26 @@ const (
 	GraphDiamond
 )
 
-// config collects the functional options.
+// config collects the functional options: the run they describe, and the
+// one escape from its model's engines.
 type config struct {
-	model       Model
-	seed        uint64
-	width       int
-	height      int
-	topology    string
-	graph       *taskgraph.Graph
-	neighborSig bool
-	embeddedAIM bool
-	niParams    *aim.NIParams
-	ffwParams   *aim.FFWParams
-	factory     aim.Factory
-	thermal     *thermal.Params
-	thermalDVFS bool
+	spec    experiments.Spec
+	factory aim.Factory
 }
 
 // Option configures a System.
 type Option func(*config)
 
 // WithModel selects the runtime-management scheme (default ModelNone).
-func WithModel(m Model) Option { return func(c *config) { c.model = m } }
+func WithModel(m Model) Option { return func(c *config) { c.spec.Model = m } }
 
 // WithSeed sets the run's random seed (default 1).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
+func WithSeed(seed uint64) Option { return func(c *config) { c.spec.Seed = seed } }
 
 // WithSize sets the node-grid dimensions (default 16×8 — Centurion-V6's 128
 // nodes).
 func WithSize(w, h int) Option {
-	return func(c *config) { c.width, c.height = w, h }
+	return func(c *config) { c.spec.Width, c.spec.Height = w, h }
 }
 
 // WithTopology selects the fabric shape: "mesh" (default), "torus"
@@ -85,7 +77,7 @@ func WithSize(w, h int) Option {
 // NewSystem panics on an unknown or invalid shape, exactly like an invalid
 // custom graph.
 func WithTopology(kind string) Option {
-	return func(c *config) { c.topology = kind }
+	return func(c *config) { c.spec.Topology = kind }
 }
 
 // WithGraph selects a built-in workload (default GraphForkJoin).
@@ -93,34 +85,31 @@ func WithGraph(g Graph) Option {
 	return func(c *config) {
 		switch g {
 		case GraphPipeline:
-			c.graph = taskgraph.Pipeline(4, 120, 24)
+			c.spec.Graph = taskgraph.Pipeline(4, 120, 24)
 		case GraphDiamond:
-			c.graph = taskgraph.Diamond(120, 24)
+			c.spec.Graph = taskgraph.Diamond(120, 24)
 		default:
-			c.graph = taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
+			c.spec.Graph = taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams())
 		}
 	}
 }
 
 // WithCustomGraph installs a caller-built task graph (validated).
 func WithCustomGraph(g *taskgraph.Graph) Option {
-	return func(c *config) { c.graph = g }
+	return func(c *config) { c.spec.Graph = g }
 }
 
 // WithNeighborSignals enables the information-transfer extension: AIMs
 // announce task switches to their four mesh neighbours.
 func WithNeighborSignals() Option {
-	return func(c *config) { c.neighborSig = true }
+	return func(c *config) { c.spec.NeighborSignals = true }
 }
 
-// WithEmbeddedAIM hosts the Network Interaction pathway on the emulated
-// PicoBlaze cores instead of the behavioural engine. Only meaningful with
-// ModelNI.
-func WithEmbeddedAIM() Option { return func(c *config) { c.embeddedAIM = true } }
-
 // WithEngineFactory installs a custom intelligence-engine factory (one
-// aim.Engine per node), overriding the model selection. Use it to experiment
-// with new stimulus–threshold pathways on the same platform.
+// aim.Engine per node), overriding the model's engines; the model still
+// selects the initial mapping (heuristic for ModelNone, random otherwise).
+// Use it to experiment with new stimulus–threshold pathways on the same
+// platform.
 func WithEngineFactory(f aim.Factory) Option {
 	return func(c *config) { c.factory = f }
 }
@@ -128,7 +117,7 @@ func WithEngineFactory(f aim.Factory) Option {
 // WithThermal enables the per-node temperature model (the AIM's temperature
 // monitor). Pass thermal.DefaultParams() for the standard calibration.
 func WithThermal(p thermal.Params) Option {
-	return func(c *config) { c.thermal = &p }
+	return func(c *config) { c.spec.Thermal = &p }
 }
 
 // WithThermalDVFS additionally enables the frequency-scaling governor:
@@ -136,22 +125,23 @@ func WithThermal(p thermal.Params) Option {
 // Implies WithThermal when no thermal parameters were set.
 func WithThermalDVFS() Option {
 	return func(c *config) {
-		c.thermalDVFS = true
-		if c.thermal == nil {
+		c.spec.ThermalDVFS = true
+		if c.spec.Thermal == nil {
 			p := thermal.DefaultParams()
-			c.thermal = &p
+			c.spec.Thermal = &p
 		}
 	}
 }
 
-// WithNIParams overrides the Network Interaction parameters.
+// WithNIParams overrides the Network Interaction parameters (ModelNI and
+// ModelNIPB).
 func WithNIParams(p aim.NIParams) Option {
-	return func(c *config) { c.niParams = &p }
+	return func(c *config) { c.spec.NI = &p }
 }
 
 // WithFFWParams overrides the Foraging for Work parameters.
 func WithFFWParams(p aim.FFWParams) Option {
-	return func(c *config) { c.ffwParams = &p }
+	return func(c *config) { c.spec.FFW = &p }
 }
 
 // System is one assembled Centurion platform run.
@@ -160,60 +150,17 @@ type System struct {
 	ctl *platform.Controller
 }
 
-// NewSystem assembles a platform with the given options.
+// NewSystem assembles a platform with the given options, through the same
+// translation from model, seed, grid and workload to a platform as every
+// run of the experiment harness and the service.
 func NewSystem(opts ...Option) *System {
-	c := config{model: ModelNone, seed: 1}
+	c := config{spec: experiments.Spec{Model: ModelNone, Seed: 1}}
 	for _, o := range opts {
 		o(&c)
 	}
-
-	var factory aim.Factory
-	switch c.model {
-	case ModelNI:
-		par := aim.DefaultNIParams()
-		if c.niParams != nil {
-			par = *c.niParams
-		}
-		if c.embeddedAIM {
-			factory = picoblaze.NewNIEngineFactory(picoblaze.NIEngineParams{
-				Threshold:      par.Threshold,
-				InternalWeight: par.InternalWeight,
-				PinSources:     par.PinSources,
-			})
-		} else {
-			factory = aim.NewNIFactory(par)
-		}
-	case ModelFFW:
-		par := aim.DefaultFFWParams()
-		if c.ffwParams != nil {
-			par = *c.ffwParams
-		}
-		factory = aim.NewFFWFactory(par)
-	default:
-		factory = aim.NewNone
-	}
+	cfg := c.spec.PlatformConfig()
 	if c.factory != nil {
-		factory = c.factory
-	}
-
-	var mapper taskgraph.Mapper = taskgraph.RandomMapper{}
-	if c.model == ModelNone {
-		mapper = taskgraph.HeuristicMapper{}
-	}
-
-	cfg := platform.DefaultConfig(factory, mapper, c.seed)
-	cfg.NeighborSignals = c.neighborSig
-	cfg.Thermal = c.thermal
-	cfg.ThermalDVFS = c.thermalDVFS
-	cfg.Topology = c.topology
-	if c.graph != nil {
-		cfg.Graph = c.graph
-	}
-	if c.width > 0 {
-		cfg.Width = c.width
-	}
-	if c.height > 0 {
-		cfg.Height = c.height
+		cfg.Engines = c.factory
 	}
 	p := platform.New(cfg)
 	return &System{p: p, ctl: platform.NewController(p)}
@@ -240,13 +187,6 @@ func (s *System) TaskCounts() []int {
 	return s.p.Dir.Counts(s.p.Graph.MaxTaskID())
 }
 
-// InjectRandomFaults kills n random nodes immediately (the experiment
-// controller's debug interface).
-func (s *System) InjectRandomFaults(n int, seed uint64) {
-	nodes := faults.RandomNodes(s.p.Topo, n, sim.NewRNG(seed))
-	s.p.InjectFaults(nodes)
-}
-
 // InjectRegionFault kills every node within the given topology distance of
 // the epicentre at grid coordinate (x, y) — a localised thermal hot-spot
 // shaped by the fabric's own metric (wrap-aware on a torus, cluster-granular
@@ -269,7 +209,10 @@ type FaultProfile = faults.Profile
 // schedule for this system's topology and arranges every event on the
 // simulation queue. durationMs bounds the timeline (events at or beyond it
 // never fire). Equal (topology, seed, profile, duration) always yields a
-// bit-identical schedule. Call it once, before running.
+// bit-identical schedule. Call it once, before running. Random node faults
+// are the death profile {Kind: "death", AtMs: T, Nodes: N}: with the run's
+// seed and length it kills what a served spec's num_faults/fault_at_ms pair
+// kills.
 func (s *System) ApplyFaultProfile(p FaultProfile, seed uint64, durationMs int) error {
 	sched, err := faults.Build(s.p.Topo, seed, p, durationMs)
 	if err != nil {

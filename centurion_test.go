@@ -47,8 +47,14 @@ func TestModelsDiffer(t *testing.T) {
 
 func TestFaultInjectionAPI(t *testing.T) {
 	sys := NewSystem(WithModel(ModelNone), WithSeed(3))
+	if err := sys.ApplyFaultProfile(FaultProfile{Kind: "death", AtMs: 100, Nodes: 16}, 3, 300); err != nil {
+		t.Fatal(err)
+	}
 	sys.RunMs(100)
-	sys.InjectRandomFaults(16, 9)
+	if got := sys.AliveNodes(); got != 128 {
+		t.Errorf("AliveNodes before the death wave = %d", got)
+	}
+	sys.RunMs(1)
 	if got := sys.AliveNodes(); got != 112 {
 		t.Errorf("AliveNodes after 16 faults = %d", got)
 	}
@@ -85,20 +91,32 @@ func TestCustomGraphOption(t *testing.T) {
 	}
 }
 
+// TestEmbeddedAIMOption: the PicoBlaze-hosted NI produces the behavioural
+// NI's dynamics on the full platform — same decisions, same counters — for
+// every built-in graph, not only the 3-task fork–join (the equivalence is
+// proven per engine in internal/picoblaze; this checks the wiring).
 func TestEmbeddedAIMOption(t *testing.T) {
-	sys := NewSystem(WithModel(ModelNI), WithEmbeddedAIM(), WithSeed(6))
-	sys.RunMs(300)
-	if sys.Throughput() == 0 {
-		t.Fatal("embedded-AIM platform completed nothing")
-	}
-	// The embedded and behavioural NI must produce identical dynamics: same
-	// decisions, same counters (the equivalence is proven per-engine in
-	// internal/picoblaze; this checks the full-platform wiring).
-	ref := NewSystem(WithModel(ModelNI), WithSeed(6))
-	ref.RunMs(300)
-	if ref.Counters() != sys.Counters() {
-		t.Errorf("embedded vs behavioural NI diverged:\n  pb: %+v\n  go: %+v",
-			sys.Counters(), ref.Counters())
+	for _, tc := range []struct {
+		name  string
+		graph Graph
+	}{
+		{"forkjoin", GraphForkJoin},
+		{"pipeline", GraphPipeline},
+		{"diamond", GraphDiamond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := NewSystem(WithModel(ModelNIPB), WithGraph(tc.graph), WithSeed(3))
+			sys.RunMs(1000)
+			if sys.Throughput() == 0 {
+				t.Fatal("embedded-AIM platform completed nothing")
+			}
+			ref := NewSystem(WithModel(ModelNI), WithGraph(tc.graph), WithSeed(3))
+			ref.RunMs(1000)
+			if ref.Counters() != sys.Counters() {
+				t.Errorf("embedded vs behavioural NI diverged:\n  pb: %+v\n  go: %+v",
+					sys.Counters(), ref.Counters())
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@
 //	centurion table1 [-runs N] [-seed S]
 //	centurion table2 [-runs N] [-seed S] [-faults 0,2,4,8,16,32]
 //	centurion fig4   [-faults 5] [-seed S] [-csv out.csv]
-//	centurion run    [-model none|ni|ffw|ni-pb] [-topology mesh|torus|cmesh]
+//	centurion run    [-model none|ni|ffw|random-static|ni-pb] [-topology mesh|torus|cmesh]
 //	                 [-grid WxH] [-seed S] [-ms 1000] [-faults N] [-fault-at MS]
 //	                 [-fault-profile KIND|JSON] [-map] [-cpuprofile out.pprof]
 //	                 [-checkpoint-at MS -checkpoint-out FILE] [-restore FILE]
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -144,13 +145,13 @@ func cmdFig4(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	model := fs.String("model", "ffw", "none | ni | ffw | ni-pb (embedded PicoBlaze NI)")
+	model := fs.String("model", "ffw", experiments.ModelNames(" | ")+" (ni-pb: the NI pathway on embedded PicoBlaze cores)")
 	topology := fs.String("topology", "mesh", "fabric shape: mesh | torus | cmesh")
 	grid := fs.String("grid", "", `node-grid dimensions as WxH, e.g. "64x64" (default 16x8)`)
 	seed := fs.Uint64("seed", 1, "seed")
 	ms := fs.Float64("ms", 1000, "simulated milliseconds")
-	faultN := fs.Int("faults", 0, "random node faults to inject")
-	faultAt := fs.Float64("fault-at", 500, "fault injection time (ms)")
+	faultN := fs.Int("faults", 0, "random node faults to inject (a death profile)")
+	faultAt := fs.Float64("fault-at", 500, "fault injection time (whole ms)")
 	faultProf := fs.String("fault-profile", "",
 		`hostile fault profile: a kind (death|churn|flaky|cascade|byzantine) or a JSON object, e.g. '{"kind":"cascade","waves":4}'`)
 	showMap := fs.Bool("map", false, "print the task map before and after")
@@ -162,7 +163,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 
-	modelOpts, err := modelOptions(*model)
+	m, err := experiments.ParseModel(*model)
 	if err != nil {
 		return err
 	}
@@ -178,11 +179,36 @@ func cmdRun(args []string) error {
 	if _, err := noc.MakeTopology(*topology, width, height); err != nil {
 		return err
 	}
-	if *faultProf != "" && *faultN > 0 {
+	// The fault plan is one profile, compiled by the same fault path as a
+	// served spec's: -faults N -fault-at T is the death profile that
+	// {"num_faults":N,"fault_at_ms":T} denotes.
+	var prof *centurion.FaultProfile
+	switch {
+	case *faultProf != "" && *faultN > 0:
 		return fmt.Errorf("-fault-profile and -faults are mutually exclusive (a death profile subsumes the legacy pair)")
+	case *faultProf != "":
+		p, err := parseFaultProfile(*faultProf)
+		if err != nil {
+			return err
+		}
+		prof = &p
+	case *faultN > 0:
+		// A profile's AtMs of 0 means "half the run", so a fault time that
+		// truncates to 0 must never reach it.
+		if *faultAt <= 0 || *faultAt >= *ms || *faultAt != math.Trunc(*faultAt) {
+			return fmt.Errorf("-fault-at %g must be a whole number of ms strictly inside (0, %g) to inject %d faults", *faultAt, *ms, *faultN)
+		}
+		prof = &centurion.FaultProfile{Kind: "death", AtMs: int(*faultAt), Nodes: *faultN}
 	}
-	if *faultN > 0 && (*faultAt <= 0 || *faultAt >= *ms) {
-		return fmt.Errorf("-fault-at %g must lie strictly inside (0, %g) to inject %d faults", *faultAt, *ms, *faultN)
+	// The run is split where the fault plan starts (nowhere for a clean
+	// run) to report the rates on either side.
+	split := *ms
+	if prof != nil {
+		norm, err := prof.Normalized(int(*ms))
+		if err != nil {
+			return fmt.Errorf("fault plan: %w", err)
+		}
+		prof, split = &norm, float64(norm.AtMs)
 	}
 	if *ckptOut == "" && *ckptAt != 0 {
 		return fmt.Errorf("-checkpoint-at requires -checkpoint-out")
@@ -190,7 +216,7 @@ func cmdRun(args []string) error {
 	if *ckptOut != "" && (*ckptAt < 0 || *ckptAt > *ms) {
 		return fmt.Errorf("-checkpoint-at %g must lie within [0, %g]", *ckptAt, *ms)
 	}
-	if *restorePath != "" && (*faultProf != "" || *faultN > 0) {
+	if *restorePath != "" && prof != nil {
 		return fmt.Errorf("-restore resumes a finished timeline; fault plans are timed from a cold start (checkpoint the faulty run instead)")
 	}
 	if *cpuProfile != "" {
@@ -204,12 +230,12 @@ func cmdRun(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	opts := append([]centurion.Option{
+	sys := centurion.NewSystem(
+		centurion.WithModel(m),
 		centurion.WithSeed(*seed),
 		centurion.WithTopology(*topology),
 		centurion.WithSize(width, height),
-	}, modelOpts...)
-	sys := centurion.NewSystem(opts...)
+	)
 	if *restorePath != "" {
 		cp, err := platform.ReadCheckpointFile(*restorePath)
 		if err != nil {
@@ -226,46 +252,29 @@ func cmdRun(args []string) error {
 		fmt.Print(sys.MapASCII())
 	}
 
-	if *faultProf != "" {
-		prof, err := parseFaultProfile(*faultProf)
-		if err != nil {
+	if prof != nil {
+		if err := sys.ApplyFaultProfile(*prof, *seed, int(*ms)); err != nil {
 			return err
 		}
-		if err := sys.ApplyFaultProfile(prof, *seed, int(*ms)); err != nil {
-			return err
-		}
-		if err := rc.advance(*ms); err != nil {
-			return err
-		}
-		c := sys.Counters()
-		fmt.Printf("model=%s topology=%s seed=%d profile=%s: %d instances completed in %.0f ms (%.2f inst/ms), %d task switches\n",
-			*model, *topology, *seed, prof.Kind, c.InstancesCompleted, *ms,
-			float64(c.InstancesCompleted)/(*ms), c.TaskSwitches)
-	} else if *faultN > 0 {
-		if err := rc.advance(*faultAt); err != nil {
-			return err
-		}
-		pre := sys.Counters()
-		sys.InjectRandomFaults(*faultN, *seed^0xfa17)
-		if err := rc.advance(*ms - *faultAt); err != nil {
-			return err
-		}
-		post := sys.Counters()
-		preRate := float64(pre.InstancesCompleted) / *faultAt
-		postRate := float64(post.InstancesCompleted-pre.InstancesCompleted) / (*ms - *faultAt)
-		fmt.Printf("model=%s topology=%s seed=%d: pre-fault %.2f inst/ms, post-fault (%d faults) %.2f inst/ms\n",
-			*model, *topology, *seed, preRate, *faultN, postRate)
-	} else {
-		// Deltas, not totals: a restored run's counters already include the
-		// checkpointed prefix, and this command reports only its own segment.
-		c0 := sys.Counters()
-		if err := rc.advance(*ms); err != nil {
-			return err
-		}
-		c := sys.Counters()
-		fmt.Printf("model=%s topology=%s seed=%d: %d instances completed in %.0f ms (%.2f inst/ms), %d task switches\n",
-			*model, *topology, *seed, c.InstancesCompleted-c0.InstancesCompleted, *ms,
-			float64(c.InstancesCompleted-c0.InstancesCompleted)/(*ms), c.TaskSwitches-c0.TaskSwitches)
+	}
+	// Deltas, not totals: a restored run's counters already include the
+	// checkpointed prefix, and this command reports only its own segment.
+	c0 := sys.Counters()
+	if err := rc.advance(split); err != nil {
+		return err
+	}
+	mid := sys.Counters()
+	if err := rc.advance(*ms - split); err != nil {
+		return err
+	}
+	c := sys.Counters()
+	fmt.Printf("model=%s topology=%s seed=%d: %d instances completed in %.0f ms (%.2f inst/ms), %d task switches\n",
+		*model, *topology, *seed, c.InstancesCompleted-c0.InstancesCompleted, *ms,
+		float64(c.InstancesCompleted-c0.InstancesCompleted)/(*ms), c.TaskSwitches-c0.TaskSwitches)
+	if prof != nil {
+		fmt.Printf("%s faults from %d ms: pre-fault %.2f inst/ms, post-fault %.2f inst/ms\n",
+			prof.Kind, prof.AtMs, float64(mid.InstancesCompleted-c0.InstancesCompleted)/split,
+			float64(c.InstancesCompleted-mid.InstancesCompleted)/(*ms-split))
 	}
 	if *showMap {
 		fmt.Println("final task map:")
@@ -360,21 +369,6 @@ func parseFaultProfile(s string) (centurion.FaultProfile, error) {
 	}
 	p.Kind = strings.TrimSpace(s)
 	return p, nil
-}
-
-// modelOptions maps a -model flag value to system options.
-func modelOptions(model string) ([]centurion.Option, error) {
-	switch model {
-	case "none":
-		return []centurion.Option{centurion.WithModel(centurion.ModelNone)}, nil
-	case "ni":
-		return []centurion.Option{centurion.WithModel(centurion.ModelNI)}, nil
-	case "ni-pb":
-		return []centurion.Option{centurion.WithModel(centurion.ModelNI), centurion.WithEmbeddedAIM()}, nil
-	case "ffw":
-		return []centurion.Option{centurion.WithModel(centurion.ModelFFW)}, nil
-	}
-	return nil, fmt.Errorf("unknown model %q", model)
 }
 
 func parseInts(csv string) ([]int, error) {

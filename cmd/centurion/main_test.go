@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"centurion/internal/experiments"
+	"centurion/internal/faults"
+	"centurion/internal/server"
 )
 
 func TestParseInts(t *testing.T) {
@@ -39,18 +44,31 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+// TestModelOptions: -model takes exactly the wire names of the one model
+// table the service also reads.
 func TestModelOptions(t *testing.T) {
-	for _, name := range []string{"none", "ni", "ffw", "ni-pb"} {
-		opts, err := modelOptions(name)
-		if err != nil {
-			t.Errorf("modelOptions(%q): %v", name, err)
+	for _, tc := range []struct {
+		name string
+		want experiments.Model
+	}{
+		{"none", experiments.ModelNone},
+		{"ni", experiments.ModelNI},
+		{"ffw", experiments.ModelFFW},
+		{"random-static", experiments.ModelRandomStatic},
+		{"ni-pb", experiments.ModelNIPB},
+	} {
+		m, err := experiments.ParseModel(tc.name)
+		if err != nil || m != tc.want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", tc.name, m, err, tc.want)
 		}
-		if len(opts) == 0 {
-			t.Errorf("modelOptions(%q) returned no options", name)
+		if m.Name() != tc.name {
+			t.Errorf("%v.Name() = %q, want %q", m, m.Name(), tc.name)
 		}
 	}
-	if _, err := modelOptions("swarm"); err == nil {
-		t.Error("unknown model accepted")
+	for _, bad := range []string{"swarm", "", "NI", "random_static"} {
+		if _, err := experiments.ParseModel(bad); err == nil {
+			t.Errorf("ParseModel(%q) accepted", bad)
+		}
 	}
 }
 
@@ -125,7 +143,7 @@ func TestRunSubcommandWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run with faults: %v", err)
 	}
-	if !strings.Contains(out, "pre-fault") || !strings.Contains(out, "post-fault") {
+	if !strings.Contains(out, "death faults from 30 ms: pre-fault") || !strings.Contains(out, "post-fault") {
 		t.Errorf("fault run output missing rates:\n%s", out)
 	}
 }
@@ -136,10 +154,64 @@ func TestRunRejectsOutOfRangeFaultTime(t *testing.T) {
 		{"-ms", "100", "-faults", "2", "-fault-at", "100"},
 		{"-ms", "100", "-faults", "2", "-fault-at", "150"},
 		{"-ms", "100", "-faults", "2", "-fault-at", "-5"},
+		// A fractional time must not truncate to a profile's AtMs of 0
+		// ("half the run") or silently move.
+		{"-ms", "100", "-faults", "2", "-fault-at", "0.5"},
+		{"-ms", "100", "-faults", "2", "-fault-at", "30.5"},
 	} {
 		if _, err := captureStdout(t, func() error { return cmdRun(args) }); err == nil {
 			t.Errorf("cmdRun(%v) accepted an out-of-range fault time", args)
 		}
+	}
+}
+
+// TestRunMatchesService: `centurion run` and the service build a run
+// through one translation and one fault path, so every flag set prints the
+// instance and switch counts that server.Execute returns for the
+// equivalent spec.
+func TestRunMatchesService(t *testing.T) {
+	cascade := &faults.Profile{Kind: "cascade", AtMs: 300, Nodes: 6, Waves: 3}
+	for _, tc := range []struct {
+		args []string
+		spec server.RunSpec
+	}{
+		{[]string{"-model", "none"}, server.RunSpec{Model: "none"}},
+		{[]string{"-model", "ni"}, server.RunSpec{Model: "ni"}},
+		{[]string{"-model", "ffw"}, server.RunSpec{Model: "ffw"}},
+		{[]string{"-model", "ni-pb", "-ms", "400"}, server.RunSpec{Model: "ni-pb", DurationMs: 400}},
+		{[]string{"-model", "none", "-faults", "16", "-fault-at", "500"}, server.RunSpec{Model: "none", NumFaults: 16, FaultAtMs: 500}},
+		{[]string{"-model", "ni", "-faults", "16", "-fault-at", "500"}, server.RunSpec{Model: "ni", NumFaults: 16, FaultAtMs: 500}},
+		{[]string{"-model", "ffw", "-faults", "16", "-fault-at", "500"}, server.RunSpec{Model: "ffw", NumFaults: 16, FaultAtMs: 500}},
+		{[]string{"-model", "ni-pb", "-ms", "400", "-faults", "16", "-fault-at", "200"},
+			server.RunSpec{Model: "ni-pb", DurationMs: 400, NumFaults: 16, FaultAtMs: 200}},
+		{[]string{"-model", "ffw", "-ms", "600", "-fault-profile", `{"kind":"cascade","at_ms":300,"nodes":6,"waves":3}`},
+			server.RunSpec{Model: "ffw", DurationMs: 600, FaultProfile: cascade}},
+		{[]string{"-model", "ni", "-ms", "400", "-grid", "12x6", "-topology", "torus", "-faults", "8", "-fault-at", "150"},
+			server.RunSpec{Model: "ni", DurationMs: 400, Width: 12, Height: 6, Topology: "torus", NumFaults: 8, FaultAtMs: 150}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			out, err := captureStdout(t, func() error { return cmdRun(tc.args) })
+			if err != nil {
+				t.Fatalf("cmdRun: %v\n%s", err, out)
+			}
+			m := regexp.MustCompile(`(\d+) instances completed .*, (\d+) task switches`).FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("no summary line in output:\n%s", out)
+			}
+			spec := tc.spec
+			if err := spec.Canonicalize(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := server.Execute(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.Runs[0]
+			if got := m[1] + "/" + m[2]; got != strconv.FormatUint(want.InstancesCompleted, 10)+"/"+strconv.FormatUint(want.TaskSwitches, 10) {
+				t.Errorf("run printed %s instances/switches, the service returned %d/%d",
+					got, want.InstancesCompleted, want.TaskSwitches)
+			}
+		})
 	}
 }
 

@@ -16,8 +16,21 @@
 //		centurion.WithModel(centurion.ModelFFW),
 //		centurion.WithSeed(1),
 //	)
+//	death := centurion.FaultProfile{Kind: "death", AtMs: 500, Nodes: 16}
+//	if err := sys.ApplyFaultProfile(death, 1, 1000); err != nil {
+//		log.Fatal(err)
+//	}
 //	sys.RunMs(1000)
 //	fmt.Println(sys.Throughput(), "instances completed")
+//
+// NewSystem, `centurion run` and the service build a run in one way: the
+// options fill the same experiment spec the service's JSON run spec
+// becomes, and faults take the same path (a fault profile compiled into a
+// schedule on the simulation's event queue). The system above therefore
+// completes exactly what {"model":"ffw","num_faults":16,"fault_at_ms":500}
+// does when served. The models are ModelNone, ModelNI, ModelFFW,
+// ModelRandomStatic and ModelNIPB (the NI pathway as PicoBlaze code on
+// every router). The package's examples run as tests with pinned output.
 //
 // # Reproducing the paper's evaluation
 //

@@ -1,13 +1,4 @@
-// Custom intelligence: plug a new decision engine into every router of the
-// platform. This example implements a "deficit scheduler" — a deliberately
-// non-biological engine that tracks which task's packets wait longest and
-// greedily adopts it — and races it against Foraging for Work on the same
-// seeds.
-//
-// The point of the exercise is the paper's architectural claim: the AIM slot
-// at each router accepts *any* stimulus-to-knob pathway; the social-insect
-// models are one family among many.
-package main
+package centurion_test
 
 import (
 	"fmt"
@@ -117,8 +108,14 @@ func (d *deficit) LoadState(st *aim.EngineState) {
 	}
 }
 
-func main() {
-	fmt.Printf("%-6s %-20s %-20s\n", "seed", "deficit (inst/ms)", "ffw (inst/ms)")
+// Plug a new decision engine into every router of the platform: a
+// "deficit scheduler" — a deliberately non-biological engine that tracks
+// which task's packets wait longest and greedily adopts it — raced against
+// Foraging for Work on the same seeds. The AIM slot at each router accepts
+// any stimulus-to-knob pathway; the social-insect models are one family
+// among many.
+func ExampleWithEngineFactory() {
+	fmt.Printf("%-6s %-20s %s\n", "seed", "deficit (inst/ms)", "ffw (inst/ms)")
 	var dTotal, fTotal float64
 	for seed := uint64(1); seed <= 5; seed++ {
 		custom := centurion.NewSystem(
@@ -137,8 +134,18 @@ func main() {
 
 		dTotal += dRate
 		fTotal += fRate
-		fmt.Printf("%-6d %-20.2f %-20.2f\n", seed, dRate, fRate)
+		fmt.Printf("%-6d %-20.2f %.2f\n", seed, dRate, fRate)
 	}
 	fmt.Printf("\nmean over 5 seeds: deficit %.2f vs FFW %.2f inst/ms\n", dTotal/5, fTotal/5)
-	fmt.Println("(both start from the same random mappings; FFW is the paper's model)")
+	fmt.Println("(the deficit engine starts from the heuristic mapping, FFW from a random one)")
+	// Output:
+	// seed   deficit (inst/ms)    ffw (inst/ms)
+	// 1      2.15                 2.04
+	// 2      2.15                 2.03
+	// 3      2.15                 2.58
+	// 4      2.14                 2.97
+	// 5      2.15                 2.11
+	//
+	// mean over 5 seeds: deficit 2.15 vs FFW 2.35 inst/ms
+	// (the deficit engine starts from the heuristic mapping, FFW from a random one)
 }

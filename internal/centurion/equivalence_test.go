@@ -113,7 +113,7 @@ var steppingModels = []struct {
 	{"none", aim.NewNone, taskgraph.HeuristicMapper{}},
 	{"ni", aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
 	{"ffw", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}},
-	{"ni-pb", picoblaze.NewNIEngineFactory(picoblaze.DefaultNIEngineParams()), taskgraph.RandomMapper{}},
+	{"ni-pb", picoblaze.NewNIEngineFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}},
 }
 
 func TestSteppingEquivalence(t *testing.T) {

@@ -7,13 +7,16 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"centurion/internal/aim"
 	"centurion/internal/centurion"
 	"centurion/internal/faults"
 	"centurion/internal/metrics"
+	"centurion/internal/picoblaze"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
@@ -35,25 +38,51 @@ const (
 	// ModelRandomStatic is an ablation: the adaptive models' random initial
 	// mapping with the intelligence disabled.
 	ModelRandomStatic
+	// ModelNIPB is the Network Interaction scheme run as assembled code on
+	// an emulated PicoBlaze core at every router: excitation-only, so NI's
+	// inhibition and neighbour weights do not apply.
+	ModelNIPB
 )
 
 // Models lists the paper's three schemes in table order.
 var Models = []Model{ModelNone, ModelNI, ModelFFW}
 
-// String names the model as in the paper's tables.
-func (m Model) String() string {
-	switch m {
-	case ModelNone:
-		return "No Intelligence"
-	case ModelNI:
-		return "Network Interaction"
-	case ModelFFW:
-		return "Foraging For Work"
-	case ModelRandomStatic:
-		return "Random Static"
-	}
-	return "unknown"
+// models is the one model table, indexed by Model: the wire name shared by
+// the service's run specs, the CLI's -model flag and the figure's CSV
+// headers, and the title of the paper's tables.
+var models = [...]struct{ name, title string }{
+	ModelNone:         {"none", "No Intelligence"},
+	ModelNI:           {"ni", "Network Interaction"},
+	ModelFFW:          {"ffw", "Foraging For Work"},
+	ModelRandomStatic: {"random-static", "Random Static"},
+	ModelNIPB:         {"ni-pb", "Network Interaction (PicoBlaze)"},
 }
+
+// ModelNames joins every wire name in model order with sep, for usage and
+// error texts.
+func ModelNames(sep string) string {
+	names := make([]string, len(models))
+	for m, d := range models {
+		names[m] = d.name
+	}
+	return strings.Join(names, sep)
+}
+
+// ParseModel resolves a wire name.
+func ParseModel(name string) (Model, error) {
+	for m, d := range models {
+		if d.name == name {
+			return Model(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q (want %s)", name, ModelNames(", "))
+}
+
+// Name returns the model's wire name ("ffw").
+func (m Model) Name() string { return models[m].name }
+
+// String names the model as in the paper's tables.
+func (m Model) String() string { return models[m].title }
 
 // Spec configures one run.
 type Spec struct {
@@ -182,21 +211,31 @@ func (r *Result) Release() {
 	r.Throughput, r.NodesActive, r.Switches = nil, nil, nil
 }
 
+// niParams returns the spec's effective Network Interaction parameters.
+func (s Spec) niParams() aim.NIParams {
+	if s.NI != nil {
+		return *s.NI
+	}
+	return aim.DefaultNIParams()
+}
+
+// ffwParams returns the spec's effective Foraging for Work parameters.
+func (s Spec) ffwParams() aim.FFWParams {
+	if s.FFW != nil {
+		return *s.FFW
+	}
+	return aim.DefaultFFWParams()
+}
+
 // engineFactory returns the AIM factory for the spec.
 func (s Spec) engineFactory() aim.Factory {
 	switch s.Model {
 	case ModelNI:
-		par := aim.DefaultNIParams()
-		if s.NI != nil {
-			par = *s.NI
-		}
-		return aim.NewNIFactory(par)
+		return aim.NewNIFactory(s.niParams())
+	case ModelNIPB:
+		return picoblaze.NewNIEngineFactory(s.niParams())
 	case ModelFFW:
-		par := aim.DefaultFFWParams()
-		if s.FFW != nil {
-			par = *s.FFW
-		}
-		return aim.NewFFWFactory(par)
+		return aim.NewFFWFactory(s.ffwParams())
 	default:
 		return aim.NewNone
 	}

@@ -238,7 +238,7 @@ func TestFig4SmallRun(t *testing.T) {
 
 func TestModelStrings(t *testing.T) {
 	names := map[string]bool{}
-	for _, m := range []Model{ModelNone, ModelNI, ModelFFW, ModelRandomStatic} {
+	for _, m := range []Model{ModelNone, ModelNI, ModelFFW, ModelRandomStatic, ModelNIPB} {
 		n := m.String()
 		if n == "" || n == "unknown" || names[n] {
 			t.Errorf("model %d name %q", m, n)

@@ -59,7 +59,7 @@ var DefaultFig4Faults = []int{5, 42}
 func (f Fig4Result) WriteCSV(w io.Writer) error {
 	header := []string{"time_ms"}
 	for _, c := range f.Cases {
-		name := shortName(c.Model)
+		name := c.Model.Name()
 		header = append(header,
 			name+"_throughput", name+"_nodes_active", name+"_switches")
 	}
@@ -84,20 +84,6 @@ func (f Fig4Result) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func shortName(m Model) string {
-	switch m {
-	case ModelNone:
-		return "none"
-	case ModelNI:
-		return "ni"
-	case ModelFFW:
-		return "ffw"
-	case ModelRandomStatic:
-		return "random_static"
-	}
-	return "unknown"
 }
 
 // RenderASCII draws the figure's panels as terminal sparklines so the shape

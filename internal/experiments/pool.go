@@ -53,16 +53,10 @@ func (s Spec) shape() platformShape {
 		dvfs:     s.ThermalDVFS,
 	}
 	switch s.Model {
-	case ModelNI:
-		k.ni = aim.DefaultNIParams()
-		if s.NI != nil {
-			k.ni = *s.NI
-		}
+	case ModelNI, ModelNIPB:
+		k.ni = s.niParams()
 	case ModelFFW:
-		k.ffw = aim.DefaultFFWParams()
-		if s.FFW != nil {
-			k.ffw = *s.FFW
-		}
+		k.ffw = s.ffwParams()
 	}
 	if s.Thermal != nil {
 		k.thermal = *s.Thermal
@@ -99,8 +93,11 @@ func (s Spec) shapeKey() string {
 	return fmt.Sprintf("%s/%dx%d", s.topologyKind(), w, h)
 }
 
-// platformConfig builds the platform configuration the spec describes.
-func (s Spec) platformConfig() centurion.Config {
+// PlatformConfig builds the platform configuration the spec describes: the
+// one translation from model, seed, grid and workload to a platform, shared
+// by every run of the harness and the service and by the root package's
+// NewSystem.
+func (s Spec) PlatformConfig() centurion.Config {
 	cfg := centurion.DefaultConfig(s.engineFactory(), s.mapper(), s.Seed)
 	cfg.NeighborSignals = s.NeighborSignals
 	cfg.Thermal = s.Thermal
@@ -179,14 +176,14 @@ func leasePlatform(spec Spec) (*centurion.Platform, func()) {
 	}
 	if !spec.poolable() {
 		created()
-		return centurion.New(spec.platformConfig()), func() {}
+		return centurion.New(spec.PlatformConfig()), func() {}
 	}
 	poolAny, ok := platformPools.Load(spec.shape())
 	if !ok {
 		if poolShapes.Load() >= maxPoolShapes {
 			// Shape churn overflow: simulate on a throwaway platform.
 			created()
-			return centurion.New(spec.platformConfig()), func() {}
+			return centurion.New(spec.PlatformConfig()), func() {}
 		}
 		var loaded bool
 		poolAny, loaded = platformPools.LoadOrStore(spec.shape(), new(sync.Pool))
@@ -203,7 +200,7 @@ func leasePlatform(spec Spec) (*centurion.Platform, func()) {
 		statPlatformsReused.Add(1)
 		topoStat(shapeKey).reused.Add(1)
 	} else {
-		pp = &pooledPlatform{p: centurion.New(spec.platformConfig())}
+		pp = &pooledPlatform{p: centurion.New(spec.PlatformConfig())}
 		created()
 	}
 	return pp.p, func() {

@@ -105,17 +105,11 @@ func warmKeyOf(spec Spec, prefixWin int) warmKey {
 		ks.Height = 8
 	}
 	switch spec.Model {
-	case ModelNI:
-		par := aim.DefaultNIParams()
-		if spec.NI != nil {
-			par = *spec.NI
-		}
+	case ModelNI, ModelNIPB:
+		par := spec.niParams()
 		ks.NI = &par
 	case ModelFFW:
-		par := aim.DefaultFFWParams()
-		if spec.FFW != nil {
-			par = *spec.FFW
-		}
+		par := spec.ffwParams()
 		ks.FFW = &par
 	}
 	b, err := json.Marshal(ks)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"centurion/internal/aim"
 	"centurion/internal/faults"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
@@ -82,6 +83,20 @@ func TestWarmStartBitIdentity(t *testing.T) {
 			spec: func() Spec {
 				s := DefaultSpec(ModelNI, 4)
 				s.DurationMs, s.FaultAtMs, s.NumFaults = 200, 91, 5
+				return s
+			}(),
+			fork: true,
+		},
+		{
+			// The PicoBlaze NI keys its prefix and pools its platforms as
+			// an NI model; a threshold override must reach both.
+			name: "legacy-ni-pb",
+			spec: func() Spec {
+				s := DefaultSpec(ModelNIPB, 5)
+				s.DurationMs, s.FaultAtMs, s.NumFaults = 200, 100, 6
+				par := aim.DefaultNIParams()
+				par.Threshold = 30
+				s.NI = &par
 				return s
 			}(),
 			fork: true,
@@ -314,6 +329,12 @@ func TestWarmPrefixKey(t *testing.T) {
 	other.Seed++
 	if k, ok := WarmPrefixKey(other); !ok || k == keyA {
 		t.Fatalf("seed change must change the key")
+	}
+	ni, pb := spec, spec
+	ni.Model, pb.Model = ModelNI, ModelNIPB
+	kn, _ := WarmPrefixKey(ni)
+	if kp, ok := WarmPrefixKey(pb); !ok || kp == kn {
+		t.Fatalf("ni and ni-pb must not share a prefix: a checkpoint holds engine-specific state")
 	}
 	// Faults landing inside the first window leave no settled prefix.
 	immediate := DefaultSpec(ModelFFW, 5)

@@ -12,11 +12,13 @@ import (
 // embedded controller (Figure 2 of the paper). Input ports 0x01..0x0F carry
 // the latched impulse counts per task ID ("functions for interfacing to
 // convert between impulse sequences and binary number representation");
-// reading a latch clears it.
+// reading a latch clears it. PortMaxTask reads the graph's highest task ID,
+// which bounds the program's scans.
 const (
 	PortImpulseBase = 0x00 // +taskID
 	PortCurrentTask = 0x10
 	PortThreshold   = 0x11
+	PortMaxTask     = 0x12
 	PortSwitchKnob  = 0x20
 	PortDone        = 0x2F
 )
@@ -28,14 +30,13 @@ const (
 // current task — drives the task-switch knob.
 //
 // Registers: s0 task cursor, s1 counter, s2 impulses, s3 threshold,
-// s4 current task, s5/s6 reset loop temporaries.
+// s4 current task, s5/s6 reset loop temporaries, s7 highest task ID.
 const NIProgram = `
 ; Network Interaction stimulus-threshold pathway (paper §IV-A1).
-CONSTANT NTASKS, 03
-
 start:
         INPUT   s3, 11          ; threshold parameter register
         INPUT   s4, 10          ; current task
+        INPUT   s7, 12          ; highest task ID of the graph
         LOAD    s0, 01
 accum:
         INPUT   s2, (s0)        ; latched impulses for task s0 (clears latch)
@@ -45,7 +46,7 @@ accum:
         LOAD    s1, FF          ; saturate at 255 like the 8-bit hardware
 nosat:
         STORE   s1, (s0)
-        COMPARE s0, NTASKS
+        COMPARE s0, s7
         JUMP    Z, scan
         ADD     s0, 01
         JUMP    accum
@@ -56,7 +57,7 @@ check:
         FETCH   s1, (s0)
         COMPARE s1, s3          ; C set when threshold > counter
         JUMP    NC, fired
-        COMPARE s0, NTASKS
+        COMPARE s0, s7
         JUMP    Z, done
         ADD     s0, 01
         JUMP    check
@@ -75,7 +76,7 @@ resetall:
         LOAD    s6, 00
 ra:
         STORE   s6, (s5)
-        COMPARE s5, NTASKS
+        COMPARE s5, s7
         RETURN  Z
         ADD     s5, 01
         JUMP    ra
@@ -97,36 +98,19 @@ type NIEngine struct {
 	threshold  uint8
 	internalW  int
 	pinSources bool
-	base       NIEngineParams // as-constructed threshold and pin-sources, restored by Reset
+	base       aim.NIParams // as-constructed threshold and pin-sources, restored by Reset
 
 	decision taskgraph.TaskID
 	decided  bool
 	done     bool
 }
 
-// NIEngineParams configure the embedded engine.
-type NIEngineParams struct {
-	// Threshold is the firing level (must fit the 8-bit parameter register).
-	Threshold int
-	// InternalWeight is the impulse weight of internal deliveries.
-	InternalWeight int
-	// PinSources matches aim.NIParams.PinSources.
-	PinSources bool
-}
-
-// DefaultNIEngineParams mirror aim.DefaultNIParams.
-func DefaultNIEngineParams() NIEngineParams {
-	base := aim.DefaultNIParams()
-	return NIEngineParams{
-		Threshold:      base.Threshold,
-		InternalWeight: base.InternalWeight,
-		PinSources:     base.PinSources,
-	}
-}
-
-// NewNIEngine assembles the NI program and wraps it in an aim.Engine.
+// NewNIEngine assembles the NI program and wraps it in an aim.Engine with
+// the NI parameters its excitation-only 8-bit pathway honours: the threshold
+// (clamped to the parameter register's [1, 255]), the internal weight and
+// pinned sources; the inhibition and neighbour weights do not apply.
 // Graphs with more than 15 task IDs do not fit the 4-bit port map.
-func NewNIEngine(g *taskgraph.Graph, par NIEngineParams) (*NIEngine, error) {
+func NewNIEngine(g *taskgraph.Graph, par aim.NIParams) (*NIEngine, error) {
 	if g.MaxTaskID() > 15 {
 		return nil, fmt.Errorf("picoblaze: task ID %d exceeds the AIM port map", g.MaxTaskID())
 	}
@@ -146,17 +130,18 @@ func NewNIEngine(g *taskgraph.Graph, par NIEngineParams) (*NIEngine, error) {
 	if e.internalW <= 0 {
 		e.internalW = 1
 	}
-	cpu, err := New(MustAssemble(NIProgram), e)
+	cpu, err := newCPU(MustAssemble(NIProgram))
 	if err != nil {
 		return nil, err
 	}
+	cpu.readPort, cpu.writePort = e.In, e.Out
 	e.cpu = cpu
 	return e, nil
 }
 
 // NewNIEngineFactory returns an aim.Factory producing embedded NI engines;
 // it panics if the program cannot host the graph (construction-time error).
-func NewNIEngineFactory(par NIEngineParams) aim.Factory {
+func NewNIEngineFactory(par aim.NIParams) aim.Factory {
 	return func(g *taskgraph.Graph) aim.Engine {
 		e, err := NewNIEngine(g, par)
 		if err != nil {
@@ -178,6 +163,8 @@ func (e *NIEngine) In(p uint8) uint8 {
 		return uint8(e.current)
 	case p == PortThreshold:
 		return e.threshold
+	case p == PortMaxTask:
+		return uint8(e.graph.MaxTaskID())
 	}
 	return 0
 }

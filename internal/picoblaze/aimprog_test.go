@@ -11,7 +11,7 @@ import (
 
 func fj() *taskgraph.Graph { return taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams()) }
 
-func newPB(t *testing.T, par NIEngineParams) *NIEngine {
+func newPB(t *testing.T, par aim.NIParams) *NIEngine {
 	t.Helper()
 	e, err := NewNIEngine(fj(), par)
 	if err != nil {
@@ -21,7 +21,7 @@ func newPB(t *testing.T, par NIEngineParams) *NIEngine {
 }
 
 func TestPBEngineFiresAtThreshold(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 5, InternalWeight: 1, PinSources: true})
+	e := newPB(t, aim.NIParams{Threshold: 5, InternalWeight: 1, PinSources: true})
 	e.NoteTask(taskgraph.ForkSink)
 	for i := 0; i < 4; i++ {
 		e.OnRouted(taskgraph.ForkWorker, sim.Tick(i))
@@ -43,7 +43,7 @@ func TestPBEngineFiresAtThreshold(t *testing.T) {
 }
 
 func TestPBEngineReElection(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 3, InternalWeight: 1, PinSources: true})
+	e := newPB(t, aim.NIParams{Threshold: 3, InternalWeight: 1, PinSources: true})
 	e.NoteTask(taskgraph.ForkWorker)
 	for i := 0; i < 3; i++ {
 		e.OnRouted(taskgraph.ForkWorker, 0)
@@ -59,7 +59,7 @@ func TestPBEngineReElection(t *testing.T) {
 }
 
 func TestPBEnginePinsSources(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 1, InternalWeight: 1, PinSources: true})
+	e := newPB(t, aim.NIParams{Threshold: 1, InternalWeight: 1, PinSources: true})
 	e.NoteTask(taskgraph.ForkSource)
 	e.OnRouted(taskgraph.ForkWorker, 0)
 	if _, ok := e.Decide(0); ok {
@@ -72,7 +72,7 @@ func TestPBEnginePinsSources(t *testing.T) {
 }
 
 func TestPBEngineInternalWeight(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 6, InternalWeight: 3, PinSources: true})
+	e := newPB(t, aim.NIParams{Threshold: 6, InternalWeight: 3, PinSources: true})
 	e.NoteTask(taskgraph.ForkSink)
 	e.OnInternal(taskgraph.ForkWorker, 0)
 	e.OnInternal(taskgraph.ForkWorker, 1)
@@ -83,7 +83,7 @@ func TestPBEngineInternalWeight(t *testing.T) {
 }
 
 func TestPBEngineThresholdParam(t *testing.T) {
-	e := newPB(t, DefaultNIEngineParams())
+	e := newPB(t, aim.DefaultNIParams())
 	e.NoteTask(taskgraph.ForkSink)
 	e.SetParam(aim.ParamThreshold, 2)
 	e.OnRouted(taskgraph.ForkWorker, 0)
@@ -94,7 +94,7 @@ func TestPBEngineThresholdParam(t *testing.T) {
 }
 
 func TestPBEngineSaturation(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 255, InternalWeight: 1, PinSources: true})
+	e := newPB(t, aim.NIParams{Threshold: 255, InternalWeight: 1, PinSources: true})
 	e.NoteTask(taskgraph.ForkSink)
 	for i := 0; i < 1000; i++ {
 		e.OnRouted(taskgraph.ForkSink, sim.Tick(i))
@@ -104,7 +104,7 @@ func TestPBEngineSaturation(t *testing.T) {
 		t.Fatalf("saturated own-task counter switched to %d", task)
 	}
 	// Counter must have saturated at 255, not wrapped.
-	e2 := newPB(t, NIEngineParams{Threshold: 200, InternalWeight: 1, PinSources: true})
+	e2 := newPB(t, aim.NIParams{Threshold: 200, InternalWeight: 1, PinSources: true})
 	e2.NoteTask(taskgraph.ForkSink)
 	for i := 0; i < 300; i++ {
 		e2.OnRouted(taskgraph.ForkWorker, sim.Tick(i))
@@ -115,7 +115,7 @@ func TestPBEngineSaturation(t *testing.T) {
 }
 
 func TestPBEngineReset(t *testing.T) {
-	e := newPB(t, NIEngineParams{Threshold: 10, InternalWeight: 1})
+	e := newPB(t, aim.NIParams{Threshold: 10, InternalWeight: 1})
 	e.NoteTask(taskgraph.ForkSink)
 	for i := 0; i < 5; i++ {
 		e.OnRouted(taskgraph.ForkWorker, 0)
@@ -152,30 +152,50 @@ func TestPBEngineRejectsWideGraphs(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNIEngine(g, DefaultNIEngineParams()); err == nil {
+	if _, err := NewNIEngine(g, aim.DefaultNIParams()); err == nil {
 		t.Error("16-task graph accepted despite 4-bit port map")
 	}
 }
 
 // The embedded implementation must make the same decisions as the
 // behavioural Go engine for arbitrary impulse schedules — the paper's AIM is
-// "uploaded program code" implementing exactly the behavioural pathway.
+// "uploaded program code" implementing exactly the behavioural pathway — on
+// every graph shape it accepts, not only the 3-task fork–join.
 func TestPBEquivalenceWithBehaviouralNI(t *testing.T) {
-	f := func(seed uint64, events []uint8) bool {
-		g := fj()
+	for _, tc := range []struct {
+		name  string
+		graph *taskgraph.Graph
+	}{
+		{"forkjoin", fj()},
+		{"pipeline", taskgraph.Pipeline(5, 120, 24)},
+		{"diamond", taskgraph.Diamond(120, 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := quick.Check(pbMatchesNI(tc.graph), &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// pbMatchesNI returns the equivalence property on graph g: impulses for
+// every task ID, starting from the highest-numbered (a sink, never pinned).
+func pbMatchesNI(g *taskgraph.Graph) func(events []uint8) bool {
+	tasks := uint8(g.MaxTaskID())
+	return func(events []uint8) bool {
 		par := aim.NIParams{Threshold: 20, InternalWeight: 3, PinSources: true}
 		ref := aim.NewNI(g, par)
-		emb, err := NewNIEngine(g, NIEngineParams{Threshold: 20, InternalWeight: 3, PinSources: true})
+		emb, err := NewNIEngine(g, aim.NIParams{Threshold: 20, InternalWeight: 3, PinSources: true})
 		if err != nil {
 			return false
 		}
-		cur := taskgraph.ForkSink
+		cur := g.MaxTaskID()
 		ref.NoteTask(cur)
 		emb.NoteTask(cur)
 		now := sim.Tick(0)
 		for _, ev := range events {
-			task := taskgraph.TaskID(ev%3 + 1)
-			switch (ev / 3) % 3 {
+			task := taskgraph.TaskID(ev%tasks + 1)
+			switch (ev / tasks) % 3 {
 			case 0:
 				ref.OnRouted(task, now)
 				emb.OnRouted(task, now)
@@ -201,13 +221,10 @@ func TestPBEquivalenceWithBehaviouralNI(t *testing.T) {
 		et, eok := emb.Decide(now)
 		return rok == eok && (!rok || rt == et)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPBEngineStepBudget(t *testing.T) {
-	e := newPB(t, DefaultNIEngineParams())
+	e := newPB(t, aim.DefaultNIParams())
 	e.NoteTask(taskgraph.ForkSink)
 	before := e.Steps()
 	e.Decide(0)

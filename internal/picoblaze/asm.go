@@ -182,19 +182,14 @@ func (a *assembler) secondPass(src string) error {
 	return nil
 }
 
-var aluOps = map[string]Op{
-	"LOAD": OpLoad, "AND": OpAnd, "OR": OpOr, "XOR": OpXor,
-	"ADD": OpAdd, "ADDCY": OpAddCy, "SUB": OpSub, "SUBCY": OpSubCy,
-	"COMPARE": OpCompare, "TEST": OpTest,
-}
-
-var shiftOps = map[string]Op{
-	"SL0": OpSL0, "SL1": OpSL1, "SLX": OpSLX, "SLA": OpSLA, "RL": OpRL,
-	"SR0": OpSR0, "SR1": OpSR1, "SRX": OpSRX, "SRA": OpSRA, "RR": OpRR,
-}
-
-var ioOps = map[string]Op{
-	"INPUT": OpInput, "OUTPUT": OpOutput, "STORE": OpStore, "FETCH": OpFetch,
+// opcode returns the opcode in [lo, hi] whose mnemonic is name.
+func opcode(name string, lo, hi Op) (Op, bool) {
+	for o := lo; o <= hi; o++ {
+		if opNames[o] == name {
+			return o, true
+		}
+	}
+	return OpInvalid, false
 }
 
 func (a *assembler) encode(s stmt) (Instr, error) {
@@ -214,7 +209,7 @@ func (a *assembler) encode(s stmt) (Instr, error) {
 		return Instr{}, fmt.Errorf("RETURNI needs ENABLE or DISABLE")
 	}
 
-	if alu, ok := aluOps[op]; ok {
+	if alu, ok := opcode(op, OpLoad, OpTest); ok {
 		if len(s.fields) != 3 {
 			return Instr{}, fmt.Errorf("%s needs two operands", op)
 		}
@@ -236,7 +231,7 @@ func (a *assembler) encode(s stmt) (Instr, error) {
 		return in, nil
 	}
 
-	if sh, ok := shiftOps[op]; ok {
+	if sh, ok := opcode(op, OpSL0, OpRR); ok {
 		if len(s.fields) != 2 {
 			return Instr{}, fmt.Errorf("%s needs one register", op)
 		}
@@ -247,7 +242,7 @@ func (a *assembler) encode(s stmt) (Instr, error) {
 		return Instr{Op: sh, X: x}, nil
 	}
 
-	if io, ok := ioOps[op]; ok {
+	if io, ok := opcode(op, OpInput, OpFetch); ok {
 		if len(s.fields) != 3 {
 			return Instr{}, fmt.Errorf("%s needs register and address", op)
 		}

@@ -81,6 +81,30 @@ func TestEngineDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(r1.Runs[0], r2.Runs[0]) {
 		t.Errorf("same spec diverged:\n%+v\n%+v", r1.Runs[0], r2.Runs[0])
 	}
+
+	// ni-pb is the NI pathway assembled for the PicoBlaze: served on any
+	// graph, it must reproduce ni's run bit for bit.
+	for _, body := range []string{
+		`{"graph": "forkjoin", "seed": 3, "duration_ms": 300, "num_faults": 8, "fault_at_ms": 150}`,
+		`{"graph": "pipeline", "seed": 3, "duration_ms": 300, "ni": {"threshold": 30}}`,
+		`{"graph": "diamond", "seed": 3, "duration_ms": 300}`,
+	} {
+		var runs [2]RunSummary
+		for i, model := range []string{"ni", "ni-pb"} {
+			spec, err := ParseSpec([]byte(`{"model": "` + model + `", ` + body[1:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Execute(context.Background(), spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = res.Runs[0]
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s: ni-pb diverged from ni:\n  ni:    %+v\n  ni-pb: %+v", body, runs[0], runs[1])
+		}
+	}
 }
 
 func TestEngineBatchSeedDerivation(t *testing.T) {

@@ -91,7 +91,10 @@ func New(opts Options) *Server {
 		// slowing or erroring the serving path.
 		s.breaker = newBreakerStore(opts.Store)
 		s.store = s.breaker
-		opts.Dispatch.CheckpointStore = s.breaker
+		// Assigned from the interface, not the *breakerStore: the itab is
+		// then built on first use instead of being linked into every binary
+		// that links this package (see picoblaze.newCPU).
+		opts.Dispatch.CheckpointStore = s.store
 		opts.Dispatch.OrphanResult = func(key string, result []byte) {
 			// A journal-replayed job finished after its submitter died with
 			// the previous process: persist the result so the client's retry

@@ -98,8 +98,9 @@ func (f *FFWSpec) normalize() *FFWSpec {
 // simulator supports. Zero values mean "experiment default"; Canonicalize
 // fills them in so that equivalent requests share one canonical form.
 type RunSpec struct {
-	// Model is the runtime-management scheme: "none", "ni", "ffw" or
-	// "random-static" (default "none").
+	// Model is the runtime-management scheme by its wire name in
+	// experiments.ParseModel's table: "none", "ni", "ffw", "random-static"
+	// or "ni-pb" (default "none").
 	Model string `json:"model"`
 	// Seed is the base random seed (default 1). Runs beyond the first in a
 	// batch use Seed+1, Seed+2, … — the same deterministic derivation as
@@ -149,14 +150,6 @@ type RunSpec struct {
 	FaultProfile *faults.Profile `json:"fault_profile,omitempty"`
 }
 
-// models maps wire names to the experiment harness models.
-var models = map[string]experiments.Model{
-	"none":          experiments.ModelNone,
-	"ni":            experiments.ModelNI,
-	"ffw":           experiments.ModelFFW,
-	"random-static": experiments.ModelRandomStatic,
-}
-
 // graphs enumerates the built-in workloads as shared singletons: graphs are
 // immutable (and their memoized accessors race-safe), and handing every run
 // of a workload the same instance is what lets the experiment runner's
@@ -189,8 +182,9 @@ func (s *RunSpec) Canonicalize() error {
 	if s.Model == "" {
 		s.Model = "none"
 	}
-	if _, ok := models[s.Model]; !ok {
-		return fmt.Errorf("unknown model %q (want none, ni, ffw or random-static)", s.Model)
+	model, err := experiments.ParseModel(s.Model)
+	if err != nil {
+		return err
 	}
 	if s.Graph == "" {
 		s.Graph = "forkjoin"
@@ -284,16 +278,26 @@ func (s *RunSpec) Canonicalize() error {
 	}
 	// Overrides the selected model never reads must not split the cache:
 	// {"model":"none","ffw":{...}} simulates identically to {"model":"none"}.
-	if s.Model != "ni" {
+	if model != experiments.ModelNI && model != experiments.ModelNIPB {
 		s.NI = nil
 	}
-	if s.Model != "ffw" {
+	if model != experiments.ModelFFW {
 		s.FFW = nil
 	}
 	// normalize copies before rewriting: the override structs may be shared
 	// with the caller (centurion.RunSpec).
 	s.NI = s.NI.normalize()
 	s.FFW = s.FFW.normalize()
+	if model == experiments.ModelNIPB && s.NI != nil {
+		// The embedded pathway is excitation-only with an 8-bit threshold
+		// register; refuse what it would silently ignore or clamp.
+		if s.NI.InhibitWeight != nil || s.NI.NeighborWeight != nil {
+			return fmt.Errorf("model ni-pb is excitation-only: inhibit_weight and neighbor_weight cannot be set")
+		}
+		if s.NI.Threshold != nil && *s.NI.Threshold > 255 {
+			return fmt.Errorf("model ni-pb threshold %d exceeds its 8-bit register (max 255)", *s.NI.Threshold)
+		}
+	}
 	return nil
 }
 
@@ -334,8 +338,9 @@ func (s RunSpec) CanonicalKey() string {
 // toExperiment converts the canonical spec for run index i of the batch to
 // the shared experiment runner's input.
 func (s RunSpec) toExperiment(i int) experiments.Spec {
+	model, _ := experiments.ParseModel(s.Model) // canonical: always known
 	spec := experiments.Spec{
-		Model:           models[s.Model],
+		Model:           model,
 		Seed:            s.Seed + uint64(i),
 		DurationMs:      s.DurationMs,
 		FaultAtMs:       s.FaultAtMs,

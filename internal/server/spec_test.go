@@ -53,6 +53,10 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"fault time missing", `{"num_faults": 4}`},
 		{"fault time at end", `{"num_faults": 4, "fault_at_ms": 1000}`},
 		{"fault time off window grid", `{"num_faults": 4, "fault_at_ms": 130, "window_ms": 250}`},
+		// The PicoBlaze NI is excitation-only with an 8-bit threshold.
+		{"ni-pb inhibition", `{"model": "ni-pb", "ni": {"inhibit_weight": 2}}`},
+		{"ni-pb neighbour weight", `{"model": "ni-pb", "ni": {"neighbor_weight": 1}}`},
+		{"ni-pb threshold beyond 8 bits", `{"model": "ni-pb", "ni": {"threshold": 300}}`},
 	}
 	for _, tc := range cases {
 		if _, err := ParseSpec([]byte(tc.json)); err == nil {
@@ -192,6 +196,16 @@ func TestPartialOverridesMergeWithDefaults(t *testing.T) {
 	if e.NI.InternalWeight != def.InternalWeight || e.NI.PinSources != def.PinSources {
 		t.Errorf("omitted NI fields did not keep paper defaults: %+v (want weight %d, pin %v)",
 			e.NI, def.InternalWeight, def.PinSources)
+	}
+
+	// ni-pb reads the same NI block (within what its 8-bit pathway honours).
+	pb, err := ParseSpec([]byte(`{"model": "ni-pb", "ni": {"threshold": 255, "internal_weight": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epb := pb.toExperiment(0)
+	if epb.Model != experiments.ModelNIPB || epb.NI == nil || epb.NI.Threshold != 255 || epb.NI.InternalWeight != 2 {
+		t.Fatalf("ni-pb overrides lost: model %v, %+v", epb.Model, epb.NI)
 	}
 
 	f, err := ParseSpec([]byte(`{"model": "ffw", "ffw": {"pin_sources": false}}`))
