@@ -19,6 +19,7 @@ import (
 	"centurion/internal/aim"
 	platform "centurion/internal/centurion"
 	"centurion/internal/experiments"
+	"centurion/internal/faults"
 	"centurion/internal/noc"
 	"centurion/internal/node"
 	"centurion/internal/picoblaze"
@@ -310,6 +311,43 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(platform.EncodeCheckpoint(cp))), "bytes/checkpoint")
+		})
+	}
+}
+
+// BenchmarkFaultWave measures one fault wave on a settled FFW platform: a
+// 32-node InjectFaults wave plus the ReviveNodes wave that heals it at
+// 16×8, and a single death at 64×64. Each wave rebuilds the hop rows once;
+// the platform is restored from its pre-fault checkpoint, untimed, between
+// iterations.
+func BenchmarkFaultWave(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		width, height int
+		victims       int
+		revive        bool
+	}{
+		{"16x8_32_revive", 16, 8, 32, true},
+		{"64x64_1", 64, 64, 1, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := platform.DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 1)
+			cfg.Width, cfg.Height = tc.width, tc.height
+			p := platform.New(cfg)
+			p.RunFor(sim.Ms(20), nil) // settle so the victims hold traffic
+			cp := p.Snapshot()
+			victims := faults.RandomNodes(p.Topo, tc.victims, sim.NewRNG(7))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.InjectFaults(victims)
+				if tc.revive {
+					p.ReviveNodes(victims)
+				}
+				b.StopTimer()
+				p.Restore(cp)
+				b.StartTimer()
+			}
 		})
 	}
 }

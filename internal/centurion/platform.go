@@ -680,51 +680,40 @@ func (p *Platform) Schedule(at sim.Tick, fn func(now sim.Tick)) {
 	p.events.Schedule(at, fn)
 }
 
-// InjectFaults kills the given nodes now: their routers stop forwarding,
-// their PEs stop processing, and fault-aware routes are recomputed. On a
-// concentrated fabric the failed node's router is the whole cluster's
-// attachment point, so its sibling members go down with it — keeping the
-// directory's aliveness consistent with the fabric's (a "live" sibling
-// behind a dead router would keep winning nearest-owner ties at distance 0
-// while being unreachable). This is the experiment controller's out-of-band
-// debug interface, so it does not perturb NoC traffic.
+// InjectFaults kills the given nodes now, as one fault wave: their routers
+// stop forwarding, their PEs stop processing, and fault-aware routes are
+// recomputed once, after the last victim. On a concentrated fabric the
+// failed node's router is the whole cluster's attachment point, so its
+// sibling members go down with it — keeping the directory's aliveness
+// consistent with the fabric's (a "live" sibling behind a dead router would
+// keep winning nearest-owner ties at distance 0 while being unreachable).
+// Per victim, its PE fails first, then its router drains, then its
+// siblings' PEs fail. This is the experiment controller's out-of-band debug
+// interface, so it does not perturb NoC traffic.
 func (p *Platform) InjectFaults(nodes []noc.NodeID) {
 	now := p.clock.Now()
-	for _, id := range nodes {
-		p.pes[id].Fail(now)
-		p.Net.Fail(id, now)
-		rid := p.Topo.RouterOf(id)
-		for m := noc.NodeID(0); int(m) < p.Topo.Nodes(); m++ {
-			if m == id || p.Topo.RouterOf(m) != rid || !p.pes[m].Alive() {
-				continue
-			}
-			p.pes[m].Fail(now)
-		}
-	}
+	p.Net.Fail(nodes, func(m noc.NodeID) { p.pes[m].Fail(now) })
 }
 
-// ReviveNodes returns downed nodes to service now — the churn half of the
-// fault engine. The node's router rejoins the fabric (routes recompute,
-// back to dimension order once no fault is left), and every dead PE behind it revives
-// as an idle recruit: directory re-registered, intelligence engine told the
-// node is unassigned and re-enrolled for polling. On a concentrated fabric
-// the shared router is the cluster's attachment point, so reviving any
-// member brings its dead siblings back too — the exact mirror of
-// InjectFaults' cluster semantics. Reviving a healthy node is a no-op.
+// ReviveNodes returns downed nodes to service now, as one wave — the churn
+// half of the fault engine. The nodes' routers rejoin the fabric (routes
+// recompute once, back to dimension order once no fault is left), and every
+// dead PE behind them revives as an idle recruit: directory re-registered,
+// intelligence engine told the node is unassigned and re-enrolled for
+// polling. On a concentrated fabric the shared router is the cluster's
+// attachment point, so reviving any member brings its dead siblings back
+// too — the exact mirror of InjectFaults' cluster semantics. Reviving a
+// healthy node is a no-op.
 func (p *Platform) ReviveNodes(nodes []noc.NodeID) {
 	now := p.clock.Now()
-	for _, id := range nodes {
-		p.Net.Revive(id, now)
-		rid := p.Topo.RouterOf(id)
-		for m := noc.NodeID(0); int(m) < p.Topo.Nodes(); m++ {
-			if p.Topo.RouterOf(m) != rid || p.pes[m].Alive() {
-				continue
-			}
-			p.pes[m].Revive(now)
-			p.engines[m].NoteTask(taskgraph.None)
-			p.engSet.Add(int(m))
+	p.Net.Revive(nodes, func(m noc.NodeID) {
+		if p.pes[m].Alive() {
+			return
 		}
-	}
+		p.pes[m].Revive(now)
+		p.engines[m].NoteTask(taskgraph.None)
+		p.engSet.Add(int(m))
+	})
 }
 
 // Step advances the platform one tick: scheduled events, processing

@@ -8,7 +8,9 @@ package centurion
 // work. The mesh itself is covered by the unmodified equivalence suite.
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"centurion/internal/aim"
@@ -159,6 +161,63 @@ func TestCMeshClusterFaultCoherence(t *testing.T) {
 	p.RunFor(sim.Ms(100), nil)
 	if p.Counters().InstancesCompleted == pre {
 		t.Error("platform stalled after a single cluster fault")
+	}
+}
+
+// TestFaultWaveCMeshCluster: on a concentrated mesh, one InjectFaults wave
+// naming two members of one cluster (plus a victim elsewhere) takes exactly
+// the two clusters down and leaves the platform — checkpoint bytes and the
+// run that follows — that one-node InjectFaults calls leave; the same holds
+// for the ReviveNodes wave that brings them back.
+func TestFaultWaveCMeshCluster(t *testing.T) {
+	cfg := topoConfig("cmesh", aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
+	wave, single := New(cfg), New(cfg)
+	for _, p := range []*Platform{wave, single} {
+		p.RunFor(sim.Ms(20), nil)
+	}
+	id := wave.Topo.ID
+	victims := []noc.NodeID{id(noc.Coord{X: 3, Y: 1}), id(noc.Coord{X: 11, Y: 4}), id(noc.Coord{X: 2, Y: 1})}
+	same := func(phase string) {
+		t.Helper()
+		if !bytes.Equal(EncodeCheckpoint(wave.Snapshot()), EncodeCheckpoint(single.Snapshot())) {
+			t.Fatalf("%s: the wave's checkpoint differs from the one-node calls'", phase)
+		}
+	}
+
+	wave.InjectFaults(victims)
+	for _, v := range victims {
+		single.InjectFaults([]noc.NodeID{v})
+	}
+	same("after InjectFaults")
+	if got := wave.Net.FaultyCount(); got != 2 {
+		t.Fatalf("the wave failed %d routers, want the 2 clusters' hubs", got)
+	}
+	for m := noc.NodeID(0); int(m) < wave.Topo.Nodes(); m++ {
+		hit := slices.ContainsFunc(victims, func(v noc.NodeID) bool { return wave.Topo.RouterOf(v) == wave.Topo.RouterOf(m) })
+		if wave.Net.Alive(m) == hit || wave.Dir.Alive(m) == hit || wave.PEs()[m].Alive() == hit {
+			t.Errorf("node %d: fabric/directory/PE alive = %v/%v/%v, want %v", m, wave.Net.Alive(m), wave.Dir.Alive(m), wave.PEs()[m].Alive(), !hit)
+		}
+	}
+	for _, p := range []*Platform{wave, single} {
+		p.RunFor(sim.Ms(30), nil)
+	}
+	same("30 ms after InjectFaults")
+
+	revive := victims[1:]
+	wave.ReviveNodes(revive)
+	for _, v := range revive {
+		single.ReviveNodes([]noc.NodeID{v})
+	}
+	same("after ReviveNodes")
+	if got := wave.Net.FaultyCount(); got != 0 {
+		t.Fatalf("%d routers faulty after the revive wave", got)
+	}
+	for _, p := range []*Platform{wave, single} {
+		p.RunFor(sim.Ms(30), nil)
+	}
+	same("30 ms after ReviveNodes")
+	if wave.Counters() != single.Counters() {
+		t.Fatalf("counters differ: wave %+v, one-node calls %+v", wave.Counters(), single.Counters())
 	}
 }
 

@@ -185,8 +185,12 @@ type Network struct {
 	capFlits uint32
 
 	faultyCnt int
+	// reroutes counts hop-row rebuilds (construction, Reset and every fault
+	// wave that changed a router) for the wave tests; it is not fabric
+	// state and is not checkpointed.
+	reroutes uint64
 
-	// huge marks a fabric beyond hugeNodes: the O(nodes²) per-router hop
+	// huge marks a fabric beyond HugeNodes: the O(nodes²) per-router hop
 	// rows are not built — forwarding computes the dimension-order hop on
 	// the fly and routes stay XY even under faults (blocked heads take the
 	// deadlock-recovery path, like the FPGA's router). See liveHop.
@@ -260,7 +264,7 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 		panic("noc: topology exceeds the 1,048,576-node limit of the fabric layout")
 	}
 	n := &Network{Topo: topo, cfg: cfg, nodes: nodes}
-	n.huge = nodes > hugeNodes
+	n.huge = nodes > HugeNodes
 	n.routers = make([]*Router, nodes)
 	for id := 0; id < nodes; id++ {
 		rid := topo.RouterOf(NodeID(id))
@@ -313,10 +317,12 @@ func NewNetwork(topo Topology, cfg Params) *Network {
 	return n
 }
 
-// hugeNodes is the node count beyond which the quadratic hop rows are
+// HugeNodes is the node count beyond which the quadratic hop rows are
 // skipped: a 65536-node fabric's rows alone would be 4 GiB. 64×64 (4096
-// nodes) keeps the precomputed fast path and full fault-aware routing.
-const hugeNodes = 8192
+// nodes) keeps the precomputed fast path and full fault-aware routing. A
+// fabric above it does not reroute around faults (see liveHop), so the
+// service refuses fault specs there.
+const HugeNodes = 8192
 
 // liveHop is the mega-fabric forwarding path: the topology's dimension-order
 // next hop computed on the fly (coordinates are memoized, so this is integer
@@ -341,6 +347,7 @@ func (n *Network) Pool() *PacketPool { return &n.pool }
 // routers otherwise. Under RouteXY the rows stay dimension order, and a huge
 // fabric has no rows (forwarding goes through liveHop).
 func (n *Network) reroute() {
+	n.reroutes++
 	switch {
 	case n.huge:
 	case n.faultyCnt == 0:
@@ -1019,23 +1026,34 @@ func (n *Network) SetLinkHealth(id NodeID, p Port, healthy bool, now sim.Tick) {
 	_ = now
 }
 
-// Revive returns a failed router to service: rings were already drained at
-// Fail time, so the router restarts empty, routes recompute around the
-// restored fabric (back to dimension order when the last fault heals), and
-// parked neighbours re-evaluate. On concentrated topologies this re-attaches
-// the node's whole cluster. Reviving a healthy router is a no-op.
-func (n *Network) Revive(id NodeID, now sim.Tick) {
-	r := n.routers[id]
-	rid := int(r.ID)
-	st := &n.state[rid]
-	if !st.faulty {
-		return
+// Revive returns a wave of failed routers to service: rings were already
+// drained at Fail time, so each router restarts empty, and the routes are
+// rebuilt once for the whole wave (back to dimension order when the last
+// fault heals), waking parked neighbours. On concentrated topologies a
+// victim re-attaches its whole cluster. Reviving a healthy router changes
+// nothing, and a wave that revives no router rebuilds nothing.
+//
+// up, when non-nil, is called once per member of each victim's cluster
+// (ascending, the victim included) right after its router revives —
+// whether or not the wave changed that router — so the platform can bring
+// its processing elements back.
+func (n *Network) Revive(ids []NodeID, up func(NodeID)) {
+	changed := false
+	for _, id := range ids {
+		r := n.routers[id]
+		if st := &n.state[r.ID]; st.faulty {
+			st.faulty = false
+			st.quiet = 0
+			n.faultyCnt--
+			changed = true
+		}
+		if up != nil {
+			n.eachMember(r, up)
+		}
 	}
-	st.faulty = false
-	st.quiet = 0
-	n.faultyCnt--
-	n.reroute()
-	_ = now
+	if changed {
+		n.reroute()
+	}
 }
 
 // deliverLocal hands a head packet whose next hop is Local to its consumer:
@@ -1168,24 +1186,55 @@ func (n *Network) Alive(id NodeID) bool { return !n.state[n.routers[id].ID].faul
 // FaultyCount returns the number of failed routers.
 func (n *Network) FaultyCount() int { return n.faultyCnt }
 
-// Fail marks the router serving a node as failed, drains and accounts its
-// buffered packets, and recomputes fault-aware routes. On concentrated
-// topologies this takes the node's whole cluster off the fabric (the shared
-// router is the cluster's only attachment point). Failing an already-failed
-// router is a no-op.
-func (n *Network) Fail(id NodeID, now sim.Tick) {
-	r := n.routers[id]
-	rid := int(r.ID)
-	st := &n.state[rid]
-	if st.faulty {
-		return
+// Fail takes a wave of nodes off the fabric: each victim's router is marked
+// failed and its buffered packets are drained and accounted as drops, then
+// the fault-aware routes are rebuilt once for the whole wave. On
+// concentrated topologies a victim takes its whole cluster off the fabric
+// (the shared router is the cluster's only attachment point). A victim
+// whose router has already failed changes nothing, and a wave that fails no
+// router rebuilds nothing.
+//
+// down, when non-nil, is called once per member of each victim's cluster,
+// in wave order: the victim itself just before its router drains, its
+// cluster siblings (ascending) right after — whether or not the wave
+// changed that router. The platform fails its processing elements there, so
+// per-victim side effects interleave exactly as in one-node waves; nothing
+// between two victims reads the hop rows.
+func (n *Network) Fail(ids []NodeID, down func(NodeID)) {
+	changed := false
+	for _, id := range ids {
+		if down != nil {
+			down(id)
+		}
+		r := n.routers[id]
+		if st := &n.state[r.ID]; !st.faulty {
+			n.drainFailed(r, st)
+			changed = true
+		}
+		if down != nil {
+			n.eachMember(r, func(m NodeID) {
+				if m != id {
+					down(m)
+				}
+			})
+		}
 	}
-	// Drain the rings first (collecting the lost packets in FIFO port
-	// order), then account the drops, exactly like the pre-SoA router did.
-	// The scratch buffer is detached while the user-visible DropHandler
-	// runs: a handler that re-enters Fail gets a fresh buffer instead of
-	// aliasing this loop's backing array.
+	if changed {
+		n.reroute()
+	}
+}
+
+// drainFailed marks one router failed and drains its rings, collecting the
+// lost packets in FIFO port order and then accounting the drops, exactly
+// like the pre-SoA router did. A failed router keeps no parked scan (Revive
+// starts it afresh), so its quiet fast-forward clears. The scratch buffer
+// is detached while the user-visible DropHandler runs: a handler that
+// re-enters Fail gets a fresh buffer instead of aliasing this loop's
+// backing array.
+func (n *Network) drainFailed(r *Router, st *routerState) {
+	rid := int(r.ID)
 	st.faulty = true
+	st.quiet = 0
 	lost := n.drainBuf[:0]
 	n.drainBuf = nil
 	for p := Port(0); p < NumPorts; p++ {
@@ -1208,8 +1257,23 @@ func (n *Network) Fail(id NodeID, now sim.Tick) {
 		lost[i] = nil
 	}
 	n.drainBuf = lost[:0]
-	n.reroute()
-	_ = now
+}
+
+// eachMember calls fn for every node the router serves, in ascending ID
+// order, reading the fabric's own node→router map. On a mesh or torus that
+// is the router's node alone; a concentrated mesh hangs each cluster off
+// its top-left member (the hub), so the members are the hub's 2×2 block.
+func (n *Network) eachMember(r *Router, fn func(NodeID)) {
+	if len(n.uniq) == n.nodes {
+		fn(r.ID)
+		return
+	}
+	w := NodeID(n.Topo.Width())
+	for _, m := range [...]NodeID{r.ID, r.ID + 1, r.ID + w, r.ID + w + 1} {
+		if int(m) < n.nodes && n.routers[m] == r {
+			fn(m)
+		}
+	}
 }
 
 // Reset restores the fabric to its as-constructed state in place: routers

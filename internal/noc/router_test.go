@@ -316,7 +316,7 @@ func TestRouterFailureDropsBufferedPackets(t *testing.T) {
 	var drops []DropReason
 	net.DropHandler = func(at NodeID, p *Packet, reason DropReason) { drops = append(drops, reason) }
 	net.Inject(1, dataPacket(1, 1, 3, 1, 2), clk.Now())
-	net.Fail(1, clk.Now())
+	net.Fail([]NodeID{1}, nil)
 	if len(drops) != 1 || drops[0] != DropRouterFailed {
 		t.Fatalf("drops = %v, want one DropRouterFailed", drops)
 	}
@@ -327,7 +327,7 @@ func TestRouterFailureDropsBufferedPackets(t *testing.T) {
 		t.Errorf("FaultyCount = %d", net.FaultyCount())
 	}
 	// Idempotent.
-	net.Fail(1, clk.Now())
+	net.Fail([]NodeID{1}, nil)
 	if net.FaultyCount() != 1 {
 		t.Errorf("FaultyCount after double Fail = %d", net.FaultyCount())
 	}
@@ -342,8 +342,8 @@ func TestRouteAroundFailedRouter(t *testing.T) {
 	net.Router(dst).SetSink(sink)
 	var clk sim.Clock
 	// Kill the direct XY path.
-	net.Fail(topo.ID(Coord{1, 0}), clk.Now())
-	net.Fail(topo.ID(Coord{2, 0}), clk.Now())
+	net.Fail([]NodeID{topo.ID(Coord{1, 0})}, nil)
+	net.Fail([]NodeID{topo.ID(Coord{2, 0})}, nil)
 	p := dataPacket(1, src, dst, 1, 2)
 	net.Inject(src, p, clk.Now())
 	run(net, &clk, 200)
@@ -364,7 +364,7 @@ func TestUnreachableDestinationRecovered(t *testing.T) {
 		return true
 	}
 	// Partition: kill node 2; node 3 becomes unreachable from 0 on a 1-row mesh.
-	net.Fail(2, clk.Now())
+	net.Fail([]NodeID{2}, nil)
 	net.Inject(0, dataPacket(9, 0, 3, 1, 2), clk.Now())
 	run(net, &clk, 50)
 	if len(recoveredIDs) != 1 || recoveredIDs[0] != 9 {
@@ -397,7 +397,7 @@ func TestQueuedHeadTask(t *testing.T) {
 func TestFaultyRouterRejectsInjection(t *testing.T) {
 	net := testNet(2, 1, RouteAuto)
 	var clk sim.Clock
-	net.Fail(0, clk.Now())
+	net.Fail([]NodeID{0}, nil)
 	if net.Inject(0, dataPacket(1, 0, 1, 1, 2), clk.Now()) {
 		t.Error("inject into failed router succeeded")
 	}

@@ -28,14 +28,15 @@ func (m RoutingMode) String() string {
 
 // fillTableRows writes shortest-path next hops avoiding faulty routers into
 // every router's hop row, for any topology: the BFS runs from each
-// destination's router over the alive router link graph, so cluster members
-// of a concentrated fabric resolve through their hub's row. Every row starts
-// at PortInvalid, which a dead router and a destination in another partition
-// keep. Port preference follows XY habit (horizontal first) so that on a
-// healthy fabric the rows coincide with dimension-order routing, keeping the
-// ablation comparison clean.
+// destination's router over the alive router link graph — the routers' own
+// nbr links, never the Topology — so cluster members of a concentrated
+// fabric resolve through their hub's row. Every row starts at PortInvalid,
+// which a dead router and a destination in another partition keep. Port
+// preference follows XY habit (horizontal first) so that on a healthy
+// fabric the rows coincide with dimension-order routing, keeping the
+// ablation comparison clean. Only a fault wave pays for it (reroute), so
+// the BFS scratch is allocated per call.
 func (n *Network) fillTableRows() {
-	topo := n.Topo
 	for _, r := range n.uniq {
 		row := n.state[r.ID].hop
 		for j := range row {
@@ -46,12 +47,12 @@ func (n *Network) fillTableRows() {
 	pref := [...]Port{East, West, South, North}
 
 	dist := make([]int32, n.nodes)
-	queue := make([]NodeID, 0, n.nodes)
+	queue := make([]int32, 0, len(n.uniq))
 	// Consecutive destinations often share a router (cluster members along a
 	// grid row); reuse the previous BFS for them.
-	lastRouter := Invalid
+	lastRouter := int32(-1)
 	for dst := 0; dst < n.nodes; dst++ {
-		rdst := topo.RouterOf(NodeID(dst))
+		rdst := int32(n.routers[dst].ID)
 		if n.state[rdst].faulty {
 			continue
 		}
@@ -65,8 +66,8 @@ func (n *Network) fillTableRows() {
 			for qi := 0; qi < len(queue); qi++ {
 				cur := queue[qi]
 				for _, p := range pref {
-					nb, ok := topo.Neighbor(cur, p)
-					if !ok || n.state[nb].faulty || dist[nb] >= 0 {
+					nb := n.state[cur].nbr[p]
+					if nb < 0 || dist[nb] >= 0 || n.state[nb].faulty {
 						continue
 					}
 					dist[nb] = dist[cur] + 1
@@ -75,21 +76,15 @@ func (n *Network) fillTableRows() {
 			}
 			lastRouter = rdst
 		}
-		// Only alive routers are ever reached, so dist > 0 means an alive
-		// router with a neighbour one step closer.
-		for _, r := range n.uniq {
-			from := r.ID
-			hop := &n.state[from].hop[dst]
-			if from == rdst {
-				*hop = int8(Local)
-				continue
-			}
-			if dist[from] <= 0 {
-				continue
-			}
+		// The queue holds exactly the alive routers that reach rdst; each
+		// past the first has a neighbour one step closer. Every other row
+		// keeps PortInvalid.
+		n.state[rdst].hop[dst] = int8(Local)
+		for _, from := range queue[1:] {
+			st := &n.state[from]
 			for _, p := range pref {
-				if nb, ok := topo.Neighbor(from, p); ok && dist[nb] == dist[from]-1 {
-					*hop = int8(p)
+				if nb := st.nbr[p]; nb >= 0 && dist[nb] == dist[from]-1 {
+					st.hop[dst] = int8(p)
 					break
 				}
 			}

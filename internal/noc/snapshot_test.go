@@ -23,8 +23,8 @@ func fitFabric(tiles int) *Network {
 	}
 	n.SetByzantine(9, 1<<31, ByzMisroute|ByzDup, 3)
 	run(n, &clk, 6)
-	n.Fail(13, clk.Now())
-	n.Fail(22, clk.Now())
+	n.Fail([]NodeID{13}, nil)
+	n.Fail([]NodeID{22}, nil)
 	run(n, &clk, 3)
 	return n
 }

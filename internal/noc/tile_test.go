@@ -245,10 +245,10 @@ func TestTileParallelBitIdentity(t *testing.T) {
 			// Kill two routers in different tiles mid-run, revive one later.
 			switch tick {
 			case 60:
-				n.Fail(n.Topo.ID(Coord{5, 1}), now)
-				n.Fail(n.Topo.ID(Coord{9, 6}), now)
+				n.Fail([]NodeID{n.Topo.ID(Coord{5, 1})}, nil)
+				n.Fail([]NodeID{n.Topo.ID(Coord{9, 6})}, nil)
 			case 200:
-				n.Revive(n.Topo.ID(Coord{5, 1}), now)
+				n.Revive([]NodeID{n.Topo.ID(Coord{5, 1})}, nil)
 			}
 		}},
 		{"flaky-link", func(n *Network, tick int, now sim.Tick) {
@@ -360,10 +360,10 @@ func TestTileSingleNeverStages(t *testing.T) {
 		case 40:
 			n.SetByzantine(n.Topo.ID(Coord{8, 4}), 1<<31, ByzMisroute|ByzDrop|ByzDup, 0xb12a)
 		case 60:
-			n.Fail(n.Topo.ID(Coord{5, 1}), clk.Now())
-			n.Fail(n.Topo.ID(Coord{9, 6}), clk.Now())
+			n.Fail([]NodeID{n.Topo.ID(Coord{5, 1})}, nil)
+			n.Fail([]NodeID{n.Topo.ID(Coord{9, 6})}, nil)
 		case 200:
-			n.Revive(n.Topo.ID(Coord{5, 1}), clk.Now())
+			n.Revive([]NodeID{n.Topo.ID(Coord{5, 1})}, nil)
 		}
 		if n.ParallelTick() {
 			t.Fatalf("tick %d: single-tile fabric armed a parallel tick", tick)
@@ -387,7 +387,7 @@ func TestTileSingleNeverStages(t *testing.T) {
 	}
 }
 
-// TestHugeFabricLiveRouting covers the mega-fabric mode: beyond hugeNodes
+// TestHugeFabricLiveRouting covers the mega-fabric mode: beyond HugeNodes
 // the O(nodes²) routing structures are skipped and every hop is computed on
 // the fly, so a 128×128 fabric must deliver along exact dimension-order
 // paths, treat faults without rerouting (blocked heads take the
@@ -426,7 +426,7 @@ func TestHugeFabricLiveRouting(t *testing.T) {
 	// mode: the next packet heads straight into the dead router, blocks, and
 	// the deadlock-recovery path ejects it.
 	mid := topo.ID(Coord{64, 0})
-	n.Fail(mid, clk.Now())
+	n.Fail([]NodeID{mid}, nil)
 	if !n.Reachable(src, dst) {
 		t.Error("huge-mode Reachable must stay optimistic under faults")
 	}

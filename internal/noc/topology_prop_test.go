@@ -421,10 +421,11 @@ func checkRows(t *testing.T, phase string, n *Network, want map[NodeID][]int8) {
 
 // TestTopologyRouteRows walks the hop rows — the fabric's only routing
 // state — through their lifecycle: dimension order when healthy, the
-// reference BFS of the survivors after Fail and partial Revive, dimension
-// order again after the last Revive and after Reset, dimension order
-// throughout under RouteXY, and copied byte for byte (no recomputation, no
-// allocation) through SaveState/LoadState and the binary codec.
+// reference BFS of the survivors after each Fail wave and a partial Revive
+// wave, dimension order again after the last Revive wave and after Reset,
+// dimension order throughout under RouteXY, and copied byte for byte (no
+// recomputation, no allocation) through SaveState/LoadState and the binary
+// codec.
 func TestTopologyRouteRows(t *testing.T) {
 	// Healthy rows: the templated fill holds exactly one BaseNextHop per
 	// (router, destination), on every shape including the degenerate ones.
@@ -435,17 +436,26 @@ func TestTopologyRouteRows(t *testing.T) {
 		t.Run(topo.Kind(), func(t *testing.T) {
 			n := NewNetwork(topo, DefaultConfig())
 			rng := newTestRNG(4099)
-			dead := map[NodeID]bool{}
+			picked := map[NodeID]bool{}
 			var killed []NodeID
 			for len(killed) < 12 {
 				id := NodeID(rng.Intn(topo.Nodes()))
-				if r := topo.RouterOf(id); !dead[r] {
-					dead[r] = true
+				if r := topo.RouterOf(id); !picked[r] {
+					picked[r] = true
 					killed = append(killed, id)
-					n.Fail(id, 0)
 				}
 			}
-			checkRows(t, "after Fail", n, refRows(topo, dead))
+			// The victims fall in waves of 1, 4 and 7 (the last wave also
+			// names an earlier victim again); each wave's single rebuild
+			// must match the reference for everything dead so far.
+			dead := map[NodeID]bool{}
+			for _, wave := range [][]NodeID{killed[:1], killed[1:5], append(slices.Clip(killed[5:]), killed[2])} {
+				for _, id := range wave {
+					dead[topo.RouterOf(id)] = true
+				}
+				n.Fail(wave, nil)
+				checkRows(t, fmt.Sprintf("after a %d-node Fail wave", len(wave)), n, refRows(topo, dead))
+			}
 
 			// A faulted state round-trips into warm fabrics with its rows
 			// intact, and restoring recomputes nothing.
@@ -469,32 +479,28 @@ func TestTopologyRouteRows(t *testing.T) {
 			}
 
 			for _, id := range killed[:6] {
-				n.Revive(id, 0)
 				delete(dead, topo.RouterOf(id))
 			}
-			checkRows(t, "after partial Revive", n, refRows(topo, dead))
-			for _, id := range killed[6:] {
-				n.Revive(id, 0)
-			}
-			checkRows(t, "after last Revive", n, nil)
+			n.Revive(killed[:6], nil)
+			checkRows(t, "after a partial Revive wave", n, refRows(topo, dead))
+			n.Revive(killed[6:], nil)
+			checkRows(t, "after the last Revive wave", n, nil)
 
-			n.Fail(killed[0], 0)
+			n.Fail([]NodeID{killed[0]}, nil)
 			n.Reset()
 			checkRows(t, "after Reset", n, nil)
 
 			cfg := DefaultConfig()
 			cfg.Mode = RouteXY
 			xy := NewNetwork(topo, cfg)
-			for _, id := range killed {
-				xy.Fail(id, 0)
-			}
-			checkRows(t, "RouteXY after Fail", xy, nil)
+			xy.Fail(killed, nil)
+			checkRows(t, "RouteXY after a Fail wave", xy, nil)
 		})
 	}
 	// A Fail+Revive pair allocates only the BFS and template scratch:
 	// O(nodes) bytes, never an n×n table.
 	n := NewNetwork(NewMesh(16, 8), DefaultConfig())
-	pair := func() { n.Fail(37, 0); n.Revive(37, 0) }
+	pair := func() { n.Fail([]NodeID{37}, nil); n.Revive([]NodeID{37}, nil) }
 	if a := testing.AllocsPerRun(20, pair); a > 5 {
 		t.Errorf("Fail+Revive allocates %.0f times, want ≤ 5", a)
 	}

@@ -273,6 +273,13 @@ func (s *RunSpec) Canonicalize() error {
 		}
 		s.FaultProfile = &prof
 	}
+	if nodes := s.Width * s.Height; nodes > noc.HugeNodes && (s.NumFaults > 0 || s.FaultProfile != nil) {
+		// Above the threshold the fabric keeps no hop rows: a blocked head is
+		// ejected by deadlock recovery instead of rerouted, so a fault spec
+		// would mean something else here than on a smaller grid.
+		return fmt.Errorf("grid %dx%d has %d nodes: faults need at most %d, beyond which the fabric ejects blocked packets instead of rerouting around dead nodes",
+			s.Width, s.Height, nodes, noc.HugeNodes)
+	}
 	if s.ThermalDVFS {
 		s.Thermal = true
 	}

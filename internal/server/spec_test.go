@@ -53,6 +53,10 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"fault time missing", `{"num_faults": 4}`},
 		{"fault time at end", `{"num_faults": 4, "fault_at_ms": 1000}`},
 		{"fault time off window grid", `{"num_faults": 4, "fault_at_ms": 130, "window_ms": 250}`},
+		// Beyond noc.HugeNodes (8192) the fabric does not reroute around
+		// faults; 91×91 is the smallest square above it.
+		{"faults on a fabric without rerouting", `{"width": 91, "height": 91, "num_faults": 4, "fault_at_ms": 500}`},
+		{"fault profile on a fabric without rerouting", `{"width": 100, "height": 100, "duration_ms": 500, "fault_profile": {"kind": "death"}}`},
 		// The PicoBlaze NI is excitation-only with an 8-bit threshold.
 		{"ni-pb inhibition", `{"model": "ni-pb", "ni": {"inhibit_weight": 2}}`},
 		{"ni-pb neighbour weight", `{"model": "ni-pb", "ni": {"neighbor_weight": 1}}`},
@@ -94,6 +98,23 @@ func TestMegaGridSpecs(t *testing.T) {
 			t.Errorf("shapes %s and %s share a canonical key", prev, shape)
 		}
 		seen[key] = shape
+	}
+
+	// Faults stay admitted up to noc.HugeNodes nodes, the largest fabric
+	// that reroutes around them, and fault-free specs beyond it.
+	for _, ok := range []string{
+		`{"width": 90, "height": 90, "num_faults": 4, "fault_at_ms": 500}`,
+		`{"width": 64, "height": 128, "fault_profile": {"kind": "death"}}`,
+		`{"width": 91, "height": 91}`,
+		`{"width": 100, "height": 100}`,
+	} {
+		if _, err := ParseSpec([]byte(ok)); err != nil {
+			t.Errorf("%s rejected: %v", ok, err)
+		}
+	}
+	_, err = ParseSpec([]byte(`{"width": 91, "height": 91, "num_faults": 4, "fault_at_ms": 500}`))
+	if err == nil || !strings.Contains(err.Error(), "instead of rerouting") {
+		t.Errorf("faults on a 91x91 fabric: err = %v, want the rerouting reason", err)
 	}
 
 	if w, h, err := ParseGrid("64x64"); err != nil || w != 64 || h != 64 {
