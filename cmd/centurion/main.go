@@ -204,6 +204,9 @@ func cmdRun(args []string) error {
 	// run) to report the rates on either side.
 	split := *ms
 	if prof != nil {
+		if err := server.CheckFaultGrid(width, height); err != nil {
+			return err
+		}
 		norm, err := prof.Normalized(int(*ms))
 		if err != nil {
 			return fmt.Errorf("fault plan: %w", err)

@@ -165,6 +165,31 @@ func TestRunRejectsOutOfRangeFaultTime(t *testing.T) {
 	}
 }
 
+// TestRunRefusesHugeFaultGrid: above noc.HugeNodes the fabric ejects
+// blocked packets instead of rerouting, so `centurion run` refuses a fault
+// plan there with the service validator's message, and still runs the grid
+// fault-free.
+func TestRunRefusesHugeFaultGrid(t *testing.T) {
+	_, svcErr := server.ParseSpec([]byte(`{"model": "ffw", "width": 100, "height": 100, "duration_ms": 20, "num_faults": 4, "fault_at_ms": 10}`))
+	if svcErr == nil {
+		t.Fatal("the service admitted a fault spec on a 100x100 grid")
+	}
+	for _, args := range [][]string{
+		{"-grid", "100x100", "-model", "ffw", "-ms", "20", "-faults", "4", "-fault-at", "10"},
+		{"-grid", "100x100", "-model", "ffw", "-ms", "20", "-fault-profile", "death"},
+		{"-grid", "100x100", "-model", "ffw", "-ms", "20", "-fault-profile", `{"kind":"cascade","waves":2}`},
+	} {
+		_, err := captureStdout(t, func() error { return cmdRun(args) })
+		if err == nil || !strings.Contains(svcErr.Error(), err.Error()) {
+			t.Errorf("cmdRun(%v) = %v, want the service's refusal %q", args, err, svcErr)
+		}
+	}
+	out, err := captureStdout(t, func() error { return cmdRun([]string{"-grid", "100x100", "-model", "ffw", "-ms", "20"}) })
+	if err != nil || !strings.Contains(out, "(alive nodes: 10000)") {
+		t.Errorf("fault-free 100x100 run: err %v, output:\n%s", err, out)
+	}
+}
+
 // TestRunMatchesService: `centurion run` and the service build a run
 // through one translation and one fault path, so every flag set prints the
 // instance and switch counts that server.Execute returns for the

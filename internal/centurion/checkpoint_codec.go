@@ -41,16 +41,44 @@ var (
 )
 
 // EncodeCheckpoint serializes cp into the versioned, checksummed binary
-// checkpoint format.
+// checkpoint format, in one allocation of exactly EncodedLen bytes.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	b := make([]byte, ckptHeaderLen, ckptHeaderLen+1024)
-	copy(b, ckptMagic)
-	binary.LittleEndian.PutUint16(b[8:10], ckptVersion)
+	return AppendCheckpoint(make([]byte, 0, cp.EncodedLen()), cp)
+}
+
+// AppendCheckpoint appends cp's encoding to b. Given EncodedLen bytes of
+// spare capacity it writes in place, so a caller framing the checkpoint
+// inside a larger message pays no copy.
+func AppendCheckpoint(b []byte, cp *Checkpoint) []byte {
+	start := len(b)
+	b = append(b, ckptMagic...)
+	b = wire.AppendU16(b, ckptVersion)
+	b = wire.AppendU64(b, 0) // payload length and CRC, patched below
 	b = appendCheckpointPayload(b, cp)
-	payload := b[ckptHeaderLen:]
-	binary.LittleEndian.PutUint32(b[10:14], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[14:18], crc32.ChecksumIEEE(payload))
+	payload := b[start+ckptHeaderLen:]
+	binary.LittleEndian.PutUint32(b[start+10:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+14:], crc32.ChecksumIEEE(payload))
 	return b
+}
+
+// EncodedLen is the exact length of cp's encoding.
+func (cp *Checkpoint) EncodedLen() int {
+	n := ckptHeaderLen + 2*8 + 4 + len(cp.topology) + 5*8 + 6*8
+	n += cp.net.BinaryLen()
+	n += 4 + 8*len(cp.dir.TaskOf) + 4 + len(cp.dir.Alive) + 8
+	n += 4
+	for i := range cp.pes {
+		st := &cp.pes[i]
+		n += peStateMinSize + 4*len(st.Queue) + 4*len(st.Outbox) + 32*len(st.Joins) + 16*len(st.Outstanding)
+	}
+	n += 4
+	for i := range cp.engines {
+		n += engineStateMinSize + 4*len(cp.engines[i].Counts) + 4*len(cp.engines[i].Thresholds)
+	}
+	n += 1 + 4 + 8*len(cp.heat.Temp) + 4 + 8*len(cp.heat.Last) + 8 + 4 + len(cp.throttled)
+	n += 4 + 8*len(cp.peActive.Words) + 8 + 4 + 8*len(cp.engActive.Words) + 8
+	n += 4 + 8*len(cp.peWakeAt) + 4 + 8*len(cp.engWakeAt)
+	return n + 4 + 20*len(cp.retries)
 }
 
 // DecodeCheckpoint parses data produced by EncodeCheckpoint. Truncated,
@@ -346,7 +374,7 @@ func readPEState(r *wire.Reader, st *node.PEState) {
 }
 
 // engineStateMinSize is the smallest possible encoded EngineState.
-const engineStateMinSize = 1 + 8 + 7*8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8
+const engineStateMinSize = 1 + 8 + 6*8 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8
 
 func appendEngineState(b []byte, st *aim.EngineState) []byte {
 	b = wire.AppendU8(b, st.Kind)

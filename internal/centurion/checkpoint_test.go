@@ -267,6 +267,60 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodedLen pins EncodedLen to the encoder section by section:
+// for every model and fabric, each hostile timeline (byzantine records,
+// pending retries), thermal state and a tiled fabric's per-tile sets, the
+// encoding is exactly EncodedLen bytes and fills the one buffer
+// EncodeCheckpoint allocates without growing it.
+func TestCheckpointEncodedLen(t *testing.T) {
+	type tc struct {
+		name string
+		cfg  Config
+		prof faults.Profile
+	}
+	death := faults.Profile{Kind: faults.KindDeath, AtMs: 20, Nodes: 12}
+	var cases []tc
+	for _, m := range steppingModels {
+		for _, topo := range []string{"mesh", "torus", "cmesh"} {
+			cfg := DefaultConfig(m.factory, m.mapper, 7)
+			cfg.Topology = topo
+			cases = append(cases, tc{m.name + "/" + topo, cfg, death})
+		}
+	}
+	ffw := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
+	for _, prof := range hostileProfiles {
+		cases = append(cases, tc{string(prof.Kind), ffw, prof})
+	}
+	hot := DefaultConfig(aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
+	th := thermal.DefaultParams()
+	hot.Thermal = &th
+	cases = append(cases,
+		tc{"thermal", hot, death},
+		tc{"tiled", tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 13, 1), death})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := New(c.cfg)
+			applySched(p, buildHostile(t, p, c.prof, 7))
+			p.RunFor(sim.Ms(40), nil)
+			cp := p.Snapshot()
+			data := EncodeCheckpoint(cp)
+			if n := cp.EncodedLen(); len(data) != n || cap(data) != n {
+				t.Fatalf("encoded %d bytes into a %d-byte buffer; EncodedLen says %d", len(data), cap(data), n)
+			}
+			framed := AppendCheckpoint([]byte("head"), cp)
+			if string(framed[:4]) != "head" || !bytes.Equal(framed[4:], data) {
+				t.Fatal("AppendCheckpoint after a prefix differs from EncodeCheckpoint")
+			}
+		})
+	}
+	p := New(ffw)
+	p.RunFor(sim.Ms(30), nil)
+	cp := p.Snapshot()
+	if allocs := testing.AllocsPerRun(5, func() { EncodeCheckpoint(cp) }); allocs != 1 {
+		t.Errorf("EncodeCheckpoint made %v allocations, want 1", allocs)
+	}
+}
+
 // TestCheckpointCodecRoundTrip is the cross-process determinism proof:
 // encode → decode → restore → step must match the in-memory restore bit for
 // bit, the encoding must be canonical under decode → re-encode, and the

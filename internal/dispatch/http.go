@@ -8,16 +8,20 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"centurion/internal/wire"
 )
 
-// The coordinator's wire surface, mounted onto the service mux:
+// The coordinator's wire surface, mounted onto the service mux. Every body
+// is JSON except a checkpoint commit's, which is a binary frame
+// (application/octet-stream, see encodeCheckpointPost):
 //
 //	POST /v1/workers/register      → {worker_id, lease_ttl_ms, poll_wait_ms}
 //	POST /v1/workers/{id}/lease    → 200 {job_id, key, payload, attempt} | 204 (poll timed out)
 //	POST /v1/workers/{id}/deregister → 204 (graceful goodbye; best-effort)
 //	POST /v1/jobs/{id}/heartbeat   → 204 | 409 (lease lost) | 404
 //	POST /v1/jobs/{id}/progress    → 204 | 409 | 404
-//	POST /v1/jobs/{id}/checkpoint  → 204 | 409 | 404
+//	POST /v1/jobs/{id}/checkpoint  → 204 | 400 (not a frame) | 409 | 404
 //	POST /v1/jobs/{id}/complete    → 204 | 409 | 404
 //
 // A 409/404 on any job endpoint means the worker no longer owns the job
@@ -46,15 +50,44 @@ type leaseRequest struct {
 	WaitMs int64 `json:"wait_ms"`
 }
 
-// jobPost is the shared body shape of heartbeat/progress/checkpoint/complete.
+// jobPost is the shared body shape of heartbeat/progress/complete.
 type jobPost struct {
-	WorkerID   string          `json:"worker_id"`
-	Attempt    int             `json:"attempt"`
-	Samples    json.RawMessage `json:"samples,omitempty"`    // progress only
-	Result     json.RawMessage `json:"result,omitempty"`     // complete only
-	Error      string          `json:"error,omitempty"`      // complete only
-	Tick       int64           `json:"tick,omitempty"`       // checkpoint only
-	Checkpoint []byte          `json:"checkpoint,omitempty"` // checkpoint only
+	WorkerID string          `json:"worker_id"`
+	Attempt  int             `json:"attempt"`
+	Samples  json.RawMessage `json:"samples,omitempty"` // progress only
+	Result   json.RawMessage `json:"result,omitempty"`  // complete only
+	Error    string          `json:"error,omitempty"`   // complete only
+}
+
+// encodeCheckpointPost renders the body of POST /v1/jobs/{id}/checkpoint:
+// the fencing fields, then the checkpoint bytes verbatim to the end of the
+// body.
+//
+//	str worker_id | u32 attempt | i64 tick | checkpoint…
+//
+// The coordinator never looks inside a checkpoint, so it crosses the wire
+// as raw bytes: no JSON and no base64 on the commit path.
+func encodeCheckpointPost(workerID string, attempt int, tick int64, data []byte) []byte {
+	b := make([]byte, 0, 4+len(workerID)+4+8+len(data))
+	b = wire.AppendString(b, workerID)
+	b = wire.AppendU32(b, uint32(attempt))
+	b = wire.AppendI64(b, tick)
+	return append(b, data...)
+}
+
+// decodeCheckpointPost is encodeCheckpointPost's inverse. data aliases body.
+// A short frame, or one with no checkpoint bytes, is an error; so is a JSON
+// body, whose first four bytes read as a length far past the end.
+func decodeCheckpointPost(body []byte) (workerID string, attempt int, tick int64, data []byte, err error) {
+	r := wire.NewReader(body)
+	workerID, attempt, tick, data = r.String(), r.Int(), r.I64(), r.Rest()
+	if err = r.Err(); err != nil {
+		return "", 0, 0, nil, err
+	}
+	if len(data) == 0 {
+		return "", 0, 0, nil, errors.New("checkpoint requires a payload")
+	}
+	return workerID, attempt, tick, data, nil
 }
 
 // Routes mounts the coordinator endpoints on mux.
@@ -68,10 +101,28 @@ func (c *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/jobs/{id}/complete", c.handleComplete)
 }
 
+// readBody reads a bounded request body. A body that declares its length
+// (every worker post does) is read into one buffer of exactly that size, so
+// a ~300 KB checkpoint costs one allocation instead of a doubling series.
+func readBody(r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 {
+		return io.ReadAll(io.LimitReader(r.Body, maxDispatchBody))
+	}
+	if n > maxDispatchBody {
+		return nil, errors.New("body exceeds the dispatch bound")
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
 // decodeBody reads and decodes a bounded JSON body into v; an empty body
 // leaves v at its zero value.
 func decodeBody(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxDispatchBody))
+	body, err := readBody(r)
 	if err != nil {
 		return err
 	}
@@ -169,16 +220,17 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	var req jobPost
-	if err := decodeBody(r, &req); err != nil {
+	body, err := readBody(r)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Checkpoint) == 0 {
-		http.Error(w, "checkpoint requires a payload", http.StatusBadRequest)
+	workerID, attempt, tick, data, err := decodeCheckpointPost(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := c.Checkpoint(r.PathValue("id"), req.WorkerID, req.Attempt, req.Tick, req.Checkpoint); err != nil {
+	if err := c.Checkpoint(r.PathValue("id"), workerID, attempt, tick, data); err != nil {
 		writeDispatchError(w, err)
 		return
 	}

@@ -8,9 +8,12 @@ import (
 	"net/http"
 )
 
-// Transport carries one worker→coordinator RPC: a JSON POST to a
+// Transport carries one worker→coordinator RPC: a POST to a
 // coordinator-relative path, decoding a JSON response into out (when non-nil
-// and the status is 200). It is the single seam between a worker and its
+// and the status is 200). A []byte body is a binary frame sent verbatim (the
+// checkpoint commit); any other body is sent as JSON. Posted bodies are
+// never modified, so a Transport may deliver one more than once. It is the
+// single seam between a worker and its
 // coordinator, which is what lets the chaos harness interpose a hostile
 // network — drops, delays, duplicates, partitions — without touching either
 // endpoint's logic.
@@ -23,8 +26,9 @@ type Transport interface {
 	Post(ctx context.Context, path string, body, out any) (status int, err error)
 }
 
-// HTTPTransport is the production Transport: JSON POSTs against a
-// coordinator base URL.
+// HTTPTransport is the production Transport: POSTs against a coordinator
+// base URL, application/octet-stream for a []byte body and
+// application/json for anything else.
 type HTTPTransport struct {
 	// Base is the coordinator's base URL, e.g. "http://host:8080".
 	Base string
@@ -44,15 +48,20 @@ func NewHTTPTransport(base string, client *http.Client) *HTTPTransport {
 
 // Post implements Transport.
 func (t *HTTPTransport) Post(ctx context.Context, path string, body, out any) (int, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+	data, raw := body.([]byte)
+	ctype := "application/octet-stream"
+	if !raw {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			return 0, err
+		}
+		ctype = "application/json"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.Base+path, bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ctype)
 	resp, err := t.Client.Do(req)
 	if err != nil {
 		return 0, err

@@ -368,10 +368,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 		}
 	}
 	commit := func(cctx context.Context, tick int64, data []byte) error {
-		p := auth
-		p.Tick = tick
-		p.Checkpoint = data
-		status, err := w.post(cctx, base+"/checkpoint", p, nil)
+		status, err := w.post(cctx, base+"/checkpoint", encodeCheckpointPost(reg.id, lease.Attempt, tick, data), nil)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"centurion/internal/aim"
-	"centurion/internal/centurion"
 	"centurion/internal/faults"
 	"centurion/internal/noc"
 	"centurion/internal/sim"
@@ -243,7 +242,7 @@ func (c *warmLRU) put(key warmKey, e *RunCheckpoint) {
 	if e.Platform != nil {
 		// The encoded length is the exact payload size of the state held —
 		// the honest budget figure for eviction accounting.
-		size += len(centurion.EncodeCheckpoint(e.Platform))
+		size += e.Platform.EncodedLen()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -394,6 +394,34 @@ func readRouterStats(r *wire.Reader, s *RouterStats) {
 	s.LapsesSeen = r.U64()
 }
 
+// Encoded sizes of AppendBinary's fixed-size records, field by field. They
+// size the encoder's buffer and bound the decoder's counts.
+const (
+	packetLen     = 8 + 1 + 3*8 + 8 + 8*8 + 1 + 2*8 + 1 + 8 + 1 + 4
+	ringSlotLen   = 2*8 + 2*4 + 3*2 + 2*1
+	routerRecLen  = 8 + 4 + 6*1 + int(NumPorts)*(4*4+2*8)
+	routerColdLen = 2*8 + 7*8
+	byzLen        = 4 + 1 + 8
+)
+
+// BinaryLen is the exact number of bytes AppendBinary appends for st, so a
+// checkpoint encoder can size its buffer once.
+func (st *NetworkState) BinaryLen() int {
+	n := 4*4 + 1
+	n += 4 + len(st.pool.packets)*packetLen + 4 + 4*len(st.pool.gen) + 4 + 4*len(st.pool.free) + 3*8
+	n += 4 + len(st.slots)*ringSlotLen
+	n += 4 + len(st.recs)*routerRecLen + 4 + len(st.hop) + 4 + len(st.cold)*routerColdLen
+	n += activeSetLen(&st.active) + 4
+	for i := range st.tileActive {
+		n += activeSetLen(&st.tileActive[i])
+	}
+	n += 1 + 4 + len(st.byz)*byzLen + 8 + 1
+	n += 1 + 8
+	return n + 10*8
+}
+
+func activeSetLen(st *sim.ActiveSetState) int { return 4 + 8*len(st.Words) + 8 }
+
 // AppendBinary serializes the state.
 func (st *NetworkState) AppendBinary(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(st.nodes))
@@ -490,7 +518,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.tileN = r.Int()
 	st.huge = r.Bool()
 
-	n := r.Count(123) // serialized packet size
+	n := r.Count(packetLen)
 	st.pool.packets = sliceFor(st.pool.packets, n)
 	for i := range st.pool.packets {
 		readPacket(r, &st.pool.packets[i])
@@ -509,7 +537,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.pool.gets = r.U64()
 	st.pool.puts = r.U64()
 
-	n = r.Count(27) // serialized ring-slot size
+	n = r.Count(ringSlotLen)
 	st.slots = sliceFor(st.slots, n)
 	for i := range st.slots {
 		s := &st.slots[i]
@@ -524,7 +552,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 		s.flags = r.U8()
 	}
 
-	n = r.Count(14) // router record, lower bound
+	n = r.Count(routerRecLen)
 	st.recs = sliceFor(st.recs, n)
 	for i := range st.recs {
 		readRouterRec(r, &st.recs[i])
@@ -534,7 +562,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	for i := range st.hop {
 		st.hop[i] = int8(r.U8())
 	}
-	n = r.Count(8)
+	n = r.Count(routerColdLen)
 	st.cold = sliceFor(st.cold, n)
 	for i := range st.cold {
 		c := &st.cold[i]
@@ -551,7 +579,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	}
 
 	st.hasByz = r.Bool()
-	n = r.Count(13)
+	n = r.Count(byzLen)
 	st.byz = sliceFor(st.byz, n)
 	for i := range st.byz {
 		bz := &st.byz[i]

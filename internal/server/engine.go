@@ -568,8 +568,9 @@ func Execute(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResu
 // in-flight run's prefix; anything else about it is ignored and the batch (or
 // the run) starts from scratch, which is always correct. With everyWins > 0
 // the batch commits a checkpoint every everyWins windows of a run and at
-// every run boundary, stamped run*windows + win.
-func runBatch(ctx context.Context, spec RunSpec, progress func(Sample), from *jobCheckpoint, everyWins int, commit func(tick int64, jc *jobCheckpoint)) (*RunResult, error) {
+// every run boundary, stamped run*windows + win; an in-run commit hands over
+// the platform as a snapshot (jc.Platform unset) for the committer to encode.
+func runBatch(ctx context.Context, spec RunSpec, progress func(Sample), from *jobCheckpoint, everyWins int, commit func(tick int64, jc *jobCheckpoint, snap *centurion.Checkpoint)) (*RunResult, error) {
 	res := &RunResult{Spec: spec, Key: spec.CanonicalKey()}
 	windows := int64(spec.DurationMs / spec.WindowMs)
 	var resume *experiments.RunCheckpoint
@@ -614,8 +615,7 @@ func runBatch(ctx context.Context, spec RunSpec, progress func(Sample), from *jo
 						Act:       cp.Act,
 						Sw:        cp.Sw,
 						WaveSnaps: cp.WaveSnaps,
-						Platform:  centurion.EncodeCheckpoint(cp.Platform),
-					})
+					}, cp.Platform)
 					// Commits are best-effort; lease loss surfaces as ctx
 					// cancellation (a fencing rejection cancels the job ctx).
 					return ctx.Err()
@@ -639,7 +639,7 @@ func runBatch(ctx context.Context, spec RunSpec, progress func(Sample), from *jo
 		if everyWins > 0 && run+1 < spec.Runs {
 			// Run boundary: the next run starts fresh (no platform), but the
 			// completed summaries are safe.
-			commit(int64(run+1)*windows, &jobCheckpoint{Run: run + 1, Runs: res.Runs, Series: res.Series})
+			commit(int64(run+1)*windows, &jobCheckpoint{Run: run + 1, Runs: res.Runs, Series: res.Series}, nil)
 		}
 	}
 	res.Aggregate = aggregate(res.Runs)

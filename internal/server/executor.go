@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"centurion/internal/centurion"
 	"centurion/internal/dispatch"
 	"centurion/internal/experiments"
+	"centurion/internal/wire"
 )
 
 // Executor runs one canonicalized spec's batch. The engine's workers call
@@ -103,11 +105,12 @@ func NewDispatchExecutor(coord *dispatch.Coordinator) Executor {
 // 1000-window run becomes ~16 round trips instead of 1000.
 const progressFlushAt = 64
 
-// jobCheckpoint is the wire form of a dispatch job's mid-batch checkpoint:
-// which run of the batch is in flight, the summaries of the runs already
-// completed, run 0's series, and the in-run resume state with the platform
-// encoded as CENCKPT1. The checkpoint's progress stamp (the tick the
-// coordinator fences forward motion with) is run*windows + win.
+// jobCheckpoint is a dispatch job's mid-batch checkpoint: which run of the
+// batch is in flight, the summaries of the runs already completed, run 0's
+// series, and the in-run resume state with the platform encoded as
+// CENCKPT1. The checkpoint's progress stamp (the tick the coordinator fences
+// forward motion with) is run*windows + win. It travels as the binary frame
+// of encodeJobCheckpoint.
 type jobCheckpoint struct {
 	Run       int                   `json:"run"`
 	Runs      []RunSummary          `json:"runs,omitempty"`
@@ -117,7 +120,49 @@ type jobCheckpoint struct {
 	Act       []float64             `json:"act,omitempty"`
 	Sw        []float64             `json:"sw,omitempty"`
 	WaveSnaps []experiments.NetSnap `json:"wave_snaps,omitempty"`
-	Platform  []byte                `json:"platform,omitempty"` // CENCKPT1
+	Platform  []byte                `json:"-"` // CENCKPT1, raw after the head
+}
+
+// encodeJobCheckpoint renders jc as a checkpoint frame:
+//
+//	str head | platform…
+//
+// head is jc's JSON without the platform, written as a wire string; the
+// CENCKPT1 bytes follow raw to the end of the frame. A non-nil snap is
+// encoded straight into the frame in place of jc.Platform, so a worker's
+// commit never copies the platform it just encoded.
+func encodeJobCheckpoint(jc *jobCheckpoint, snap *centurion.Checkpoint) ([]byte, error) {
+	head, err := json.Marshal(jc)
+	if err != nil {
+		return nil, err
+	}
+	n := 4 + len(head) + len(jc.Platform)
+	if snap != nil {
+		n += snap.EncodedLen()
+	}
+	b := wire.AppendU32(make([]byte, 0, n), uint32(len(head)))
+	b = append(b, head...)
+	if snap != nil {
+		return centurion.AppendCheckpoint(b, snap), nil
+	}
+	return append(b, jc.Platform...), nil
+}
+
+// decodeJobCheckpoint is encodeJobCheckpoint's inverse; Platform aliases
+// data. Anything that is not a frame, such as the JSON form older workers
+// committed, is an error.
+func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
+	r := wire.NewReader(data)
+	head := r.String()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	jc := &jobCheckpoint{}
+	if err := json.Unmarshal([]byte(head), jc); err != nil {
+		return nil, err
+	}
+	jc.Platform = r.Rest()
+	return jc, nil
 }
 
 // parseDispatchPayload decodes a leased payload — always an envelope — and
@@ -187,13 +232,13 @@ func DispatchExecuteResumable(checkpointEveryMs int) dispatch.ExecuteResumableFu
 		if checkpointEveryMs > 0 {
 			everyWins = max(1, checkpointEveryMs/spec.WindowMs)
 		}
-		var jc jobCheckpoint
 		var from *jobCheckpoint
-		if len(job.Checkpoint) > 0 && json.Unmarshal(job.Checkpoint, &jc) == nil {
-			from = &jc
+		if len(job.Checkpoint) > 0 {
+			// A checkpoint that does not decode is no checkpoint.
+			from, _ = decodeJobCheckpoint(job.Checkpoint)
 		}
-		commit := func(tick int64, jc *jobCheckpoint) {
-			if b, merr := json.Marshal(jc); merr == nil {
+		commit := func(tick int64, jc *jobCheckpoint, snap *centurion.Checkpoint) {
+			if b, merr := encodeJobCheckpoint(jc, snap); merr == nil {
 				// Best-effort: a failed delivery only widens the re-execution
 				// window of a later attempt.
 				_ = job.Commit(ctx, tick, b)

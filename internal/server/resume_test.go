@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -131,11 +132,11 @@ func midRunCommit(t testing.TB, spec RunSpec, run, win int) jobCheckpoint {
 	tick := int64(run*(spec.DurationMs/spec.WindowMs) + win)
 	for _, c := range commits {
 		if c.tick == tick {
-			var jc jobCheckpoint
-			if err := json.Unmarshal(c.data, &jc); err != nil {
+			jc, err := decodeJobCheckpoint(c.data)
+			if err != nil {
 				t.Fatal(err)
 			}
-			return jc
+			return *jc
 		}
 	}
 	t.Fatalf("clean pass never committed at run %d window %d", run, win)
@@ -145,7 +146,7 @@ func midRunCommit(t testing.TB, spec RunSpec, run, win int) jobCheckpoint {
 // resumeBytes runs spec from the checkpoint with a never-committing executor.
 func resumeBytes(t testing.TB, spec RunSpec, jc jobCheckpoint) []byte {
 	t.Helper()
-	data, err := json.Marshal(jc)
+	data, err := encodeJobCheckpoint(&jc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,38 @@ func TestResumeDiscardsMisfitCheckpoint(t *testing.T) {
 		}
 		if got, _ := cleanPass(t, spec, 0, []byte(`{"run": "one"}`)); !bytes.Equal(want, got) {
 			t.Fatal("an undecodable checkpoint changed the result")
+		}
+
+		// Frames that do not decode: cut inside the head, a head length past
+		// the end, and the JSON form (platform base64'd inside) that a
+		// ckpt/<key> record written before the binary frame holds.
+		frame, err := encodeJobCheckpoint(&base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headLen := int(binary.LittleEndian.Uint32(frame))
+		pastEnd := bytes.Clone(frame)
+		binary.LittleEndian.PutUint32(pastEnd, uint32(len(frame)))
+		oldJSON, err := json.Marshal(struct {
+			jobCheckpoint
+			Platform []byte `json:"platform,omitempty"`
+		}{base, base.Platform})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			"truncated frame":          frame[:4+headLen/2],
+			"head length past the end": pastEnd,
+			"old JSON checkpoint":      oldJSON,
+		} {
+			t.Run(fmt.Sprintf("runs=%d/%s", runs, name), func(t *testing.T) {
+				if _, err := decodeJobCheckpoint(data); err == nil {
+					t.Fatal("the frame decoded")
+				}
+				if got, _ := cleanPass(t, spec, 0, data); !bytes.Equal(want, got) {
+					t.Fatal("an undecodable frame changed the result")
+				}
+			})
 		}
 	}
 }

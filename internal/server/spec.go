@@ -273,12 +273,10 @@ func (s *RunSpec) Canonicalize() error {
 		}
 		s.FaultProfile = &prof
 	}
-	if nodes := s.Width * s.Height; nodes > noc.HugeNodes && (s.NumFaults > 0 || s.FaultProfile != nil) {
-		// Above the threshold the fabric keeps no hop rows: a blocked head is
-		// ejected by deadlock recovery instead of rerouted, so a fault spec
-		// would mean something else here than on a smaller grid.
-		return fmt.Errorf("grid %dx%d has %d nodes: faults need at most %d, beyond which the fabric ejects blocked packets instead of rerouting around dead nodes",
-			s.Width, s.Height, nodes, noc.HugeNodes)
+	if s.NumFaults > 0 || s.FaultProfile != nil {
+		if err := CheckFaultGrid(s.Width, s.Height); err != nil {
+			return err
+		}
 	}
 	if s.ThermalDVFS {
 		s.Thermal = true
@@ -401,4 +399,16 @@ func (s RunSpec) toExperiment(i int) experiments.Spec {
 		spec.FaultProfile = &prof
 	}
 	return spec
+}
+
+// CheckFaultGrid refuses a fault plan on a grid above noc.HugeNodes. Such a
+// fabric keeps no hop rows: a blocked head is ejected by deadlock recovery
+// instead of rerouted, so a fault plan would mean something else there than
+// on a smaller grid. The service's validator and `centurion run` share it.
+func CheckFaultGrid(width, height int) error {
+	if nodes := width * height; nodes > noc.HugeNodes {
+		return fmt.Errorf("grid %dx%d has %d nodes: faults need at most %d, beyond which the fabric ejects blocked packets instead of rerouting around dead nodes",
+			width, height, nodes, noc.HugeNodes)
+	}
+	return nil
 }

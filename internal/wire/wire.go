@@ -113,6 +113,18 @@ func (r *Reader) String() string {
 	return ""
 }
 
+// Rest consumes and returns every byte left unread, without copying: the
+// trailing payload of a frame whose last field runs to the end of the
+// buffer. It returns nil once an earlier read has failed.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	out := r.b
+	r.b = r.b[len(r.b):]
+	return out
+}
+
 // Int reads a u32 as an int. A value beyond math.MaxInt32 is a misframed
 // payload: it would wrap negative in a 32-bit int.
 func (r *Reader) Int() int {
