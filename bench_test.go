@@ -307,7 +307,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.SnapshotInto(cp)
-				p.Restore(cp)
+				if err := p.Restore(cp); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(platform.EncodeCheckpoint(cp))), "bytes/checkpoint")
@@ -345,7 +347,9 @@ func BenchmarkFaultWave(b *testing.B) {
 					p.ReviveNodes(victims)
 				}
 				b.StopTimer()
-				p.Restore(cp)
+				if err := p.Restore(cp); err != nil {
+					b.Fatal(err)
+				}
 				b.StartTimer()
 			}
 		})

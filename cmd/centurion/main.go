@@ -244,8 +244,8 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := restoreInto(sys, cp); err != nil {
-			return fmt.Errorf("restoring %s: %v", *restorePath, err)
+		if err := sys.Platform().Restore(cp); err != nil {
+			return fmt.Errorf("restoring %s: checkpoint does not fit this platform (%v); pass the -model/-grid/-topology of the checkpointed run", *restorePath, err)
 		}
 		fmt.Printf("restored %s at t=%.0f ms; running %.0f ms more\n", *restorePath, sys.NowMs(), *ms)
 	}
@@ -315,16 +315,6 @@ func (rc *runClock) advance(ms float64) error {
 		}
 	}
 	rc.sys.RunMs(ms)
-	return nil
-}
-
-// restoreInto loads a checkpoint into the system, or reports as a flag-level
-// error why it does not fit.
-func restoreInto(sys *centurion.System, cp *platform.Checkpoint) error {
-	if err := sys.Platform().Fits(cp); err != nil {
-		return fmt.Errorf("checkpoint does not fit this platform (%v); pass the -model/-grid/-topology of the checkpointed run", err)
-	}
-	sys.Platform().Restore(cp)
 	return nil
 }
 

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -328,6 +331,23 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("grid-mismatched restore accepted")
 	}
+
+	// A CRC-valid file whose values contradict each other is refused with
+	// an error naming the section, before the run starts.
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := filepath.Join(t.TempDir(), "poisoned.ckpt")
+	if err := os.WriteFile(poisoned, freeListPoisoned(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = captureStdout(t, func() error {
+		return cmdRun([]string{"-model", "ffw", "-grid", "8x4", "-ms", "30", "-restore", poisoned})
+	})
+	if err == nil || !strings.Contains(err.Error(), "free list") {
+		t.Errorf("restore of a free-list-poisoned checkpoint: %v, want an error naming the free list", err)
+	}
 }
 
 func TestRunRejectsUnknownModel(t *testing.T) {
@@ -360,4 +380,27 @@ func TestServeRejectsOldFormatJournal(t *testing.T) {
 	if now, rerr := os.ReadFile(path); rerr != nil || string(now) != string(old) {
 		t.Errorf("rejected journal was modified (read err %v)", rerr)
 	}
+}
+
+// freeListPoisoned returns a copy of CENCKPT1 bytes whose packet arena's
+// last free-list entry — the slot the next packet is drawn from — is -3,
+// re-framed with a valid checksum: bytes that pass every frame check and
+// name an arena slot that does not exist.
+func freeListPoisoned(t *testing.T, ckpt []byte) []byte {
+	t.Helper()
+	const headerLen, packetLen = 18, 136
+	out := bytes.Clone(ckpt)
+	payload := out[headerLen:]
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(payload[off:])) }
+	off := 16 + 4 + u32(16) + 5*8 + 6*8 // dimensions, topology, clock and counters
+	off += 4*4 + 1                      // the network section's geometry header
+	off += 4 + u32(off)*packetLen       // the arena's packets
+	off += 4 + 4*u32(off)               // their generation tags
+	free := u32(off)
+	if free == 0 {
+		t.Fatal("the checkpoint's arena has no free packet")
+	}
+	binary.LittleEndian.PutUint32(payload[off+4*free:], 0xfffffffd)
+	binary.LittleEndian.PutUint32(out[14:], crc32.ChecksumIEEE(payload))
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"centurion/internal/noc"
 	"centurion/internal/node"
 	"centurion/internal/sim"
+	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
 )
 
@@ -70,16 +71,6 @@ type retryRec struct {
 // Now returns the simulation tick the checkpoint was taken at.
 func (cp *Checkpoint) Now() sim.Tick { return cp.now }
 
-// grow returns s resized to n elements, reallocating only when needed (the
-// retained elements keep their backing slices, so repeated snapshots into
-// the same Checkpoint stop allocating once warm).
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Snapshot captures the platform's full mutable state into a fresh
 // Checkpoint. Use SnapshotInto to reuse a checkpoint's allocations.
 func (p *Platform) Snapshot() *Checkpoint {
@@ -103,11 +94,11 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 	p.Net.SaveState(&cp.net)
 	p.Dir.SaveState(&cp.dir)
 
-	cp.pes = grow(cp.pes, len(p.pes))
+	cp.pes = sim.Resize(cp.pes, len(p.pes))
 	for i, pe := range p.pes {
 		pe.SaveState(&cp.pes[i], p.pool)
 	}
-	cp.engines = grow(cp.engines, len(p.engines))
+	cp.engines = sim.Resize(cp.engines, len(p.engines))
 	for i, e := range p.engines {
 		e.SaveState(&cp.engines[i])
 	}
@@ -129,7 +120,7 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 	cp.peWakeAt = append(cp.peWakeAt[:0], p.peWake.at...)
 	cp.engWakeAt = append(cp.engWakeAt[:0], p.engWake.at...)
 
-	cp.retries = grow(cp.retries, len(p.ctlRetry))
+	cp.retries = sim.Resize(cp.retries, len(p.ctlRetry))
 	for i := range p.ctlRetry {
 		rec := &p.ctlRetry[i]
 		idx, ok := p.pool.ArenaIndex(rec.pkt)
@@ -140,14 +131,16 @@ func (p *Platform) SnapshotInto(cp *Checkpoint) {
 	}
 }
 
-// Fits reports why the checkpoint cannot be restored into this platform, or
-// nil when it can: same dimensions, topology, node count and thermal
-// configuration, a network section that fits the fabric (noc Network.Fits),
-// every per-node section sized for this fabric, and one engine record per
-// node of the kind and slice lengths the platform's own engine writes. A
-// caller holding checkpoint bytes from outside the process (a dispatch
-// lease, a checkpoint file) asks first; Restore panics on a misfit.
-func (p *Platform) Fits(cp *Checkpoint) error {
+// fits reports why cp cannot be restored into this platform, or nil when it
+// can — what only the target knows: the same dimensions, topology, node
+// count and thermal configuration; every per-node section sized for this
+// fabric, and the active sets memberships of it; one engine record per node
+// of the kind and slice lengths the platform's own engine writes; and every
+// task a directory entry, PE or engine names registered in this platform's
+// graph or None, and every task a packet carries too (see
+// NetworkState.CheckTasks). The network section's fit is
+// Network.LoadState's to check. It reads O(nodes + arena) records.
+func (p *Platform) fits(cp *Checkpoint) error {
 	nodes := len(p.pes)
 	if cp.width != p.Cfg.Width || cp.height != p.Cfg.Height || cp.topology != p.Cfg.Topology ||
 		len(cp.pes) != nodes {
@@ -157,18 +150,20 @@ func (p *Platform) Fits(cp *Checkpoint) error {
 	if cp.hasHeat != (p.heat != nil) {
 		return errors.New("centurion: checkpoint thermal-model mismatch")
 	}
-	if err := p.Net.Fits(&cp.net); err != nil {
-		return err
-	}
-	heatN, words := 0, (nodes+63)/64
+	heatN := 0
 	if p.heat != nil {
 		heatN = nodes
 	}
 	if len(cp.dir.TaskOf) != nodes || len(cp.dir.Alive) != nodes || len(cp.engines) != nodes ||
-		len(cp.peActive.Words) != words || len(cp.engActive.Words) != words ||
 		len(cp.peWakeAt) != nodes || len(cp.engWakeAt) != nodes ||
 		len(cp.heat.Temp) != heatN || len(cp.heat.Last) != heatN || len(cp.throttled) != heatN {
 		return fmt.Errorf("centurion: checkpoint sections mis-sized for a %d-node platform", nodes)
+	}
+	if err := cp.peActive.Check(nodes); err != nil {
+		return fmt.Errorf("centurion: checkpoint PE set: %w", err)
+	}
+	if err := cp.engActive.Check(nodes); err != nil {
+		return fmt.Errorf("centurion: checkpoint engine set: %w", err)
 	}
 	own := &p.fitState
 	for i, e := range p.engines {
@@ -179,28 +174,53 @@ func (p *Platform) Fits(cp *Checkpoint) error {
 				i, st.Kind, len(st.Counts), len(st.Thresholds), e.Name(), own.Kind, len(own.Counts), len(own.Thresholds))
 		}
 	}
-	return nil
+	g := p.Graph
+	registered := func(t taskgraph.TaskID) bool { return g.Task(t) != nil }
+	valid := func(t taskgraph.TaskID) bool { return t == taskgraph.None || registered(t) }
+	for i := 0; i < nodes; i++ {
+		if t := cp.dir.TaskOf[i]; !valid(t) {
+			return fmt.Errorf("centurion: checkpoint directory maps node %d to task %d, which graph %q lacks", i, t, g.Name)
+		}
+		if t := cp.pes[i].Task; !valid(t) {
+			return fmt.Errorf("centurion: checkpoint PE %d runs task %d, which graph %q lacks", i, t, g.Name)
+		}
+		if t := cp.engines[i].Current; !valid(t) {
+			return fmt.Errorf("centurion: checkpoint engine %d tracks task %d, which graph %q lacks", i, t, g.Name)
+		}
+	}
+	return cp.net.CheckTasks(registered)
 }
 
-// Restore rewinds the platform to the checkpointed state. The platform must
-// have been built for the same shape (dimensions, topology, engine kinds,
-// thermal configuration); everything else about its current state — fresh,
-// mid-run, or leased back from a pool — is overwritten. Pending fault
+// Restore rewinds the platform to the checkpointed state. The checkpoint
+// must fit the platform: built for the same shape (dimensions, topology,
+// ring capacity, engine kinds, thermal configuration) and naming only tasks
+// of its graph. A checkpoint that does not fit is refused with an error
+// before the first write, leaving the platform as it was; one that fits
+// overwrites everything about the platform's current state — fresh,
+// mid-run, or leased back from a pool. Checkpoint bytes from outside the
+// process are checked for self-consistency by DecodeCheckpoint first; a
+// Snapshot of a live platform is consistent by construction. Pending fault
 // schedules are NOT part of a checkpoint: re-apply them after Restore
 // (Controller.ApplySchedule skips already-fired events).
 //
 // Restoring is allocation-free at steady state: bulk copies into retained
 // backing, plus one event-queue entry per pending wake or retry.
-func (p *Platform) Restore(cp *Checkpoint) {
-	if err := p.Fits(cp); err != nil {
-		panic(err.Error())
+func (p *Platform) Restore(cp *Checkpoint) error {
+	if err := p.fits(cp); err != nil {
+		return err
+	}
+	// The arena first: every packet reference restored below resolves
+	// against it. Its fit is checked before its first write, so a refusal
+	// here still leaves the platform untouched.
+	if err := p.Net.LoadState(&cp.net); err != nil {
+		return err
 	}
 
 	p.Cfg.Seed = cp.seed
 	p.clock.SetNow(cp.now)
 	p.events.Clear()
-	// Drop the previous run's retry records — the arena restore below
-	// rewrites every packet wholesale, so the held pointers must not be
+	// Drop the previous run's retry records — the arena restore above
+	// rewrote every packet wholesale, so the held pointers must not be
 	// reclaimed through Put.
 	for i := range p.ctlRetry {
 		p.ctlRetry[i] = ctlRetryRec{}
@@ -211,9 +231,6 @@ func (p *Platform) Restore(cp *Checkpoint) {
 	p.counters = cp.counters
 	p.netPar = false
 
-	// The arena first: every packet reference restored below resolves
-	// against it.
-	p.Net.LoadState(&cp.net)
 	p.Dir.LoadState(&cp.dir)
 	for i, pe := range p.pes {
 		pe.LoadState(&cp.pes[i], p.pool)
@@ -248,6 +265,7 @@ func (p *Platform) Restore(cp *Checkpoint) {
 		tap := rec.tap
 		p.events.Schedule(rec.at, func(later sim.Tick) { p.injectConfig(tap, pkt, later) })
 	}
+	return nil
 }
 
 // restore rebuilds a wake table from a recorded timer array: the pending

@@ -76,13 +76,19 @@ func (cp *Checkpoint) EncodedLen() int {
 		n += engineStateMinSize + 4*len(cp.engines[i].Counts) + 4*len(cp.engines[i].Thresholds)
 	}
 	n += 1 + 4 + 8*len(cp.heat.Temp) + 4 + 8*len(cp.heat.Last) + 8 + 4 + len(cp.throttled)
-	n += 4 + 8*len(cp.peActive.Words) + 8 + 4 + 8*len(cp.engActive.Words) + 8
+	n += cp.peActive.BinaryLen() + cp.engActive.BinaryLen()
 	n += 4 + 8*len(cp.peWakeAt) + 4 + 8*len(cp.engWakeAt)
 	return n + 4 + 20*len(cp.retries)
 }
 
 // DecodeCheckpoint parses data produced by EncodeCheckpoint. Truncated,
-// misframed or corrupted inputs are rejected with a descriptive error.
+// misframed or corrupted inputs are rejected with a descriptive error, and
+// so is a checkpoint whose bytes contradict each other, whatever platform it
+// is meant for (see check): every arena-slot reference resolves to a live
+// packet with one owner, ring handles carry their slot's generation, rings
+// lie within their capacity, hop entries are ports and node IDs name nodes
+// of the checkpoint's own fabric. Whether the checkpoint fits a given
+// platform is Platform.Restore's to check.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < ckptHeaderLen {
 		return nil, ErrCheckpointTruncated
@@ -107,14 +113,57 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{}
 	r := wire.NewReader(payload)
-	decodeCheckpointPayload(r, cp)
-	if err := r.Err(); err != nil {
+	if err := decodeCheckpointPayload(r, cp); err != nil {
 		return nil, fmt.Errorf("centurion: malformed checkpoint payload: %w", err)
 	}
 	if r.Remaining() != 0 {
 		return nil, errors.New("centurion: checkpoint payload has unread bytes")
 	}
+	if err := cp.check(); err != nil {
+		return nil, err
+	}
 	return cp, nil
+}
+
+// check refuses a decoded checkpoint whose packet references or node IDs
+// contradict its own network section (which DecodeBinary checked): every PE
+// queue, in-progress and outbox slot is a live data packet and every
+// pending retry a live config packet no other owner holds, and join origins
+// and retry taps are nodes of the fabric.
+func (cp *Checkpoint) check() error {
+	nodes := cp.net.Nodes()
+	for i := range cp.pes {
+		st := &cp.pes[i]
+		for _, idx := range st.Queue {
+			if err := cp.net.Claim(idx, noc.Data); err != nil {
+				return fmt.Errorf("centurion: PE %d queue: %w", i, err)
+			}
+		}
+		if st.Current != -1 {
+			if err := cp.net.Claim(st.Current, noc.Data); err != nil {
+				return fmt.Errorf("centurion: PE %d current packet: %w", i, err)
+			}
+		}
+		for _, idx := range st.Outbox {
+			if err := cp.net.Claim(idx, noc.Data); err != nil {
+				return fmt.Errorf("centurion: PE %d outbox: %w", i, err)
+			}
+		}
+		for _, j := range st.Joins {
+			if j.Origin < noc.Invalid || int(j.Origin) >= nodes {
+				return fmt.Errorf("centurion: checkpoint PE %d joins an instance from node %d", i, j.Origin)
+			}
+		}
+	}
+	for _, rec := range cp.retries {
+		if rec.tap < 0 || int(rec.tap) >= nodes {
+			return fmt.Errorf("centurion: checkpoint retries a packet at node %d", rec.tap)
+		}
+		if err := cp.net.Claim(rec.slot, noc.Config); err != nil {
+			return fmt.Errorf("centurion: controller retry: %w", err)
+		}
+	}
+	return nil
 }
 
 // WriteCheckpointFile atomically writes cp to path.
@@ -192,8 +241,8 @@ func appendCheckpointPayload(b []byte, cp *Checkpoint) []byte {
 		b = wire.AppendBool(b, t)
 	}
 
-	b = appendActiveSetState(b, &cp.peActive)
-	b = appendActiveSetState(b, &cp.engActive)
+	b = cp.peActive.AppendBinary(b)
+	b = cp.engActive.AppendBinary(b)
 	b = appendTicks(b, cp.peWakeAt)
 	b = appendTicks(b, cp.engWakeAt)
 
@@ -206,7 +255,7 @@ func appendCheckpointPayload(b []byte, cp *Checkpoint) []byte {
 	return b
 }
 
-func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
+func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) error {
 	cp.width = int(r.I64())
 	cp.height = int(r.I64())
 	cp.topology = r.String()
@@ -224,7 +273,7 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 	cp.counters.PacketsRescued = r.U64()
 
 	if err := cp.net.DecodeBinary(r); err != nil {
-		return
+		return err
 	}
 
 	n := r.Count(8)
@@ -268,8 +317,8 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 		cp.throttled[i] = r.Bool()
 	}
 
-	readActiveSetState(r, &cp.peActive)
-	readActiveSetState(r, &cp.engActive)
+	cp.peActive.DecodeBinary(r)
+	cp.engActive.DecodeBinary(r)
 	cp.peWakeAt = readTicks(r)
 	cp.engWakeAt = readTicks(r)
 
@@ -280,6 +329,7 @@ func decodeCheckpointPayload(r *wire.Reader, cp *Checkpoint) {
 		cp.retries[i].tap = noc.NodeID(r.I64())
 		cp.retries[i].at = sim.Tick(r.I64())
 	}
+	return r.Err()
 }
 
 // peStateMinSize is the smallest possible encoded PEState (all slices
@@ -433,23 +483,6 @@ func readEngineState(r *wire.Reader, st *aim.EngineState) {
 	st.Armed = r.Bool()
 	st.ArmTime = sim.Tick(r.I64())
 	st.LastWork = sim.Tick(r.I64())
-}
-
-func appendActiveSetState(b []byte, st *sim.ActiveSetState) []byte {
-	b = wire.AppendU32(b, uint32(len(st.Words)))
-	for _, w := range st.Words {
-		b = wire.AppendU64(b, w)
-	}
-	return wire.AppendI64(b, st.N)
-}
-
-func readActiveSetState(r *wire.Reader, st *sim.ActiveSetState) {
-	n := r.Count(8)
-	st.Words = make([]uint64, n)
-	for i := range st.Words {
-		st.Words[i] = r.U64()
-	}
-	st.N = r.I64()
 }
 
 func appendTicks(b []byte, ts []sim.Tick) []byte {

@@ -15,15 +15,20 @@ package centurion
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"centurion/internal/aim"
 	"centurion/internal/faults"
 	"centurion/internal/noc"
+	"centurion/internal/node"
+	"centurion/internal/picoblaze"
 	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
@@ -91,9 +96,14 @@ func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs 
 	var srcLast uint64
 	ckptWindows(src, snapMs, &srcSeries, &srcLast)
 	cp := src.Snapshot()
+	if _, err := DecodeCheckpoint(EncodeCheckpoint(cp)); err != nil {
+		t.Fatalf("the decoder refuses a live platform's checkpoint: %v", err)
+	}
 
 	forked := fork(cp)
-	forked.Restore(cp)
+	if err := forked.Restore(cp); err != nil {
+		t.Fatalf("restoring the fork: %v", err)
+	}
 	applySched(forked, sched)
 	var fSeries []uint64
 	fLast := forked.Counters().InstancesCompleted
@@ -358,7 +368,9 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 
 	run := func(c *Checkpoint) ([]uint64, steppingSnapshot, []byte) {
 		p := New(cfg)
-		p.Restore(c)
+		if err := p.Restore(c); err != nil {
+			t.Fatalf("restoring: %v", err)
+		}
 		applySched(p, sched)
 		var s []uint64
 		l := p.Counters().InstancesCompleted
@@ -414,97 +426,233 @@ func TestCheckpointCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestCheckpointShapeMismatchPanics: restoring into a platform of a
-// different geometry is a programming error and must fail fast.
-func TestCheckpointShapeMismatchPanics(t *testing.T) {
-	cp := New(DefaultConfig(aim.NewNone, taskgraph.HeuristicMapper{}, 1)).Snapshot()
-	small := DefaultConfig(aim.NewNone, taskgraph.HeuristicMapper{}, 1)
+// misfitRow is one row of the admission table of outside checkpoint bytes:
+// a checkpoint of src, run 20 ms and then edited, must be refused by the step
+// named in by — DecodeCheckpoint, or Restore into a dst platform.
+type misfitRow struct {
+	name     string
+	src, dst Config
+	by       string
+	edit     func(t *testing.T, cp *Checkpoint)
+}
+
+const byDecode, byRestore = "DecodeCheckpoint", "Restore"
+
+// misfitConfigs returns the platforms the admission table is built from: a
+// 16×8 FFW platform, the same with twice the ring capacity, an 8×8 one, a
+// thermal NI platform, the same with FFW engines and the same over a
+// pipeline task graph.
+func misfitConfigs() (ffw, wide, small, hot, hotFFW, pipe Config) {
+	ffw = DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
+	wide = ffw
+	wide.NoC.BufferFlits = 16
+	small = ffw
 	small.Width, small.Height = 8, 8
-	other := New(small)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("restore into a differently shaped platform did not panic")
-		}
-	}()
-	other.Restore(cp)
+	hot = DefaultConfig(aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
+	th := thermal.DefaultParams()
+	hot.Thermal = &th
+	hotFFW = hot
+	hotFFW.Engines = ffw.Engines
+	pipe = hot
+	pipe.Graph = taskgraph.Pipeline(4, 120, 24)
+	return
+}
+
+// checkMisfits runs each row: the step it names returns an error, nothing
+// panics, and a refused Restore leaves the target's state byte for byte as
+// it was.
+func checkMisfits(t *testing.T, rows []misfitRow) {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			src := New(row.src)
+			src.RunFor(sim.Ms(20), nil)
+			cp := src.Snapshot()
+			if row.edit != nil {
+				row.edit(t, cp)
+			}
+			dec, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+			if row.by == byDecode {
+				if err == nil {
+					t.Fatal("DecodeCheckpoint accepted the checkpoint")
+				}
+				t.Log(err)
+				return
+			}
+			if err != nil {
+				t.Fatalf("DecodeCheckpoint refused a checkpoint whose bytes agree: %v", err)
+			}
+			dst := New(row.dst)
+			dst.RunFor(sim.Ms(5), nil)
+			before := EncodeCheckpoint(dst.Snapshot())
+			if err = dst.Restore(dec); err == nil {
+				t.Fatal("Restore accepted the checkpoint")
+			}
+			t.Log(err)
+			if !bytes.Equal(EncodeCheckpoint(dst.Snapshot()), before) {
+				t.Fatal("a refused Restore changed the platform")
+			}
+		})
+	}
+}
+
+// TestCheckpointShapeMismatchPanics: a checkpoint of another grid shape is
+// refused by Restore with an error rather than a panic, and the target is
+// left as it was.
+func TestCheckpointShapeMismatchPanics(t *testing.T) {
+	ffw, _, small, _, _, _ := misfitConfigs()
+	checkMisfits(t, []misfitRow{{"another shape", ffw, small, byRestore, nil}})
 }
 
 // TestCheckpointFitsRejectsFabricMisfit: a checkpoint of the same grid whose
-// fabric was built with another ring capacity carries a network section the
-// target cannot hold; a CRC-valid checkpoint with any per-node section cut
-// short, or engine records of another kind or task graph, would panic
-// Restore or restore the wrong state. Fits must say so — it is what a worker
-// asks before trusting checkpoint bytes from a lease — rather than let
-// Restore panic. A checkpoint that fits still restores.
+// fabric was built with another ring capacity, one with any per-node section
+// cut short, or one with engine records of another kind or task graph does
+// not fit the target platform, and Restore refuses it. A checkpoint that fits
+// still restores.
 func TestCheckpointFitsRejectsFabricMisfit(t *testing.T) {
-	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
-	wide := cfg
-	wide.NoC.BufferFlits = 16
-	src := New(wide)
-	src.RunFor(sim.Ms(10), nil)
-	cp, err := DecodeCheckpoint(EncodeCheckpoint(src.Snapshot()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := New(cfg).Fits(cp); err == nil {
-		t.Fatal("Fits accepted a checkpoint of a fabric with twice the ring capacity")
-	}
-	if err := New(wide).Fits(cp); err != nil {
-		t.Fatalf("Fits refused the checkpoint on its own fabric: %v", err)
-	}
+	ffw, wide, _, hot, hotFFW, pipe := misfitConfigs()
+	checkMisfits(t, []misfitRow{
+		{"twice the ring capacity", wide, ffw, byRestore, nil},
+		{"NI records on an FFW platform", hot, hotFFW, byRestore, nil},
+		{"NI records over another task graph", hot, pipe, byRestore, nil},
+		{"dir.TaskOf cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.dir.TaskOf = cp.dir.TaskOf[1:] }},
+		{"dir.Alive cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.dir.Alive = cp.dir.Alive[1:] }},
+		{"engines cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.engines = cp.engines[1:] }},
+		{"NI Counts cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.engines[5].Counts = cp.engines[5].Counts[1:] }},
+		{"peActive cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.peActive.Words = cp.peActive.Words[1:] }},
+		{"engActive cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.engActive.Words = cp.engActive.Words[1:] }},
+		{"peWakeAt cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.peWakeAt = cp.peWakeAt[1:] }},
+		{"engWakeAt cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.engWakeAt = cp.engWakeAt[1:] }},
+		{"heat.Temp cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.heat.Temp = cp.heat.Temp[1:] }},
+		{"throttled cut short", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.throttled = cp.throttled[1:] }},
+	})
 
-	hot := DefaultConfig(aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
-	th := thermal.DefaultParams()
-	hot.Thermal = &th
-	src = New(hot)
-	src.RunFor(sim.Ms(10), nil)
-	reencode := func(cp *Checkpoint) *Checkpoint {
-		t.Helper()
-		out, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+	for _, cfg := range []Config{wide, hot} {
+		src := New(cfg)
+		src.RunFor(sim.Ms(20), nil)
+		cp, err := DecodeCheckpoint(EncodeCheckpoint(src.Snapshot()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	cuts := []struct {
-		section string
-		cut     func(cp *Checkpoint)
-	}{
-		{"dir.TaskOf", func(cp *Checkpoint) { cp.dir.TaskOf = cp.dir.TaskOf[1:] }},
-		{"dir.Alive", func(cp *Checkpoint) { cp.dir.Alive = cp.dir.Alive[1:] }},
-		{"engines", func(cp *Checkpoint) { cp.engines = cp.engines[1:] }},
-		{"NI Counts", func(cp *Checkpoint) { cp.engines[5].Counts = cp.engines[5].Counts[1:] }},
-		{"peActive", func(cp *Checkpoint) { cp.peActive.Words = cp.peActive.Words[1:] }},
-		{"engActive", func(cp *Checkpoint) { cp.engActive.Words = cp.engActive.Words[1:] }},
-		{"peWakeAt", func(cp *Checkpoint) { cp.peWakeAt = cp.peWakeAt[1:] }},
-		{"engWakeAt", func(cp *Checkpoint) { cp.engWakeAt = cp.engWakeAt[1:] }},
-		{"heat.Temp", func(cp *Checkpoint) { cp.heat.Temp = cp.heat.Temp[1:] }},
-		{"throttled", func(cp *Checkpoint) { cp.throttled = cp.throttled[1:] }},
-	}
-	for _, c := range cuts {
-		cp := src.Snapshot()
-		c.cut(cp)
-		if err := New(hot).Fits(reencode(cp)); err == nil {
-			t.Errorf("Fits accepted a checkpoint with %s cut short", c.section)
+		dst := New(cfg)
+		if err := dst.Restore(cp); err != nil {
+			t.Fatalf("Restore refused the checkpoint on its own platform: %v", err)
+		}
+		if !bytes.Equal(EncodeCheckpoint(dst.Snapshot()), EncodeCheckpoint(src.Snapshot())) {
+			t.Error("a fitting checkpoint did not restore to the source's state")
 		}
 	}
-	ffw := hot
-	ffw.Engines = aim.NewFFWFactory(aim.DefaultFFWParams())
-	pipe := hot
-	pipe.Graph = taskgraph.Pipeline(4, 120, 24)
-	cp = reencode(src.Snapshot())
-	if err := New(ffw).Fits(cp); err == nil {
-		t.Error("Fits accepted NI engine records on an FFW platform")
+}
+
+// TestRestoreRejectsMisfit: a checkpoint whose values contradict each other
+// — slots that name no live packet or are held twice, nodes past the fabric
+// — is refused by DecodeCheckpoint, and one naming tasks the target's graph
+// lacks, or an activity set that counts a member it lacks, is refused by
+// Restore. The shape and size misfits are in
+// TestCheckpointShapeMismatchPanics and TestCheckpointFitsRejectsFabricMisfit.
+func TestRestoreRejectsMisfit(t *testing.T) {
+	ffw, _, _, hot, _, _ := misfitConfigs()
+	// held detaches one packet a PE holds and returns its arena slot, so a
+	// row can hand the packet to another owner.
+	held := func(t *testing.T, cp *Checkpoint) int32 {
+		for i := range cp.pes {
+			if st := &cp.pes[i]; len(st.Queue) > 0 {
+				slot := st.Queue[len(st.Queue)-1]
+				st.Queue = st.Queue[:len(st.Queue)-1]
+				return slot
+			}
+		}
+		t.Fatal("no PE holds a queued packet")
+		return 0
 	}
-	if err := New(pipe).Fits(cp); err == nil {
-		t.Error("Fits accepted NI engine records built over another task graph")
+	checkMisfits(t, []misfitRow{
+		{"peActive counts a member it lacks", hot, hot, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.peActive.N++ }},
+
+		{"PE current slot 1<<20", ffw, ffw, byDecode, func(_ *testing.T, cp *Checkpoint) { cp.pes[0].Current = 1 << 20 }},
+		{"PE queue slot -7", ffw, ffw, byDecode, func(_ *testing.T, cp *Checkpoint) { cp.pes[0].Queue = append(cp.pes[0].Queue, -7) }},
+		{"PE queue slot held twice", ffw, ffw, byDecode, func(t *testing.T, cp *Checkpoint) {
+			slot := held(t, cp)
+			cp.pes[1].Outbox = append(cp.pes[1].Outbox, slot, slot)
+		}},
+		{"retry slot 1<<20", ffw, ffw, byDecode, func(_ *testing.T, cp *Checkpoint) {
+			cp.retries = append(cp.retries, retryRec{slot: 1 << 20, tap: 0, at: cp.now + 1})
+		}},
+		{"retry tap 9999", ffw, ffw, byDecode, func(t *testing.T, cp *Checkpoint) {
+			cp.retries = append(cp.retries, retryRec{slot: held(t, cp), tap: 9999, at: cp.now + 1})
+		}},
+		{"retry of a data packet", ffw, ffw, byDecode, func(t *testing.T, cp *Checkpoint) {
+			cp.retries = append(cp.retries, retryRec{slot: held(t, cp), tap: 0, at: cp.now + 1})
+		}},
+		{"join origin 9999", ffw, ffw, byDecode, func(_ *testing.T, cp *Checkpoint) {
+			cp.pes[0].Joins = append(cp.pes[0].Joins, node.JoinEntry{Inst: 1 << 40, Origin: 9999})
+		}},
+		{"dir.TaskOf -5", ffw, ffw, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.dir.TaskOf[7] = -5 }},
+		{"dir.TaskOf 99", ffw, ffw, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.dir.TaskOf[7] = 99 }},
+		{"PE task 99", ffw, ffw, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.pes[9].Task = 99 }},
+		{"engine current 99", ffw, ffw, byRestore, func(_ *testing.T, cp *Checkpoint) { cp.engines[11].Current = 99 }},
+	})
+}
+
+// FuzzCheckpointRestore drives outside checkpoint bytes through the whole
+// admission path: a 16×8 checkpoint of NI, FFW, the PicoBlaze NI program, a
+// faulted FFW run or a thermal NI run gets patch written into its payload at
+// offset at, and is re-framed with a valid checksum so the input passes the
+// frame check. Decoding refuses it; or Restore refuses it, with the target
+// left as it was; or the restored platform runs 20 ms. Nothing panics, and
+// decoding and restoring allocate no more than the input's size accounts
+// for.
+func FuzzCheckpointRestore(f *testing.F) {
+	ni := DefaultConfig(aim.NewNIFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
+	ffw := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
+	pb := DefaultConfig(picoblaze.NewNIEngineFactory(aim.DefaultNIParams()), taskgraph.RandomMapper{}, 3)
+	hot := ni
+	th := thermal.DefaultParams()
+	hot.Thermal = &th
+	cfgs := []Config{ni, ffw, pb, ffw, hot}
+	bases := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		p := New(cfg)
+		if i == 3 {
+			sched, err := faults.Build(p.Topo, 5, faults.Profile{Kind: faults.KindDeath, AtMs: 10, Nodes: 12}, 200)
+			if err != nil {
+				f.Fatal(err)
+			}
+			applySched(p, sched)
+		}
+		p.RunFor(sim.Ms(20), nil)
+		bases[i] = EncodeCheckpoint(p.Snapshot())
+		f.Add(uint8(i), uint32(0), []byte(nil))
 	}
-	dst := New(hot)
-	if err := dst.Fits(cp); err != nil {
-		t.Fatalf("Fits refused the checkpoint on its own platform: %v", err)
-	}
-	dst.Restore(cp)
-	if !bytes.Equal(EncodeCheckpoint(dst.Snapshot()), EncodeCheckpoint(src.Snapshot())) {
-		t.Error("a fitting checkpoint did not restore to the source's state")
-	}
+	f.Add(uint8(1), uint32(200), []byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add(uint8(3), uint32(1<<16), []byte{0x03, 0, 0, 0})
+	f.Add(uint8(4), uint32(len(bases[4])-40), []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, base uint8, at uint32, patch []byte) {
+		i := int(base) % len(bases)
+		data := bytes.Clone(bases[i])
+		payload := data[ckptHeaderLen:]
+		copy(payload[int(at)%len(payload):], patch)
+		binary.LittleEndian.PutUint32(data[14:], crc32.ChecksumIEEE(payload))
+
+		dst := New(cfgs[i])
+		was := EncodeCheckpoint(dst.Snapshot())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cp, err := DecodeCheckpoint(data)
+		if err == nil {
+			err = dst.Restore(cp)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			if len(patch) == 0 {
+				t.Fatalf("the unmodified checkpoint was refused: %v", err)
+			}
+			if !bytes.Equal(EncodeCheckpoint(dst.Snapshot()), was) {
+				t.Fatalf("a refusal (%v) changed the platform", err)
+			}
+			return
+		}
+		dst.RunFor(sim.Ms(20), nil)
+	})
 }

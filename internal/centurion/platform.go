@@ -151,7 +151,8 @@ type Platform struct {
 	nextHeat  sim.Tick
 	throttled []bool
 	workScan  []uint64
-	// fitState is Fits' scratch record for the engines' own SaveState.
+	// fitState is Restore's scratch record for the engines' own SaveState,
+	// the shape its checkpoint records must match.
 	fitState aim.EngineState
 
 	counters Counters

@@ -616,6 +616,8 @@ func (c *Coordinator) Progress(jobID, workerID string, attempt int, payload []by
 // never roll a newer one back. An accepted checkpoint extends the lease —
 // it is the strongest proof of life there is — and is mirrored to the
 // durable CheckpointStore so resume survives a coordinator restart.
+// Checkpoint keeps data without copying it: the caller hands it over and
+// must not modify it afterwards.
 func (c *Coordinator) Checkpoint(jobID, workerID string, attempt int, tick int64, data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("dispatch: empty checkpoint for job %q", jobID)
@@ -632,7 +634,7 @@ func (c *Coordinator) Checkpoint(jobID, workerID string, attempt int, tick int64
 		c.mu.Unlock()
 		return nil
 	}
-	j.ckpt = append([]byte(nil), data...)
+	j.ckpt = data
 	j.ckptTick = tick
 	c.ckptsCommitted++
 	key := j.key

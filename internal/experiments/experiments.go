@@ -359,12 +359,18 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 	from := resume
 	var buildKey warmKey
 	buildDiv := -1
-	if !from.fits(p, windows, windowTicks, waveWins) {
+	if !from.fits(windows, windowTicks, waveWins) || p.Restore(from.Platform) != nil {
+		// A resume checkpoint that is no prefix of this run, or whose
+		// platform state Restore refuses, is discarded: the run starts from
+		// a warm prefix or tick zero instead, which is always correct.
 		from = nil
 		if warmApplicable(spec) {
 			if div := warmDivergenceWin(sched, windows, windowTicks); div > 0 {
 				key := warmKeyOf(spec, div)
-				if from = warmCache.get(key); from == nil {
+				if from = warmCache.get(key); from != nil && from.Platform != nil && p.Restore(from.Platform) != nil {
+					from = nil
+				}
+				if from == nil {
 					buildKey, buildDiv = key, div
 				}
 			}
@@ -378,10 +384,9 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 		copy(res.Switches.Values, from.Sw)
 		waveSnaps = append(waveSnaps, from.WaveSnaps...)
 		if from.Platform != nil {
-			// The sampler baselines are recomputed from the restored state
-			// (the watermark invariantly equals the live value at a window
-			// boundary).
-			p.Restore(from.Platform)
+			// The platform was restored above; the sampler baselines are
+			// recomputed from the restored state (the watermark invariantly
+			// equals the live value at a window boundary).
 			c := p.Counters()
 			lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
 			for i, pe := range pes {

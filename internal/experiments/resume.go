@@ -72,17 +72,16 @@ func capturePrefix(p *centurion.Platform, res *Result, waveSnaps []NetSnap, win,
 
 // fits reports whether a resume checkpoint — bytes another process wrote,
 // delivered over HTTP or read back from the checkpoint store — is a prefix of
-// this run on this platform: a boundary strictly inside the run, sample
-// arrays of exactly that length, the wave snapshots of exactly the waves
-// before it, and a platform snapshot of this shape taken at that tick. A
-// misfit is discarded and the run starts from tick zero, which is always
-// correct.
-func (cp *RunCheckpoint) fits(p *centurion.Platform, windows int, windowTicks sim.Tick, waveWins []int) bool {
+// this run: a boundary strictly inside the run, sample arrays of exactly that
+// length, the wave snapshots of exactly the waves before it, and a platform
+// snapshot taken at that tick. Whether the snapshot fits the platform is
+// Restore's to say. A misfit is discarded and the run starts from tick zero,
+// which is always correct.
+func (cp *RunCheckpoint) fits(windows int, windowTicks sim.Tick, waveWins []int) bool {
 	if cp == nil || cp.Platform == nil || cp.Win <= 0 || cp.Win >= windows ||
 		len(cp.Thr) != cp.Win || len(cp.Act) != cp.Win || len(cp.Sw) != cp.Win {
 		return false
 	}
 	return len(cp.WaveSnaps) == sort.SearchInts(waveWins, cp.Win) &&
-		cp.Platform.Now() == sim.Tick(cp.Win)*windowTicks &&
-		p.Fits(cp.Platform) == nil
+		cp.Platform.Now() == sim.Tick(cp.Win)*windowTicks
 }

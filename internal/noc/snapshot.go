@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 
 	"centurion/internal/sim"
@@ -26,15 +27,6 @@ func (pp *PacketPool) ArenaIndex(p *Packet) (int32, bool) { return pp.slotOf(p) 
 // ArenaPacket returns the packet bound to an arena slot.
 func (pp *PacketPool) ArenaPacket(idx int32) *Packet { return pp.slots[idx] }
 
-// sliceFor returns s resized to n elements, reallocating only when the
-// capacity is short — the restore hot path reuses checkpoint backing.
-func sliceFor[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // poolState captures a PacketPool: every bound slot's packet value, the
 // generation tags, the free list and the exact accounting counters, so a
 // restored pool's Stats and future Get/Put sequence are bit-identical.
@@ -46,7 +38,7 @@ type poolState struct {
 }
 
 func (pp *PacketPool) saveState(st *poolState) {
-	st.packets = sliceFor(st.packets, len(pp.slots))
+	st.packets = sim.Resize(st.packets, len(pp.slots))
 	for i, p := range pp.slots {
 		st.packets[i] = *p
 	}
@@ -70,7 +62,7 @@ func (pp *PacketPool) loadState(st *poolState) {
 		pp.bind(p)
 	}
 	pp.slots = pp.slots[:want]
-	pp.gen = sliceFor(pp.gen, want)
+	pp.gen = sim.Resize(pp.gen, want)
 	copy(pp.gen, st.gen)
 	for i := range st.packets {
 		*pp.slots[i] = st.packets[i]
@@ -113,7 +105,14 @@ type NetworkState struct {
 	// from.
 	nodes, spp, uniqN, tileN int
 	huge                     bool
+
+	// owned is the arena ownership census of a decoded state (see check and
+	// Claim); a saved state leaves it alone.
+	owned []bool
 }
+
+// Nodes is the node count of the fabric st was saved from.
+func (st *NetworkState) Nodes() int { return st.nodes }
 
 // SaveState deep-copies the fabric's mutable state into st, reusing st's
 // backing storage so a warm snapshot allocates nothing.
@@ -121,12 +120,12 @@ func (n *Network) SaveState(st *NetworkState) {
 	n.pool.saveState(&st.pool)
 	st.slots = append(st.slots[:0], n.slots...)
 
-	st.recs = sliceFor(st.recs, len(n.uniq))
-	st.cold = sliceFor(st.cold, len(n.uniq))
+	st.recs = sim.Resize(st.recs, len(n.uniq))
+	st.cold = sim.Resize(st.cold, len(n.uniq))
 	if n.huge {
 		st.hop = st.hop[:0]
 	} else {
-		st.hop = sliceFor(st.hop, len(n.uniq)*n.nodes)
+		st.hop = sim.Resize(st.hop, len(n.uniq)*n.nodes)
 	}
 	for i, r := range n.uniq {
 		rec := &n.state[r.ID]
@@ -147,10 +146,10 @@ func (n *Network) SaveState(st *NetworkState) {
 		n.tiles[0].set.SaveState(&st.active)
 		st.tileActive = st.tileActive[:0]
 	} else {
-		st.active.Words = sliceFor(st.active.Words, (n.nodes+63)/64)
+		st.active.Words = sim.Resize(st.active.Words, (n.nodes+63)/64)
 		clear(st.active.Words)
 		st.active.N = 0
-		st.tileActive = sliceFor(st.tileActive, len(n.tiles))
+		st.tileActive = sim.Resize(st.tileActive, len(n.tiles))
 		for i := range n.tiles {
 			n.tiles[i].set.SaveState(&st.tileActive[i])
 		}
@@ -174,12 +173,12 @@ func (n *Network) SaveState(st *NetworkState) {
 	st.huge = n.huge
 }
 
-// Fits reports why st cannot be restored into this fabric, or nil when it
-// can: the same geometry (node count, ring capacity, router set, tile
-// layout, huge mode) as the fabric it was saved from, and every section
-// LoadState indexes by sized for that geometry. Checkpoint bytes from
-// outside the process are asked first; LoadState panics on a misfit.
-func (n *Network) Fits(st *NetworkState) error {
+// fits reports why st cannot be loaded into this fabric, or nil when it
+// can: the geometry it was saved from (node count, ring capacity, router
+// set, tile layout, huge mode) is this fabric's, every section LoadState
+// indexes is sized for it, each ring sits where this fabric keeps it, and
+// each tile's active set is a membership of that tile. It is O(routers).
+func (n *Network) fits(st *NetworkState) error {
 	tileN := len(n.tiles)
 	if tileN == 1 {
 		tileN = 0 // a single tile is recorded as the whole-fabric set
@@ -201,33 +200,45 @@ func (n *Network) Fits(st *NetworkState) error {
 		return fmt.Errorf("noc: checkpoint sections mis-sized: %d/%d router records, %d slots, %d hops, %d tile sets, %d byzantine, %d/%d arena for a %d-router %d-node fabric",
 			len(st.recs), len(st.cold), len(st.slots), len(st.hop), len(st.tileActive), len(st.byz), len(st.pool.gen), len(st.pool.packets), len(n.uniq), n.nodes)
 	}
+	mask := n.sppMask
+	for i, r := range n.uniq {
+		own, rec := &n.state[r.ID], &st.recs[i]
+		for p := range rec.rings {
+			if rec.rings[p].head&^mask != own.rings[p].head&^mask {
+				return fmt.Errorf("noc: checkpoint ring %d of router %d starts at slot %d, outside the ring", p, r.ID, rec.rings[p].head)
+			}
+		}
+	}
 	for i := range n.tiles {
 		set := &st.active
 		if tileN > 0 {
 			set = &st.tileActive[i]
 		}
-		if t := &n.tiles[i]; len(set.Words) != (t.hi-t.lo+63)/64 {
-			return fmt.Errorf("noc: checkpoint active set %d holds %d words for %d routers", i, len(set.Words), t.hi-t.lo)
+		if err := set.Check(n.tiles[i].hi - n.tiles[i].lo); err != nil {
+			return fmt.Errorf("noc: checkpoint tile %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// LoadState restores a previously saved state into the fabric, which must
-// fit it (see Fits). Construction-derived wiring is reused and the hop rows
-// are copied, not recomputed, so the restore is a handful of bulk copies.
-func (n *Network) LoadState(st *NetworkState) {
-	if err := n.Fits(st); err != nil {
-		panic(err.Error())
+// LoadState restores a previously saved state into the fabric. A state that
+// does not fit the fabric (see fits) is refused with an error before the
+// first write, leaving the fabric as it was. Construction-derived wiring —
+// hop-row backing, tile indices, neighbour links — stays the fabric's own
+// and the hop rows are copied, not recomputed, so the restore is a handful
+// of bulk copies.
+func (n *Network) LoadState(st *NetworkState) error {
+	if err := n.fits(st); err != nil {
+		return err
 	}
 	n.pool.loadState(&st.pool)
 	copy(n.slots, st.slots)
 
 	for i, r := range n.uniq {
 		dst := &n.state[r.ID]
-		hop, tile := dst.hop, dst.tile
+		hop, tile, nbr := dst.hop, dst.tile, dst.nbr
 		*dst = st.recs[i]
-		dst.hop, dst.tile = hop, tile
+		dst.hop, dst.tile, dst.nbr = hop, tile, nbr
 		if hop != nil {
 			copy(hop, st.hop[i*n.nodes:(i+1)*n.nodes])
 		}
@@ -262,6 +273,7 @@ func (n *Network) LoadState(st *NetworkState) {
 	n.faultyCnt = st.faultyCnt
 	n.stats = st.stats
 	n.stagedOps, n.drainedOps = st.stagedOps, st.drainedOps
+	return nil
 }
 
 // --- binary encoding (the network section of a checkpoint file) ---
@@ -355,24 +367,6 @@ func readRouterRec(r *wire.Reader, rec *routerState) {
 	rec.hop = nil
 }
 
-func appendActiveSet(b []byte, st *sim.ActiveSetState) []byte {
-	b = wire.AppendU32(b, uint32(len(st.Words)))
-	for _, w := range st.Words {
-		b = wire.AppendU64(b, w)
-	}
-	b = wire.AppendI64(b, st.N)
-	return b
-}
-
-func readActiveSet(r *wire.Reader, st *sim.ActiveSetState) {
-	n := r.Count(8)
-	st.Words = sliceFor(st.Words, n)
-	for i := range st.Words {
-		st.Words[i] = r.U64()
-	}
-	st.N = r.I64()
-}
-
 func appendRouterStats(b []byte, s *RouterStats) []byte {
 	b = wire.AppendU64(b, s.Forwarded)
 	b = wire.AppendU64(b, s.Delivered)
@@ -411,16 +405,14 @@ func (st *NetworkState) BinaryLen() int {
 	n += 4 + len(st.pool.packets)*packetLen + 4 + 4*len(st.pool.gen) + 4 + 4*len(st.pool.free) + 3*8
 	n += 4 + len(st.slots)*ringSlotLen
 	n += 4 + len(st.recs)*routerRecLen + 4 + len(st.hop) + 4 + len(st.cold)*routerColdLen
-	n += activeSetLen(&st.active) + 4
+	n += st.active.BinaryLen() + 4
 	for i := range st.tileActive {
-		n += activeSetLen(&st.tileActive[i])
+		n += st.tileActive[i].BinaryLen()
 	}
 	n += 1 + 4 + len(st.byz)*byzLen + 8 + 1
 	n += 1 + 8
 	return n + 10*8
 }
-
-func activeSetLen(st *sim.ActiveSetState) int { return 4 + 8*len(st.Words) + 8 }
 
 // AppendBinary serializes the state.
 func (st *NetworkState) AppendBinary(b []byte) []byte {
@@ -476,10 +468,10 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 		b = appendRouterStats(b, &c.stats)
 	}
 
-	b = appendActiveSet(b, &st.active)
+	b = st.active.AppendBinary(b)
 	b = wire.AppendU32(b, uint32(len(st.tileActive)))
 	for i := range st.tileActive {
-		b = appendActiveSet(b, &st.tileActive[i])
+		b = st.tileActive[i].AppendBinary(b)
 	}
 
 	b = wire.AppendBool(b, st.hasByz)
@@ -509,8 +501,9 @@ func (st *NetworkState) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// DecodeBinary reads a state serialized by AppendBinary. It checks framing
-// only; Network.Fits checks the decoded sizes against a fabric.
+// DecodeBinary reads a state serialized by AppendBinary and refuses one
+// that is not self-consistent (see check). Whether it fits a given fabric
+// is LoadState's to say.
 func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.nodes = r.Int()
 	st.spp = r.Int()
@@ -519,17 +512,17 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.huge = r.Bool()
 
 	n := r.Count(packetLen)
-	st.pool.packets = sliceFor(st.pool.packets, n)
+	st.pool.packets = sim.Resize(st.pool.packets, n)
 	for i := range st.pool.packets {
 		readPacket(r, &st.pool.packets[i])
 	}
 	n = r.Count(4)
-	st.pool.gen = sliceFor(st.pool.gen, n)
+	st.pool.gen = sim.Resize(st.pool.gen, n)
 	for i := range st.pool.gen {
 		st.pool.gen[i] = r.U32()
 	}
 	n = r.Count(4)
-	st.pool.free = sliceFor(st.pool.free, n)
+	st.pool.free = sim.Resize(st.pool.free, n)
 	for i := range st.pool.free {
 		st.pool.free[i] = int32(r.U32())
 	}
@@ -538,7 +531,7 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.pool.puts = r.U64()
 
 	n = r.Count(ringSlotLen)
-	st.slots = sliceFor(st.slots, n)
+	st.slots = sim.Resize(st.slots, n)
 	for i := range st.slots {
 		s := &st.slots[i]
 		s.ready = sim.Tick(r.I64())
@@ -553,17 +546,17 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	}
 
 	n = r.Count(routerRecLen)
-	st.recs = sliceFor(st.recs, n)
+	st.recs = sim.Resize(st.recs, n)
 	for i := range st.recs {
 		readRouterRec(r, &st.recs[i])
 	}
 	n = r.Count(1)
-	st.hop = sliceFor(st.hop, n)
+	st.hop = sim.Resize(st.hop, n)
 	for i := range st.hop {
 		st.hop[i] = int8(r.U8())
 	}
 	n = r.Count(routerColdLen)
-	st.cold = sliceFor(st.cold, n)
+	st.cold = sim.Resize(st.cold, n)
 	for i := range st.cold {
 		c := &st.cold[i]
 		c.deadlockLimit = sim.Tick(r.I64())
@@ -571,16 +564,16 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 		readRouterStats(r, &c.stats)
 	}
 
-	readActiveSet(r, &st.active)
+	st.active.DecodeBinary(r)
 	n = r.Count(12)
-	st.tileActive = sliceFor(st.tileActive, n)
+	st.tileActive = sim.Resize(st.tileActive, n)
 	for i := range st.tileActive {
-		readActiveSet(r, &st.tileActive[i])
+		st.tileActive[i].DecodeBinary(r)
 	}
 
 	st.hasByz = r.Bool()
 	n = r.Count(byzLen)
-	st.byz = sliceFor(st.byz, n)
+	st.byz = sim.Resize(st.byz, n)
 	for i := range st.byz {
 		bz := &st.byz[i]
 		bz.rate = r.U32()
@@ -603,5 +596,147 @@ func (st *NetworkState) DecodeBinary(r *wire.Reader) error {
 	st.stats.ByzDuplicated = r.U64()
 	st.stagedOps = r.U64()
 	st.drainedOps = r.U64()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return st.check()
+}
+
+// check refuses a decoded state whose bytes contradict each other — what
+// the state alone decides, whatever fabric it is later loaded into:
+//   - the ring backing is nodes × NumPorts × spp slots, spp a power of two;
+//   - the arena's generation tags fit the handle, every live packet carries
+//     its own slot's handle and names nodes of the fabric, and every
+//     free-list entry is a recycled packet;
+//   - each ring lies inside the backing on its own port, holds at most spp
+//     entries and flits, agrees with its router's occupancy bits and packet
+//     count, and every queued entry names a live packet by its current
+//     handle and a destination node;
+//   - every hop entry is a port or PortInvalid;
+//   - byzantine records travel exactly when some router is armed.
+//
+// No packet has two owners among the rings and the free list; Claim extends
+// that census to the references the layers above hold.
+func (st *NetworkState) check() error {
+	nodes, spp := st.nodes, st.spp
+	if spp < 1 || spp&(spp-1) != 0 || int64(len(st.slots)) != int64(nodes)*int64(NumPorts)*int64(spp) {
+		return fmt.Errorf("noc: checkpoint holds %d ring slots for %d nodes of %d-slot rings", len(st.slots), nodes, spp)
+	}
+	if st.byzAny != st.hasByz {
+		return errors.New("noc: checkpoint arms byzantine routers without their records")
+	}
+	pool := &st.pool
+	if len(pool.gen) != len(pool.packets) {
+		return fmt.Errorf("noc: checkpoint arena holds %d packets but %d generation tags", len(pool.packets), len(pool.gen))
+	}
+	for i := range pool.packets {
+		p := &pool.packets[i]
+		switch {
+		case pool.gen[i] > pidGenMask:
+			return fmt.Errorf("noc: checkpoint arena slot %d has generation %d, past the handle's", i, pool.gen[i])
+		case p.pooled:
+		case p.h != makePacketID(int32(i), pool.gen[i]):
+			return fmt.Errorf("noc: checkpoint arena slot %d holds a packet with handle %#x, not its own", i, p.h)
+		case !nodeIn(p.Dst, nodes) || p.Src != Invalid && !nodeIn(p.Src, nodes) ||
+			p.Origin != Invalid && !nodeIn(p.Origin, nodes) || p.JoinDst != Invalid && !nodeIn(p.JoinDst, nodes):
+			return fmt.Errorf("noc: checkpoint arena slot %d holds a packet naming a node outside the %d-node fabric", i, nodes)
+		}
+	}
+	st.owned = sim.Resize(st.owned, len(pool.packets))
+	clear(st.owned)
+	for _, idx := range pool.free {
+		if idx < 0 || int(idx) >= len(pool.packets) || !pool.packets[idx].pooled || st.owned[idx] {
+			return fmt.Errorf("noc: checkpoint free list holds arena slot %d, which is not a recycled packet of its own", idx)
+		}
+		st.owned[idx] = true
+	}
+	for i := range st.recs {
+		rec := &st.recs[i]
+		var occ uint8
+		var queued uint32
+		for p := range rec.rings {
+			rg := &rec.rings[p]
+			if rg.n > uint32(spp) || rg.used > uint32(spp) || int64(rg.head) >= int64(len(st.slots)) ||
+				int(rg.head)/spp%int(NumPorts) != p {
+				return fmt.Errorf("noc: checkpoint router record %d has a malformed ring %d", i, p)
+			}
+			if rg.n > 0 {
+				occ |= 1 << p
+			}
+			queued += rg.n
+		}
+		if rec.rr >= uint8(NumPorts) || rec.occ != occ || rec.queued != int32(queued) {
+			return fmt.Errorf("noc: checkpoint router record %d disagrees with its rings", i)
+		}
+	}
+	if err := st.queued(func(s *ringSlot) error {
+		idx := int32(s.id) & pidIndexMask
+		if !s.id.Valid() || int(idx) >= len(pool.packets) || pool.packets[idx].pooled ||
+			pool.packets[idx].h != s.id || st.owned[idx] || !nodeIn(NodeID(s.dst), nodes) {
+			return fmt.Errorf("noc: checkpoint ring entry names packet handle %#x to node %d, which resolve to no live packet of its own", s.id, s.dst)
+		}
+		st.owned[idx] = true
+		return nil
+	}); err != nil {
+		return err
+	}
+	for i, h := range st.hop {
+		if h < int8(PortInvalid) || h >= int8(NumPorts) {
+			return fmt.Errorf("noc: checkpoint hop entry %d is port %d", i, h)
+		}
+	}
+	return nil
+}
+
+func nodeIn(id NodeID, nodes int) bool { return id >= 0 && int(id) < nodes }
+
+// queued calls visit on every queued ring entry, oldest first per ring. The
+// rings must be well-formed: saved from a fabric, or decoded (see check).
+func (st *NetworkState) queued(visit func(s *ringSlot) error) error {
+	mask := uint32(st.spp - 1)
+	for i := range st.recs {
+		for _, rg := range st.recs[i].rings {
+			for k := uint32(0); k < rg.n; k++ {
+				if err := visit(&st.slots[rg.head&^mask|(rg.head+k)&mask]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Claim records a reference the layers above hold to arena slot idx of a
+// decoded state — a PE's queue, in-progress or outbox entry (data), or a
+// pending controller retry (config). The slot must hold a live packet of
+// that kind that no ring, free-list entry or earlier claim owns: two owners
+// would recycle one packet twice.
+func (st *NetworkState) Claim(idx int32, kind Kind) error {
+	if idx < 0 || int(idx) >= len(st.owned) || st.pool.packets[idx].pooled || st.owned[idx] ||
+		st.pool.packets[idx].Kind != kind {
+		return fmt.Errorf("noc: checkpoint references arena slot %d, which is not a live %s packet of its own", idx, kind)
+	}
+	st.owned[idx] = true
+	return nil
+}
+
+// CheckTasks reports the first task a live packet or a queued ring entry
+// carries that the platform's graph lacks, or nil: a data packet's task
+// must be registered, any other packet's registered or None. It reads
+// O(arena + routers) records: the check Restore makes against its graph.
+func (st *NetworkState) CheckTasks(registered func(taskgraph.TaskID) bool) error {
+	known := func(kind Kind, task taskgraph.TaskID) bool {
+		return registered(task) || kind != Data && task == taskgraph.None
+	}
+	for i := range st.pool.packets {
+		if p := &st.pool.packets[i]; !p.pooled && !known(p.Kind, p.Task) {
+			return fmt.Errorf("noc: checkpoint arena slot %d carries task %d", i, p.Task)
+		}
+	}
+	return st.queued(func(s *ringSlot) error {
+		if !known(s.kind, taskID(s.task)) {
+			return fmt.Errorf("noc: checkpoint ring entry carries task %d", s.task)
+		}
+		return nil
+	})
 }

@@ -15,14 +15,6 @@ import (
 // is serialized sorted by instance so two snapshots of identical state
 // encode to identical bytes (map iteration order is not deterministic).
 
-// grow returns s resized to n elements, reallocating only when needed.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // JoinEntry is one in-flight join instance in a PEState.
 type JoinEntry struct {
 	Inst      uint64
@@ -79,7 +71,7 @@ func (pe *PE) SaveState(st *PEState, pool *noc.PacketPool) {
 	st.ClockEn = pe.clockEn
 	st.FreqDiv = pe.freqDiv
 
-	st.Queue = grow(st.Queue, len(pe.queue))
+	st.Queue = sim.Resize(st.Queue, len(pe.queue))
 	for i, p := range pe.queue {
 		st.Queue[i] = packetSlot(pool, p)
 	}
@@ -90,7 +82,7 @@ func (pe *PE) SaveState(st *PEState, pool *noc.PacketPool) {
 	st.BusyEnd = pe.busyEnd
 
 	st.NextGen = pe.nextGen
-	st.Outbox = grow(st.Outbox, len(pe.outbox))
+	st.Outbox = sim.Resize(st.Outbox, len(pe.outbox))
 	for i, p := range pe.outbox {
 		st.Outbox[i] = packetSlot(pool, p)
 	}
@@ -105,7 +97,7 @@ func (pe *PE) SaveState(st *PEState, pool *noc.PacketPool) {
 	// map iteration (AckInstance via gcJoins), not state: every consumer
 	// treats the window as a set. Sort by instance so the encoding is
 	// canonical, like the join table above.
-	st.Outstanding = grow(st.Outstanding, len(pe.outstanding))
+	st.Outstanding = sim.Resize(st.Outstanding, len(pe.outstanding))
 	for i, o := range pe.outstanding {
 		st.Outstanding[i] = OutstandingEntry{Inst: o.inst, Born: o.born}
 	}
@@ -126,7 +118,7 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 	pe.clockEn = st.ClockEn
 	pe.freqDiv = st.FreqDiv
 
-	pe.queue = grow(pe.queue, len(st.Queue))
+	pe.queue = sim.Resize(pe.queue, len(st.Queue))
 	for i, idx := range st.Queue {
 		pe.queue[i] = pool.ArenaPacket(idx)
 	}
@@ -137,7 +129,7 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 	pe.busyEnd = st.BusyEnd
 
 	pe.nextGen = st.NextGen
-	pe.outbox = grow(pe.outbox, len(st.Outbox))
+	pe.outbox = sim.Resize(pe.outbox, len(st.Outbox))
 	for i, idx := range st.Outbox {
 		pe.outbox[i] = pool.ArenaPacket(idx)
 	}
@@ -151,7 +143,7 @@ func (pe *PE) LoadState(st *PEState, pool *noc.PacketPool) {
 		pe.joins[j.Inst] = joinState{seen: j.Seen, origin: j.Origin, lastTouch: j.LastTouch}
 	}
 
-	pe.outstanding = grow(pe.outstanding, len(st.Outstanding))
+	pe.outstanding = sim.Resize(pe.outstanding, len(st.Outstanding))
 	for i, o := range st.Outstanding {
 		pe.outstanding[i] = outstandingInst{inst: o.Inst, born: o.Born}
 	}
@@ -177,11 +169,9 @@ func (d *Directory) SaveState(st *DirectoryState) {
 	st.Version = d.Version
 }
 
-// LoadState restores the directory from st.
+// LoadState restores the directory from st, which must cover the
+// directory's nodes with tasks of its graph (Platform.Restore checks both).
 func (d *Directory) LoadState(st *DirectoryState) {
-	if len(st.TaskOf) != len(d.taskOf) {
-		panic("node: directory checkpoint size mismatch")
-	}
 	copy(d.taskOf, st.TaskOf)
 	copy(d.alive, st.Alive)
 	d.reindex()

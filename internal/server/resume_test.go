@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"centurion/internal/aim"
@@ -212,6 +213,10 @@ func TestResumeDiscardsMisfitCheckpoint(t *testing.T) {
 		widep.RunFor(sim.Ms(40), nil)
 		wider := centurion.EncodeCheckpoint(widep.Snapshot())
 		cases["wider-ring platform"] = func(jc *jobCheckpoint, _ int) { jc.Platform = wider }
+		// CRC-valid bytes of this very run whose values contradict each
+		// other: the decoder refuses them, so the run starts at tick zero.
+		poisoned := freeListPoisoned(t, base.Platform)
+		cases["free-list-poisoned platform"] = func(jc *jobCheckpoint, _ int) { jc.Platform = poisoned }
 
 		for name, edit := range cases {
 			t.Run(fmt.Sprintf("runs=%d/%s", runs, name), func(t *testing.T) {
@@ -307,4 +312,27 @@ func FuzzJobCheckpoint(f *testing.F) {
 				run, win, nThr, nAct, nSw, nSnaps, nRuns)
 		}
 	})
+}
+
+// freeListPoisoned returns a copy of CENCKPT1 bytes whose packet arena's
+// last free-list entry — the slot the next packet is drawn from — is -3,
+// re-framed with a valid checksum: bytes that pass every frame check and
+// name an arena slot that does not exist.
+func freeListPoisoned(t *testing.T, ckpt []byte) []byte {
+	t.Helper()
+	const headerLen, packetLen = 18, 136
+	out := bytes.Clone(ckpt)
+	payload := out[headerLen:]
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(payload[off:])) }
+	off := 16 + 4 + u32(16) + 5*8 + 6*8 // dimensions, topology, clock and counters
+	off += 4*4 + 1                      // the network section's geometry header
+	off += 4 + u32(off)*packetLen       // the arena's packets
+	off += 4 + 4*u32(off)               // their generation tags
+	free := u32(off)
+	if free == 0 {
+		t.Fatal("the checkpoint's arena has no free packet")
+	}
+	binary.LittleEndian.PutUint32(payload[off+4*free:], 0xfffffffd)
+	binary.LittleEndian.PutUint32(out[14:], crc32.ChecksumIEEE(payload))
+	return out
 }

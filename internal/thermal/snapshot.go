@@ -17,12 +17,9 @@ func (m *Model) SaveState(st *State) {
 	st.Last = append(st.Last[:0], m.last...)
 }
 
-// LoadState restores the model from st. The target must cover the same node
-// count.
+// LoadState restores the model from st, which must cover the model's node
+// count (Platform.Restore checks it).
 func (m *Model) LoadState(st *State) {
-	if len(st.Temp) != len(m.temp) || len(st.Last) != len(m.last) {
-		panic("thermal: checkpoint size mismatch")
-	}
 	copy(m.temp, st.Temp)
 	copy(m.last, st.Last)
 }
