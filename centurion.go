@@ -337,14 +337,14 @@ func RunSpec(spec ServiceSpec) (*ServiceResult, error) {
 // NewServiceHandler assembles the simulation service as an http.Handler
 // (POST /v1/runs, GET /v1/runs/{id}, SSE events, POST /v1/sweep, /healthz)
 // for embedding in an existing server. Close the returned service to stop
-// its worker pool.
+// its in-process slots and coordinator.
 func NewServiceHandler(opts ServeOptions) *Service {
 	return server.New(opts)
 }
 
 // Serve runs the simulation service on addr until the listener fails
-// (blocking). Zero options select the defaults: GOMAXPROCS workers, a
-// 256-entry admission queue and a 128-entry LRU result cache.
+// (blocking). Zero options select the defaults: GOMAXPROCS in-process
+// slots, a 256-job queue bound and a 128-entry LRU result cache.
 func Serve(addr string, opts ServeOptions) error {
 	return ServeContext(context.Background(), addr, opts)
 }

@@ -16,10 +16,9 @@ import (
 	"centurion/internal/store"
 )
 
-// cmdServe runs the simulation service: a bounded worker pool executing
-// JSON run specs behind a REST API with an LRU result cache — and the
-// dispatch coordinator that `centurion worker` daemons lease sweep jobs
-// from. With -store the coordinator keeps a durable content-addressed
+// cmdServe runs the simulation service: JSON run specs behind a REST API
+// with an LRU result cache, queued on the dispatch coordinator that its
+// in-process slots and `centurion worker` daemons lease jobs from. With -store the coordinator keeps a durable content-addressed
 // result log, so a restart serves previously computed results without
 // re-execution. With -journal the coordinator appends every job-queue
 // transition to a durable log and replays pending and in-flight jobs on
@@ -29,8 +28,8 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "simulation worker-pool size (also bounds outstanding dispatched jobs)")
-	queue := fs.Int("queue", server.DefaultQueueBound, "admission queue bound (excess submissions get 503 + Retry-After)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "in-process slots running queued jobs while no worker daemon is live")
+	queue := fs.Int("queue", server.DefaultQueueBound, "bound on queued jobs (excess submissions get 503 + Retry-After)")
 	cache := fs.Int("cache", server.DefaultCacheSize, "LRU result-cache capacity (canonical specs)")
 	storeDir := fs.String("store", "", "directory for the durable content-addressed result store (empty: in-memory only)")
 	journalDir := fs.String("journal", "", "directory for the durable coordinator job journal (empty: queue dies with the process)")

@@ -14,6 +14,10 @@
 // jobs instead of forgetting a sweep; and the Transport seam lets the chaos
 // harness prove both properties under a hostile network.
 //
+// The coordinator is the service's only job queue: RunLocal's in-process
+// slots lease from the same FIFO as remote workers, whenever none of those is
+// live, so every job has one lifecycle whoever runs it.
+//
 // The package is payload-agnostic: jobs and results are byte slices, keyed
 // by the caller's content-addressed spec keys, so the server layer stays the
 // only place that knows what a run spec is.
@@ -54,9 +58,8 @@ type Config struct {
 	// PollWait bounds how long a worker's lease long-poll blocks before
 	// returning empty-handed.
 	PollWait time.Duration
-	// MaxAttempts caps how many times a job may be leased before the
-	// coordinator gives up on remote execution and fails it (the server
-	// layer then falls back to running it locally).
+	// MaxAttempts caps how many times a job may be leased: a job whose
+	// MaxAttempts-th lease expires fails with ErrAttemptsExhausted.
 	MaxAttempts int
 	// Clock overrides the coordinator's monotonic time source (a duration
 	// since an arbitrary epoch). Nil selects time.Since of the construction
@@ -96,9 +99,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrNoWorkers reports that no live worker is registered: the caller should
-// execute locally instead of queueing a job nobody will lease.
+// ErrNoWorkers reports that a coordinator without in-process slots has no
+// live worker either: nobody would ever lease the job.
 var ErrNoWorkers = errors.New("dispatch: no live workers registered")
+
+// ErrQueueFull reports a Submit that would grow the queue past its bound.
+var ErrQueueFull = errors.New("dispatch: job queue full")
 
 // ErrAttemptsExhausted reports that a job was leased MaxAttempts times
 // without a completion — every worker that took it died or lost its lease.
@@ -134,9 +140,13 @@ type job struct {
 	payload []byte
 
 	state    jobState
-	workerID string        // leaseholder while stateLeased
+	workerID string        // remote leaseholder while stateLeased
 	attempt  int           // incremented at each lease
-	deadline time.Duration // lease expiry (monotonic clock) while stateLeased
+	deadline time.Duration // lease expiry (monotonic clock) while remotely leased
+	leasedAt time.Duration // lease grant (monotonic clock)
+	// stop, set while an in-process slot holds the job, cancels its run.
+	// Such a lease has no holder ID and no TTL.
+	stop context.CancelFunc
 
 	// ckpt is the latest committed checkpoint of this job's execution and
 	// ckptTick its monotonically increasing progress stamp; a re-lease ships
@@ -188,6 +198,9 @@ type Stats struct {
 	Completed     uint64 `json:"completed"`
 	Failed        uint64 `json:"failed"`
 	StaleRejected uint64 `json:"stale_rejected"`
+	// MeanRunMs is the exponentially weighted mean lease-to-result time of
+	// completed jobs.
+	MeanRunMs float64 `json:"mean_run_ms"`
 
 	// CheckpointsCommitted counts accepted job checkpoints; Resumes counts
 	// leases granted carrying a prior attempt's checkpoint; JournalReplays
@@ -218,6 +231,8 @@ type Coordinator struct {
 	nextJob uint64
 	nextWkr uint64
 	closed  bool
+	slots   int           // in-process slots started by RunLocal
+	meanRun time.Duration // EWMA (α=1/5) of lease-to-result time
 
 	leasesGranted  uint64
 	expired        uint64
@@ -233,6 +248,7 @@ type Coordinator struct {
 	stopExpiry chan struct{}
 	expiryDone chan struct{}
 	closeOnce  sync.Once
+	local      sync.WaitGroup // running slots
 }
 
 // NewCoordinator starts a coordinator and its lease-expiry clock. With
@@ -279,6 +295,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 				j.state = stateLeased
 				j.workerID = jj.WorkerID
 				j.deadline = now + c.cfg.LeaseTTL
+				j.leasedAt = now
 			} else {
 				c.pending = append(c.pending, j)
 			}
@@ -332,9 +349,7 @@ func (c *Coordinator) liveWorkersLocked(now time.Duration) int {
 // Register adds (or re-adds) a worker daemon and returns its ID plus the
 // lease timing contract it must honour.
 func (c *Coordinator) Register(name string, slots int) (id string, leaseTTL, pollWait time.Duration, err error) {
-	if slots < 1 {
-		slots = 1
-	}
+	slots = max(slots, 1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -346,7 +361,6 @@ func (c *Coordinator) Register(name string, slots int) (id string, leaseTTL, pol
 	// that outlived a restart pass leaseHolder for an unrelated new job.
 	id = fmt.Sprintf("w-%x-%d", c.epoch.UnixNano(), c.nextWkr)
 	c.workers[id] = &workerState{slots: slots, seen: c.clock()}
-	c.broadcast() // an Execute blocked on ErrNoWorkers re-checks… (callers poll, see Execute)
 	return id, c.cfg.LeaseTTL, c.cfg.PollWait, nil
 }
 
@@ -359,62 +373,87 @@ func (c *Coordinator) Deregister(workerID string) {
 	c.mu.Lock()
 	delete(c.workers, workerID)
 	c.mu.Unlock()
-	// Wake the expiry loop's no-worker sweep promptly rather than waiting
-	// for its next tick: fail still-pending jobs over to local fallback.
+	// Run the expiry loop's no-worker sweep now rather than at its next tick:
+	// the slots take the pending jobs over (or, with none, they fail with
+	// ErrNoWorkers).
 	c.expireOverdue(c.clock())
 }
 
-// Execute queues one job for remote execution and blocks until a worker
-// completes it, the attempt cap trips, or ctx is cancelled. onProgress (may
-// be nil) receives raw progress payloads as workers post them.
+// Execute is Submit with no queue bound followed by the ticket's Wait.
+func (c *Coordinator) Execute(ctx context.Context, key string, payload []byte, onProgress func([]byte)) ([]byte, error) {
+	t, err := c.Submit(key, payload, onProgress, 0)
+	if err != nil {
+		return nil, err
+	}
+	return t.Wait(ctx)
+}
+
+// Ticket is a submitter's handle on one queued job.
+type Ticket struct {
+	c *Coordinator
+	j *job
+}
+
+// Submit queues one job and returns at once with its ticket; onProgress (may
+// be nil) receives raw progress payloads as the executor posts them. With
+// maxPending > 0, a job that would make the queue longer than maxPending is
+// refused with ErrQueueFull — decided under the same lock as the enqueue.
 //
 // A journal-replayed open job with the same key is adopted instead of
 // enqueued twice: the caller becomes the orphan's waiter, so a client
 // retrying across a coordinator restart lands on the same in-flight work.
 //
-// With no live worker registered it fails fast with ErrNoWorkers so the
-// caller can run the job in-process instead — that is what lets a
-// serve-only deployment behave exactly as before this subsystem existed.
-func (c *Coordinator) Execute(ctx context.Context, key string, payload []byte, onProgress func([]byte)) ([]byte, error) {
+// A coordinator with no in-process slots and no live worker refuses the job
+// with ErrNoWorkers rather than queue it for nobody.
+func (c *Coordinator) Submit(key string, payload []byte, onProgress func([]byte), maxPending int) (Ticket, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	var j *job
-	if o, ok := c.orphans[key]; ok {
+	defer c.mu.Unlock()
+	switch o, ok := c.orphans[key]; {
+	case c.closed:
+		return Ticket{}, ErrClosed
+	case ok:
 		// Adopt: the retry after a restart attaches to the replayed job.
 		delete(c.orphans, key)
 		o.orphan = false
 		o.onProgress = onProgress
-		j = o
-	} else {
-		if c.liveWorkersLocked(c.clock()) == 0 {
-			c.mu.Unlock()
-			return nil, ErrNoWorkers
-		}
-		c.nextJob++
-		j = &job{
-			id:         fmt.Sprintf("dj-%d", c.nextJob),
-			key:        key,
-			payload:    payload,
-			onProgress: onProgress,
-			done:       make(chan struct{}),
-		}
-		c.journal(func(l *Journal) error { return l.Enqueue(j.id, key, payload) })
-		c.byID[j.id] = j
-		c.pending = append(c.pending, j)
-		c.broadcast()
+		return Ticket{c, o}, nil
+	case c.slots == 0 && c.liveWorkersLocked(c.clock()) == 0:
+		return Ticket{}, ErrNoWorkers
+	case maxPending > 0 && len(c.pending) >= maxPending:
+		return Ticket{}, ErrQueueFull
 	}
-	c.mu.Unlock()
+	c.nextJob++
+	j := &job{
+		id:         fmt.Sprintf("dj-%d", c.nextJob),
+		key:        key,
+		payload:    payload,
+		onProgress: onProgress,
+		done:       make(chan struct{}),
+	}
+	c.journal(func(l *Journal) error { return l.Enqueue(j.id, key, payload) })
+	c.byID[j.id] = j
+	c.pending = append(c.pending, j)
+	c.broadcast()
+	return Ticket{c, j}, nil
+}
 
+// Wait blocks until the job ends, returning its result, or until ctx is
+// cancelled, which withdraws the job.
+func (t Ticket) Wait(ctx context.Context) ([]byte, error) {
 	select {
-	case <-j.done:
-		return j.result, j.err
+	case <-t.j.done:
+		return t.j.result, t.j.err
 	case <-ctx.Done():
-		c.abandon(j)
+		t.c.abandon(t.j)
 		return nil, ctx.Err()
 	}
+}
+
+// Leased reports whether the job is held under a lease right now.
+func (t Ticket) Leased() bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	return t.j.state == stateLeased
 }
 
 // abandon withdraws a job whose waiter gave up. A leased job's slot is
@@ -431,21 +470,30 @@ func (c *Coordinator) abandon(j *job) {
 }
 
 // finish is a job's one terminal transition: every way a job ends goes
-// through here. It frees the holder's slot (or the queue place), records the
-// outcome, closes the job's journal record, releases the waiter, and returns
-// the job's checkpoint record for the caller to delete after unlocking ("" if
-// there is none). An orphan closed by shutdown is the exception: it stays
+// through here. It frees the holder's slot (cancelling an in-process run) or
+// the queue place, records the outcome, closes the job's journal record,
+// releases the waiter, and returns the job's checkpoint record for the
+// caller to delete after unlocking ("" if there is none). An orphan closed by shutdown is the exception: it stays
 // open in the journal, checkpoint and all, so the next life retries it.
 // Callers hold c.mu.
 func (c *Coordinator) finish(j *job, result []byte, err error) (ckptKey string) {
 	if j.state == stateLeased {
-		if w, ok := c.workers[j.workerID]; ok {
+		if j.stop != nil {
+			j.stop()
+		} else if w, ok := c.workers[j.workerID]; ok {
 			w.leased--
+		}
+		if err == nil {
+			ran := c.clock() - j.leasedAt
+			if c.meanRun == 0 {
+				c.meanRun = ran // seeds the EWMA
+			}
+			c.meanRun += (ran - c.meanRun) / 5
 		}
 	} else if i := slices.Index(c.pending, j); i >= 0 {
 		c.pending = slices.Delete(c.pending, i, i+1)
 	}
-	j.state, j.workerID = stateDone, ""
+	j.state, j.workerID, j.onProgress = stateDone, "", nil
 	j.result, j.err = result, err
 	if err != nil {
 		c.failed++
@@ -507,39 +555,10 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 			c.mu.Unlock()
 			return Lease{}, false, fmt.Errorf("dispatch: unknown worker %q", workerID)
 		}
-		now := c.clock()
-		w.seen = now
+		w.seen = c.clock()
 		if len(c.pending) > 0 && w.leased < w.slots {
-			j := c.pending[0]
-			c.pending = c.pending[1:]
-			j.state = stateLeased
-			j.workerID = workerID
-			j.attempt++
-			j.deadline = now + c.cfg.LeaseTTL
 			w.leased++
-			c.leasesGranted++
-			if j.ckpt == nil && j.restored {
-				// First lease since a journal replay: the latest committed
-				// checkpoint (if any) lives only in the durable store.
-				if st := c.cfg.CheckpointStore; st != nil {
-					if v, ok, err := st.Get(ckptKeyPrefix + j.key); err == nil && ok {
-						j.ckpt = v
-					}
-				}
-				j.restored = false
-			}
-			if j.ckpt != nil {
-				c.resumes++
-			}
-			c.journal(func(l *Journal) error { return l.Lease(j.id, workerID, j.attempt) })
-			lease := Lease{
-				JobID:          j.id,
-				Key:            j.key,
-				Payload:        j.payload,
-				Attempt:        j.attempt,
-				Checkpoint:     j.ckpt,
-				CheckpointTick: j.ckptTick,
-			}
+			_, lease := c.grant(workerID)
 			c.mu.Unlock()
 			return lease, true, nil
 		}
@@ -552,6 +571,43 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 		case <-ctx.Done():
 			return Lease{}, false, ctx.Err()
 		}
+	}
+}
+
+// grant leases the queue's head to workerID, "" for an in-process slot.
+// Callers hold c.mu.
+func (c *Coordinator) grant(workerID string) (*job, Lease) {
+	now := c.clock()
+	j := c.pending[0]
+	c.pending = c.pending[1:]
+	j.state = stateLeased
+	j.workerID = workerID
+	j.attempt++
+	j.deadline = now + c.cfg.LeaseTTL
+	j.leasedAt = now
+	c.leasesGranted++
+	if j.ckpt == nil && j.restored {
+		// First lease since a journal replay: the latest committed
+		// checkpoint (if any) lives only in the durable store.
+		if st := c.cfg.CheckpointStore; st != nil {
+			if v, ok, err := st.Get(ckptKeyPrefix + j.key); err == nil && ok {
+				j.ckpt = v
+			}
+		}
+		j.restored = false
+	}
+	if j.ckpt != nil {
+		c.resumes++
+	}
+	// A slot's lease journals no holder, so a replay requeues the job.
+	c.journal(func(l *Journal) error { return l.Lease(j.id, workerID, j.attempt) })
+	return j, Lease{
+		JobID:          j.id,
+		Key:            j.key,
+		Payload:        j.payload,
+		Attempt:        j.attempt,
+		Checkpoint:     j.ckpt,
+		CheckpointTick: j.ckptTick,
 	}
 }
 
@@ -569,7 +625,7 @@ func (c *Coordinator) leaseHolder(jobID, workerID string, attempt int) (*job, er
 		c.staleRejected++
 		return nil, fmt.Errorf("dispatch: unknown job %q", jobID)
 	}
-	if j.state != stateLeased || j.workerID != workerID || j.attempt != attempt {
+	if j.state != stateLeased || j.stop != nil || j.workerID != workerID || j.attempt != attempt {
 		c.staleRejected++
 		return nil, fmt.Errorf("dispatch: job %s is not leased to %s at attempt %d", jobID, workerID, attempt)
 	}
@@ -666,6 +722,13 @@ func (c *Coordinator) Complete(jobID, workerID string, attempt int, result []byt
 		c.mu.Unlock()
 		return err
 	}
+	c.complete(j, result, execErr)
+	return nil
+}
+
+// complete ends leased job j with its executor's outcome. Callers hold c.mu;
+// complete releases it.
+func (c *Coordinator) complete(j *job, result []byte, execErr string) {
 	var jobErr error
 	if execErr != "" {
 		result, jobErr = nil, &RemoteError{Msg: execErr}
@@ -680,7 +743,6 @@ func (c *Coordinator) Complete(jobID, workerID string, attempt int, result []byt
 		// answered without re-execution.
 		sink(j.key, result)
 	}
-	return nil
 }
 
 // expiryLoop is the lease clock: it scans for overdue leases and requeues
@@ -688,14 +750,7 @@ func (c *Coordinator) Complete(jobID, workerID string, attempt int, result []byt
 // millisecond leases expire promptly without a hot loop in production.
 func (c *Coordinator) expiryLoop() {
 	defer close(c.expiryDone)
-	interval := c.cfg.LeaseTTL / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(min(max(c.cfg.LeaseTTL/4, 5*time.Millisecond), time.Second))
 	defer ticker.Stop()
 	for {
 		select {
@@ -707,32 +762,32 @@ func (c *Coordinator) expiryLoop() {
 	}
 }
 
-// expireOverdue requeues every lease whose deadline passed. Expired jobs
-// rejoin the queue at the front, ordered by (deadline, id) so recovery
-// order is deterministic; a job out of attempts fails instead, and a job
-// with no live worker left to retry it fails with ErrNoWorkers so its
-// waiter can fall back to local execution rather than wait forever.
-// Orphans (journal-replayed jobs with no waiter) are exempt from the
-// no-worker fast-fail — there is nobody to strand, and failing them would
-// lose the very jobs the journal preserved.
+// expireOverdue requeues every remote lease whose deadline passed. Expired
+// jobs rejoin the queue at the front, ordered by (deadline, id) so recovery
+// order is deterministic; a job out of attempts fails instead. With no live
+// remote worker the slots take the queue, so they are woken; without slots
+// either, a job nobody is left to run fails with ErrNoWorkers rather than
+// strand its waiter. Orphans (journal-replayed jobs with no waiter) are
+// exempt from that fast-fail — failing them would lose the very jobs the
+// journal preserved.
 func (c *Coordinator) expireOverdue(now time.Duration) {
 	var ckpts []string
 	defer func() { c.dropCheckpoint(ckpts...) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := c.liveWorkersLocked(now)
-	// A queue with nobody left to serve it must not strand its waiters:
-	// fail pending jobs with ErrNoWorkers so they run locally instead.
-	if live == 0 {
+	strand := c.liveWorkersLocked(now) == 0 && c.slots == 0
+	if strand {
 		for _, j := range slices.Clone(c.pending) {
 			if !j.orphan {
 				ckpts = append(ckpts, c.finish(j, nil, ErrNoWorkers))
 			}
 		}
+	} else if len(c.pending) > 0 {
+		c.broadcast() // a slot waiting out a remote worker's liveness re-checks
 	}
 	var overdue []*job
 	for _, j := range c.byID {
-		if j.state == stateLeased && now > j.deadline {
+		if j.state == stateLeased && j.stop == nil && now > j.deadline {
 			overdue = append(overdue, j)
 		}
 	}
@@ -751,7 +806,7 @@ func (c *Coordinator) expireOverdue(now time.Duration) {
 		switch {
 		case j.attempt >= c.cfg.MaxAttempts:
 			ckpts = append(ckpts, c.finish(j, nil, fmt.Errorf("%w (%d leases lost)", ErrAttemptsExhausted, j.attempt)))
-		case live == 0 && !j.orphan:
+		case strand && !j.orphan:
 			ckpts = append(ckpts, c.finish(j, nil, ErrNoWorkers))
 		default:
 			if w, ok := c.workers[j.workerID]; ok {
@@ -787,6 +842,7 @@ func (c *Coordinator) Stats() Stats {
 		Completed:            c.completed,
 		Failed:               c.failed,
 		StaleRejected:        c.staleRejected,
+		MeanRunMs:            float64(c.meanRun) / float64(time.Millisecond),
 		CheckpointsCommitted: c.ckptsCommitted,
 		Resumes:              c.resumes,
 		JournalReplays:       c.journalReplays,
@@ -799,34 +855,7 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// Drain stops admitting new jobs and waits (until ctx expires) for leased
-// and pending jobs to finish; whatever remains is failed so no waiter stays
-// blocked. Always followed by Close.
-func (c *Coordinator) Drain(ctx context.Context) {
-	c.mu.Lock()
-	c.closed = true
-	c.broadcast()
-	c.mu.Unlock()
-
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		c.mu.Lock()
-		n := len(c.byID)
-		c.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			c.failRemaining()
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
-// failRemaining fails every job still tracked — drain gave up waiting.
+// failRemaining fails every job still tracked — the coordinator is closing.
 // Orphans are released in memory but NOT journaled as failed: their
 // submitters are gone either way, and leaving them open in the journal
 // means the next start retries them instead of losing them.
@@ -840,8 +869,9 @@ func (c *Coordinator) failRemaining() {
 	c.dropCheckpoint(ckpts...)
 }
 
-// Close stops the expiry clock and fails any jobs still in flight. Safe to
-// call more than once.
+// Close stops the expiry clock, fails any jobs still in flight (cancelling
+// in-process runs) and returns once every slot has exited. Safe to call more
+// than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if !c.closed { // else Drain (or a prior Close) already sealed admission
@@ -852,6 +882,7 @@ func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { close(c.stopExpiry) })
 	<-c.expiryDone
 	c.failRemaining()
+	c.local.Wait()
 	if c.cfg.Journal != nil {
 		_ = c.cfg.Journal.Close()
 	}
@@ -871,6 +902,9 @@ func (c *Coordinator) CrashForTest() {
 	<-c.expiryDone
 	c.mu.Lock()
 	for id, j := range c.byID {
+		if j.stop != nil {
+			j.stop()
+		}
 		j.state = stateDone
 		j.err = ErrClosed
 		delete(c.byID, id)
@@ -881,7 +915,62 @@ func (c *Coordinator) CrashForTest() {
 		delete(c.orphans, k)
 	}
 	c.mu.Unlock()
+	c.local.Wait()
 	if c.cfg.Journal != nil {
 		_ = c.cfg.Journal.Close()
+	}
+}
+
+// RunLocal starts slots in-process executors on the coordinator's own queue
+// (DESIGN.md §16): RunWorker's built-in counterpart, with the same FIFO,
+// attempts, journal and finish but no HTTP, registration, heartbeat or TTL.
+// A slot leases only while no remote worker is live; slots are not registry
+// entries and commit no checkpoints (they do resume from a remote attempt's).
+// With slots, Submit never fails with ErrNoWorkers and the lease clock wakes
+// them instead of failing the queue. Close cancels a running in-process job
+// and waits for every slot to exit; call RunLocal before it.
+func (c *Coordinator) RunLocal(slots int, exec ExecuteResumableFunc) {
+	c.mu.Lock()
+	c.slots += slots
+	c.mu.Unlock()
+	c.local.Add(slots)
+	for range slots {
+		go c.runSlot(exec)
+	}
+}
+
+// runSlot is one in-process slot: lease the queue's head while no remote
+// worker is live, run it, complete it, until the coordinator closes.
+func (c *Coordinator) runSlot(exec ExecuteResumableFunc) {
+	defer c.local.Done()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.closed {
+		if len(c.pending) == 0 || c.liveWorkersLocked(c.clock()) > 0 {
+			wake := c.wake
+			c.mu.Unlock()
+			<-wake
+			c.mu.Lock()
+			continue
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		j, l := c.grant("")
+		j.stop = cancel // finish cancels the run
+		c.mu.Unlock()
+		result, errMsg := exec(ctx, l.resumable(func(b []byte) {
+			c.mu.Lock()
+			onProgress := j.onProgress
+			c.mu.Unlock()
+			if onProgress != nil {
+				onProgress(b)
+			}
+		}, func(context.Context, int64, []byte) error {
+			return errors.New("dispatch: in-process slots commit no checkpoints")
+		}))
+		c.mu.Lock()
+		if j.state == stateLeased { // else finish ended it while it ran
+			c.complete(j, result, errMsg)
+			c.mu.Lock()
+		}
 	}
 }

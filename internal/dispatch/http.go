@@ -13,14 +13,14 @@ import (
 )
 
 // The coordinator's wire surface, mounted onto the service mux. Every body
-// is JSON except a checkpoint commit's, which is a binary frame
-// (application/octet-stream, see encodeCheckpointPost):
+// is JSON except a progress post's and a checkpoint commit's, which are
+// binary frames (application/octet-stream, see encodeCheckpointPost):
 //
 //	POST /v1/workers/register      → {worker_id, lease_ttl_ms, poll_wait_ms}
 //	POST /v1/workers/{id}/lease    → 200 {job_id, key, payload, attempt} | 204 (poll timed out)
 //	POST /v1/workers/{id}/deregister → 204 (graceful goodbye; best-effort)
 //	POST /v1/jobs/{id}/heartbeat   → 204 | 409 (lease lost) | 404
-//	POST /v1/jobs/{id}/progress    → 204 | 409 | 404
+//	POST /v1/jobs/{id}/progress    → 204 | 400 (not a frame) | 409 | 404
 //	POST /v1/jobs/{id}/checkpoint  → 204 | 400 (not a frame) | 409 | 404
 //	POST /v1/jobs/{id}/complete    → 204 | 409 | 404
 //
@@ -50,13 +50,12 @@ type leaseRequest struct {
 	WaitMs int64 `json:"wait_ms"`
 }
 
-// jobPost is the shared body shape of heartbeat/progress/complete.
+// jobPost is the shared body shape of heartbeat/complete.
 type jobPost struct {
 	WorkerID string          `json:"worker_id"`
 	Attempt  int             `json:"attempt"`
-	Samples  json.RawMessage `json:"samples,omitempty"` // progress only
-	Result   json.RawMessage `json:"result,omitempty"`  // complete only
-	Error    string          `json:"error,omitempty"`   // complete only
+	Result   json.RawMessage `json:"result,omitempty"` // complete only
+	Error    string          `json:"error,omitempty"`  // complete only
 }
 
 // encodeCheckpointPost renders the body of POST /v1/jobs/{id}/checkpoint:
@@ -65,8 +64,9 @@ type jobPost struct {
 //
 //	str worker_id | u32 attempt | i64 tick | checkpoint…
 //
-// The coordinator never looks inside a checkpoint, so it crosses the wire
-// as raw bytes: no JSON and no base64 on the commit path.
+// A progress post is the same frame with tick 0 and the progress payload in
+// place of the checkpoint. The coordinator never looks inside either, so
+// they cross the wire as raw bytes: no JSON and no base64.
 func encodeCheckpointPost(workerID string, attempt int, tick int64, data []byte) []byte {
 	b := make([]byte, 0, 4+len(workerID)+4+8+len(data))
 	b = wire.AppendString(b, workerID)
@@ -207,19 +207,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var req jobPost
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := c.Progress(r.PathValue("id"), req.WorkerID, req.Attempt, req.Samples); err != nil {
-		writeDispatchError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	c.handleFrame(w, r, func(jobID, workerID string, attempt int, _ int64, data []byte) error {
+		return c.Progress(jobID, workerID, attempt, data)
+	})
 }
 
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	c.handleFrame(w, r, c.Checkpoint)
+}
+
+// handleFrame decodes a framed job post (see encodeCheckpointPost) and
+// applies it to the job the path names.
+func (c *Coordinator) handleFrame(w http.ResponseWriter, r *http.Request, apply func(jobID, workerID string, attempt int, tick int64, data []byte) error) {
 	body, err := readBody(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -230,7 +229,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := c.Checkpoint(r.PathValue("id"), workerID, attempt, tick, data); err != nil {
+	if err := apply(r.PathValue("id"), workerID, attempt, tick, data); err != nil {
 		writeDispatchError(w, err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +229,101 @@ func TestLeaseLifecycle(t *testing.T) {
 				t.Fatalf("next job returned %q, %v", nr.res, nr.err)
 			}
 
+			if r.hasCheckpoint("job") {
+				t.Fatal("the ended job's checkpoint record is still in the store")
+			}
+			if journaled(r.jr, l.JobID) {
+				t.Fatal("the ended job is still open in the journal")
+			}
+			if st.Leased != 0 || st.Pending != 0 || st.Completed+st.Failed != 1 {
+				t.Fatalf("stats after the end = %+v, want no lease and exactly one end counted", st)
+			}
+			if !row.want(wr) || len(waiter) != 0 {
+				t.Fatalf("waiter returned %q, %v (%d more returns)", wr.res, wr.err, len(waiter))
+			}
+		})
+	}
+
+	// The same ends for a job an in-process slot holds. The remote attempt's
+	// lease lapses (the job requeues with its checkpoint), the slots start,
+	// and the remote worker deregisters, so a slot leases the job at attempt
+	// 2, resuming from the checkpoint. After the end the slot is free: it
+	// runs the next job. Shutdown has no next job; Close must return only
+	// after the slot's cancelled run has exited.
+	localRows := []struct {
+		name string
+		// run is the slot's executor for the job; end drives the job to its
+		// end once the slot runs it.
+		run  func(ctx context.Context) ([]byte, string)
+		end  func(r *lifecycleRig, cancel context.CancelFunc)
+		want func(waiterResult) bool
+	}{
+		{
+			name: "in-process complete",
+			run:  func(context.Context) ([]byte, string) { return []byte("result"), "" },
+			end:  func(*lifecycleRig, context.CancelFunc) {},
+			want: func(wr waiterResult) bool { return wr.err == nil && string(wr.res) == "result" },
+		},
+		{
+			name: "in-process execution error",
+			run:  func(context.Context) ([]byte, string) { return nil, "boom" },
+			end:  func(*lifecycleRig, context.CancelFunc) {},
+			want: func(wr waiterResult) bool { return errors.As(wr.err, &remote) && remote.Msg == "boom" },
+		},
+		{
+			name: "in-process, waiter gone while leased",
+			run:  func(ctx context.Context) ([]byte, string) { <-ctx.Done(); return []byte("late"), "" },
+			end:  func(_ *lifecycleRig, cancel context.CancelFunc) { cancel() },
+			want: func(wr waiterResult) bool { return errors.Is(wr.err, context.Canceled) },
+		},
+		{
+			name: "in-process shutdown",
+			run:  func(ctx context.Context) ([]byte, string) { <-ctx.Done(); return nil, "cancelled" },
+			end:  func(r *lifecycleRig, _ context.CancelFunc) { r.c.Close() },
+			want: func(wr waiterResult) bool { return errors.Is(wr.err, ErrClosed) },
+		},
+	}
+	for _, row := range localRows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newLifecycleRig(t, filepath.Join(t.TempDir(), "queue.jrnl"), store.NewMemStore(), &manualClock{})
+			defer r.c.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			waiter := startWaiter(r.c, ctx, "job")
+			l := r.leaseAndCommit(t, "job")
+			r.expire(r.c.cfg.LeaseTTL + time.Millisecond) // requeued, checkpoint kept
+
+			leased := make(chan ResumableJob, 1)
+			var exited atomic.Bool
+			r.c.RunLocal(1, func(ctx context.Context, job ResumableJob) ([]byte, string) {
+				if job.Key == "next" {
+					return []byte("ok"), ""
+				}
+				defer exited.Store(true)
+				leased <- job
+				return row.run(ctx)
+			})
+			r.c.Deregister(r.w)
+			var job ResumableJob
+			select {
+			case job = <-leased:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no slot leased the job after the remote worker left")
+			}
+			if job.Attempt != 2 || string(job.Checkpoint) != "ckpt-job" {
+				t.Fatalf("slot lease = attempt %d checkpoint %q, want attempt 2 resuming from %q", job.Attempt, job.Checkpoint, "ckpt-job")
+			}
+			row.end(r, cancel)
+			wr := awaitWaiter(t, waiter)
+			st := r.c.Stats()
+
+			if row.name == "in-process shutdown" {
+				if !exited.Load() {
+					t.Fatal("Close returned before the slot's cancelled run exited")
+				}
+			} else if nr := awaitWaiter(t, startWaiter(r.c, context.Background(), "next")); nr.err != nil || string(nr.res) != "ok" {
+				t.Fatalf("the slot did not run the next job: %q, %v", nr.res, nr.err)
+			}
 			if r.hasCheckpoint("job") {
 				t.Fatal("the ended job's checkpoint record is still in the store")
 			}

@@ -31,8 +31,16 @@ type ResumableJob struct {
 	// coordinator. Ticks must be strictly increasing within a run. Failures
 	// are safe to ignore — a missed commit only widens the window of work a
 	// later attempt repeats — except that a coordinator-confirmed fencing
-	// rejection also cancels the job's ctx (the lease is gone).
+	// rejection also cancels the job's ctx (the lease is gone). An
+	// in-process slot's Commit always fails: slots commit no checkpoints.
 	Commit func(ctx context.Context, tick int64, data []byte) error
+}
+
+// resumable is the executor's view of lease l, reporting through progress
+// and commit.
+func (l Lease) resumable(progress func([]byte), commit func(context.Context, int64, []byte) error) ResumableJob {
+	return ResumableJob{Key: l.Key, Payload: l.Payload, Attempt: l.Attempt, Checkpoint: l.Checkpoint,
+		CheckpointTick: l.CheckpointTick, Progress: progress, Commit: commit}
 }
 
 // ExecuteResumableFunc runs one leased job and returns the result payload,
@@ -151,8 +159,9 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	}
 	wg.Wait()
 	// Graceful drain (not a hard stop): tell the coordinator we are gone so
-	// queued jobs stop waiting on our liveness window and fail over to local
-	// execution immediately. Best-effort — the window covers a lost goodbye.
+	// queued jobs stop waiting on our liveness window and pass to its
+	// in-process slots immediately. Best-effort — the window covers a lost
+	// goodbye.
 	if hardCtx.Err() == nil {
 		w.mu.Lock()
 		id := w.reg.id
@@ -320,14 +329,8 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	// Heartbeat at a third of the TTL: two beats may be lost before the
 	// lease dies. Within each beat, transient delivery failures are retried
 	// a few times on a short fuse.
-	hbInterval := reg.ttl / 3
-	if hbInterval < 5*time.Millisecond {
-		hbInterval = 5 * time.Millisecond
-	}
-	retryGap := hbInterval / 8
-	if retryGap < time.Millisecond {
-		retryGap = time.Millisecond
-	}
+	hbInterval := max(reg.ttl/3, 5*time.Millisecond)
+	retryGap := max(hbInterval/8, time.Millisecond)
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
@@ -361,9 +364,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 	}()
 
 	progress := func(samples []byte) {
-		p := auth
-		p.Samples = samples
-		if status, err := w.post(jobCtx, base+"/progress", p, nil); err == nil {
+		if status, err := w.post(jobCtx, base+"/progress", encodeCheckpointPost(reg.id, lease.Attempt, 0, samples), nil); err == nil {
 			fenced(status)
 		}
 	}
@@ -377,15 +378,7 @@ func (w *worker) runJob(hardCtx context.Context, reg registration, lease Lease, 
 		}
 		return nil
 	}
-	result, execErr := w.o.ExecuteResumable(jobCtx, ResumableJob{
-		Key:            lease.Key,
-		Payload:        lease.Payload,
-		Attempt:        lease.Attempt,
-		Checkpoint:     lease.Checkpoint,
-		CheckpointTick: lease.CheckpointTick,
-		Progress:       progress,
-		Commit:         commit,
-	})
+	result, execErr := w.o.ExecuteResumable(jobCtx, lease.resumable(progress, commit))
 	cancel()
 	hbWG.Wait()
 

@@ -1,7 +1,8 @@
 package node
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"centurion/internal/noc"
 	"centurion/internal/sim"
@@ -91,7 +92,7 @@ func (pe *PE) SaveState(st *PEState, pool *noc.PacketPool) {
 	for inst, js := range pe.joins {
 		st.Joins = append(st.Joins, JoinEntry{Inst: inst, Seen: js.seen, Origin: js.origin, LastTouch: js.lastTouch})
 	}
-	sort.Slice(st.Joins, func(i, j int) bool { return st.Joins[i].Inst < st.Joins[j].Inst })
+	slices.SortFunc(st.Joins, func(a, b JoinEntry) int { return cmp.Compare(a.Inst, b.Inst) })
 
 	// The live slice's order is an artifact of swap-removal driven by join
 	// map iteration (AckInstance via gcJoins), not state: every consumer
@@ -101,7 +102,7 @@ func (pe *PE) SaveState(st *PEState, pool *noc.PacketPool) {
 	for i, o := range pe.outstanding {
 		st.Outstanding[i] = OutstandingEntry{Inst: o.inst, Born: o.born}
 	}
-	sort.Slice(st.Outstanding, func(i, j int) bool { return st.Outstanding[i].Inst < st.Outstanding[j].Inst })
+	slices.SortFunc(st.Outstanding, func(a, b OutstandingEntry) int { return cmp.Compare(a.Inst, b.Inst) })
 
 	st.AdmitRefused = pe.admitRefused
 	st.NextJoin = pe.nextJoin

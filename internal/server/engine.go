@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"centurion/internal/centurion"
+	"centurion/internal/dispatch"
 	"centurion/internal/experiments"
 	"centurion/internal/metrics"
+	"centurion/internal/store"
 )
 
 // JobState is a job's position in its lifecycle.
@@ -121,6 +123,7 @@ type Job struct {
 	result *RunResult
 	stream *stream
 	done   chan struct{}
+	ticket dispatch.Ticket // the coordinator's handle while queued or running
 }
 
 // stream is a job's progress fan-out. It has its own lock so per-window
@@ -140,7 +143,7 @@ type stream struct {
 // samples rather than stalling the simulation.
 func (st *stream) publish(s Sample) {
 	st.mu.Lock()
-	if s.Run == 0 {
+	if s.Run == 0 && !st.finished {
 		st.samples = append(st.samples, s)
 	}
 	for c := range st.subs {
@@ -166,7 +169,8 @@ func (st *stream) finish() {
 	st.mu.Unlock()
 }
 
-// EngineStats is a point-in-time snapshot of the engine.
+// EngineStats is a point-in-time snapshot of the engine. Queued, Running
+// and MeanJobMs are the coordinator's pending, leased and mean run time.
 type EngineStats struct {
 	Workers   int    `json:"workers"`
 	Queued    int    `json:"queued"`
@@ -182,9 +186,9 @@ type EngineStats struct {
 	Cache     CacheStats `json:"cache"`
 }
 
-// ErrQueueFull reports that the engine's admission queue is at capacity;
+// ErrQueueFull reports that the coordinator's queue is at the QueueBound;
 // clients should back off and retry (the API maps it to 503).
-var ErrQueueFull = errors.New("server: job queue full")
+var ErrQueueFull = dispatch.ErrQueueFull
 
 // ErrClosed reports a submission to an engine that has been closed.
 var ErrClosed = errors.New("server: engine closed")
@@ -196,142 +200,94 @@ var ErrClosed = errors.New("server: engine closed")
 // ceiling. (A var so tests can shrink it.)
 var maxJobHistory = 1024
 
-// Engine is the bounded worker-pool job engine: submissions are validated,
-// deduplicated against the cache and in-flight jobs, queued, and executed by
-// a fixed set of workers through the shared experiment runner.
+// Engine is the service's job front end: submissions are deduplicated
+// against the LRU, the durable store and in-flight jobs, and every miss is
+// handed to the lease coordinator — the one job queue, whose in-process
+// slots or leased remote workers run it (DESIGN.md §16).
 type Engine struct {
-	cache   *Cache
-	workers int
-
-	ctx       context.Context
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
-	queue     chan *Job
-	closeOnce sync.Once
+	cache      *Cache
+	coord      *dispatch.Coordinator
+	store      store.Store // durable layer under the LRU; nil = none
+	workers    int
+	queueBound int
+	wg         sync.WaitGroup // one per job waiting on the coordinator
+	closeOnce  sync.Once
 
 	mu       sync.Mutex
-	exec     Executor    // how workers run a job (default: in-process Execute)
-	store    ResultStore // durable layer under the LRU; nil = none
 	jobs     map[string]*Job
 	inflight map[string]*Job // canonical key → queued/running job (coalescing)
 	// Terminal job IDs, oldest first (pruning order). Cache-hit jobs have
 	// their own list so high-rate cached traffic cannot churn freshly
 	// computed jobs out of queryable history.
-	history     []string
-	hitHistory  []string
-	closed      bool
-	nextID      uint64
-	running     int
-	completed   uint64
-	failed      uint64
-	storeHits   uint64
-	meanLatency time.Duration // EWMA of executed-job wall time
+	history    []string
+	hitHistory []string
+	closed     bool
+	nextID     uint64
+	completed  uint64
+	failed     uint64
+	storeHits  uint64
 }
 
-// NewEngine starts an engine with the given worker count (min 1), queue
-// bound and LRU cache capacity.
+// NewEngine starts a store-less engine over a coordinator of its own, with
+// the given in-process slot count (min 1), queue bound and LRU capacity.
 func NewEngine(workers, queueBound, cacheSize int) *Engine {
-	if workers < 1 {
-		workers = 1
-	}
+	return newEngine(dispatch.NewCoordinator(dispatch.Config{}), nil, workers, queueBound, cacheSize)
+}
+
+// newEngine starts an engine over coord, which it owns from then on, with
+// workers in-process slots. st (may be nil) is the durable store under the
+// LRU: it answers misses without re-execution and keeps computed results.
+func newEngine(coord *dispatch.Coordinator, st store.Store, workers, queueBound, cacheSize int) *Engine {
+	workers = max(workers, 1)
 	if queueBound < 1 {
 		queueBound = 64
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	e := &Engine{
-		cache:    NewCache(cacheSize),
-		workers:  workers,
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *Job, queueBound),
-		exec:     Execute,
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
-	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.work()
-	}
-	return e
-}
-
-// SetExecutor replaces how the engine's workers run a job. Call before any
-// submissions (the server wires this during assembly).
-func (e *Engine) SetExecutor(exec Executor) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if exec != nil {
-		e.exec = exec
+	coord.RunLocal(workers, DispatchExecuteResumable(0))
+	return &Engine{
+		cache:      NewCache(cacheSize),
+		coord:      coord,
+		store:      st,
+		workers:    workers,
+		queueBound: queueBound,
+		jobs:       make(map[string]*Job),
+		inflight:   make(map[string]*Job),
 	}
 }
 
-// SetResultStore layers a durable content-addressed store under the LRU:
-// submissions that miss the LRU are answered from the store without
-// re-execution, and freshly computed results are persisted to it.
-func (e *Engine) SetResultStore(s ResultStore) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.store = s
-}
-
-// Close rejects further submissions, cancels running jobs, waits for the
-// workers to exit, and fails any jobs still queued so that no waiter is
-// left blocked on an abandoned job.
+// Close rejects further submissions and closes the coordinator, which
+// cancels running jobs and fails queued ones; it returns once every job has
+// ended, so no waiter is left blocked on an abandoned job.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
-	e.closeOnce.Do(e.stopWorkers)
+	e.closeOnce.Do(func() {
+		e.coord.Close()
+		e.wg.Wait()
+	})
 }
 
-// Drain is the graceful Close: stop admitting, let queued and running jobs
-// finish, then stop the workers. When ctx expires first the remaining jobs
-// are cancelled exactly as in Close, so shutdown is bounded either way.
+// Drain is the graceful Close: stop admitting, let the coordinator's queued
+// and running jobs finish (replayed orphans included), then Close. When ctx
+// expires first the remaining jobs are cancelled exactly as in Close, so
+// shutdown is bounded either way.
 func (e *Engine) Drain(ctx context.Context) {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
 	ticker := time.NewTicker(10 * time.Millisecond)
 	defer ticker.Stop()
-wait:
-	for {
-		e.mu.Lock()
-		idle := len(e.queue) == 0 && e.running == 0
-		e.mu.Unlock()
-		if idle {
-			break
-		}
+	for cs := e.coord.Stats(); cs.Pending+cs.Leased > 0 && ctx.Err() == nil; cs = e.coord.Stats() {
 		select {
 		case <-ctx.Done():
-			break wait
 		case <-ticker.C:
 		}
 	}
-	e.closeOnce.Do(e.stopWorkers)
+	e.Close()
 }
 
-// stopWorkers cancels execution, waits the pool out, and fails whatever is
-// still queued. Run exactly once, via closeOnce.
-func (e *Engine) stopWorkers() {
-	e.cancel()
-	e.wg.Wait()
-	for {
-		select {
-		case j := <-e.queue:
-			e.mu.Lock()
-			e.finish(j, nil, errClosedBeforeRun)
-			e.mu.Unlock()
-		default:
-			return
-		}
-	}
-}
-
-// errClosedBeforeRun fails the jobs still queued when the engine stops.
-var errClosedBeforeRun = errors.New("engine closed before the job ran")
-
-// finish is a job's one terminal transition, whether it ran, was answered
-// from the LRU or the store, or was still queued at shutdown: it records
+// finish is a job's one terminal transition, whether it ran, failed, or was
+// answered from the LRU or the store: it records
 // the outcome, retires the job into queryable history (pruning the oldest
 // beyond the bound), releases its waiters and closes its stream. Callers
 // hold e.mu.
@@ -345,6 +301,9 @@ func (e *Engine) finish(j *Job, res *RunResult, err error) {
 		j.result = res
 		e.completed++
 	}
+	// A retained job must not pin the coordinator's record of it: its
+	// payload, result bytes and last checkpoint.
+	j.ticket = dispatch.Ticket{}
 	delete(e.inflight, j.Key)
 	e.jobs[j.ID] = j
 	hist := &e.history
@@ -362,8 +321,9 @@ func (e *Engine) finish(j *Job, res *RunResult, err error) {
 
 // Submit admits a canonicalized spec. It returns immediately: with the
 // existing job when an identical spec is already queued or running
-// (coalescing), with an already-done job on a cache hit, or with a freshly
-// queued job otherwise. ErrQueueFull reports an admission queue at capacity.
+// (coalescing), with an already-done job on a cache hit, or with a job
+// freshly queued on the coordinator otherwise. ErrQueueFull reports a
+// coordinator queue at the bound.
 func (e *Engine) Submit(spec RunSpec) (*Job, error) {
 	key := spec.CanonicalKey()
 
@@ -410,15 +370,56 @@ func (e *Engine) Submit(spec RunSpec) (*Job, error) {
 		}
 	}
 
-	select {
-	case e.queue <- j:
-	default:
-		return nil, ErrQueueFull
+	payload, err := dispatchPayload(spec)
+	if err != nil {
+		return nil, err
+	}
+	j.ticket, err = e.coord.Submit(key, payload, func(frame []byte) {
+		// A frame that does not decode is dropped; the job goes on.
+		samples, _ := decodeSamples(frame)
+		for _, s := range samples {
+			j.stream.publish(s)
+		}
+	}, e.queueBound)
+	if err != nil {
+		return nil, err
 	}
 	j.State = JobQueued
 	e.jobs[j.ID] = j
 	e.inflight[key] = j
+	e.wg.Add(1)
+	go e.await(j)
 	return j, nil
+}
+
+// await is a queued job's one waiter: it takes the coordinator's outcome,
+// keeps a result in the LRU and the durable store, and finishes the job.
+func (e *Engine) await(j *Job) {
+	defer e.wg.Done()
+	raw, err := j.ticket.Wait(context.Background())
+	var res *RunResult
+	var re *dispatch.RemoteError
+	switch {
+	case err == nil:
+		res = new(RunResult)
+		if err = json.Unmarshal(raw, res); err != nil {
+			err = fmt.Errorf("server: decoding result: %w", err)
+			break
+		}
+		e.cache.Put(j.Key, res)
+		if e.store != nil {
+			// The executor's bytes are the stored form. A store failure must
+			// not fail the job: the result is correct, it just will not
+			// survive a restart.
+			_ = e.store.Put(j.Key, raw)
+		}
+	case errors.As(err, &re):
+		// The spec ran and failed deterministically: report its own error.
+		err = errors.New(re.Msg)
+	}
+	e.mu.Lock()
+	e.finish(j, res, err)
+	e.mu.Unlock()
 }
 
 // Job returns the job by ID.
@@ -444,7 +445,11 @@ func (e *Engine) Wait(ctx context.Context, j *Job) error {
 func (e *Engine) Snapshot(j *Job) (Job, *RunResult) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return *j, j.result
+	snap := *j
+	if snap.State == JobQueued && j.ticket.Leased() {
+		snap.State = JobRunning
+	}
+	return snap, j.result
 }
 
 // Subscribe attaches a progress listener to the job: already-recorded
@@ -497,16 +502,17 @@ func replayFromResult(res *RunResult) []Sample {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() EngineStats {
+	cs := e.coord.Stats()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
 		Workers:   e.workers,
-		Queued:    len(e.queue),
-		Running:   e.running,
+		Queued:    cs.Pending,
+		Running:   cs.Leased,
 		Completed: e.completed,
 		Failed:    e.failed,
 		StoreHits: e.storeHits,
-		MeanJobMs: float64(e.meanLatency) / float64(time.Millisecond),
+		MeanJobMs: cs.MeanRunMs,
 		Cache:     e.cache.Stats(),
 	}
 }
@@ -519,44 +525,24 @@ const (
 )
 
 // RetryAfter estimates when a rejected submission is worth retrying: the
-// queue depth in worker-waves times the mean executed-job latency. It is
-// surfaced as the Retry-After header on 503 responses.
+// coordinator's queue depth (pending + leased) in slot-waves times its mean
+// lease-to-result time. It is surfaced as the Retry-After header on 503
+// responses.
 func (e *Engine) RetryAfter() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	depth := len(e.queue) + e.running
-	mean := e.meanLatency
+	cs := e.coord.Stats()
+	mean := time.Duration(cs.MeanRunMs * float64(time.Millisecond))
 	if mean <= 0 {
 		// No job has executed yet; assume a sub-second spec.
 		mean = 250 * time.Millisecond
 	}
-	waves := depth/e.workers + 1
-	ra := time.Duration(waves) * mean
-	if ra < retryAfterFloor {
-		ra = retryAfterFloor
-	}
-	if ra > retryAfterCeil {
-		ra = retryAfterCeil
-	}
-	return ra
-}
-
-// work is one worker's loop: pull, run, publish.
-func (e *Engine) work() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case j := <-e.queue:
-			e.run(j)
-		}
-	}
+	waves := (cs.Pending+cs.Leased)/e.workers + 1
+	return min(max(time.Duration(waves)*mean, retryAfterFloor), retryAfterCeil)
 }
 
 // Execute synchronously runs a canonicalized spec's batch from its first
 // run, without any engine machinery: the direct path for library callers
-// (centurion.RunSpec) and the engine's default Executor. progress may be nil.
+// (centurion.RunSpec) and the benchmark's reference results. progress may be
+// nil.
 func Execute(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResult, error) {
 	return runBatch(ctx, spec, progress, nil, 0, nil)
 }
@@ -679,44 +665,6 @@ func runSummaryOf(r *experiments.Result) RunSummary {
 		})
 	}
 	return sum
-}
-
-// run executes the job's batch through the engine's executor (in-process
-// or dispatched to a leased remote worker), streaming per-window samples to
-// subscribers as they land and persisting the result durably.
-func (e *Engine) run(j *Job) {
-	e.mu.Lock()
-	j.State = JobRunning
-	e.running++
-	exec := e.exec
-	st := e.store
-	e.mu.Unlock()
-
-	start := time.Now()
-	res, err := exec(e.ctx, j.spec, j.stream.publish)
-	elapsed := time.Since(start)
-	if err == nil {
-		e.cache.Put(j.Key, res)
-		if st != nil {
-			// A store failure must not fail the job: the result is correct,
-			// it just will not survive a restart.
-			if raw, merr := json.Marshal(res); merr == nil {
-				_ = st.Put(j.Key, raw)
-			}
-		}
-	}
-
-	e.mu.Lock()
-	e.running--
-	// EWMA (α=1/5) of executed-job wall time: the figure queue-full
-	// Retry-After advice is derived from.
-	if e.meanLatency == 0 {
-		e.meanLatency = elapsed
-	} else {
-		e.meanLatency += (elapsed - e.meanLatency) / 5
-	}
-	e.finish(j, res, err)
-	e.mu.Unlock()
 }
 
 // aggregate folds per-run summaries into mean ± 95% CI statistics.

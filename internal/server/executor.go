@@ -13,21 +13,6 @@ import (
 	"centurion/internal/wire"
 )
 
-// Executor runs one canonicalized spec's batch. The engine's workers call
-// it for every job that missed the caches; plugging a different Executor is
-// how local in-process execution and remote leased workers coexist behind
-// one job engine.
-type Executor func(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResult, error)
-
-// ResultStore is the durable content-addressed backend the engine layers
-// under its LRU: canonical spec key → encoded RunResult. Implemented by
-// internal/store; a minimal interface here keeps the engine testable with
-// fakes and open to external backends.
-type ResultStore interface {
-	Get(key string) (val []byte, ok bool, err error)
-	Put(key string, val []byte) error
-}
-
 // dispatchEnvelope is the leased-job payload: the canonical spec plus the
 // coordinator's view of the warm-start prefix key for the batch's first run.
 // The key is purely advisory — the worker derives its own key from the spec
@@ -49,56 +34,15 @@ var warmPrefixSkew atomic.Uint64
 // did not match the worker's own derivation.
 func WarmPrefixSkew() uint64 { return warmPrefixSkew.Load() }
 
-// NewDispatchExecutor returns the routing Executor: jobs go to remote
-// leased workers through the coordinator when any are alive, and fall back
-// to in-process execution when dispatch cannot help (no workers registered,
-// every lease attempt lost, coordinator shutting down). A serve-only
-// deployment therefore behaves exactly like the pre-dispatch engine, while
-// attaching `centurion worker` daemons scales the same queue horizontally.
-func NewDispatchExecutor(coord *dispatch.Coordinator) Executor {
-	return func(ctx context.Context, spec RunSpec, progress func(Sample)) (*RunResult, error) {
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			return nil, fmt.Errorf("server: encoding spec for dispatch: %w", err)
-		}
-		env := dispatchEnvelope{Spec: specJSON}
-		env.WarmPrefix, _ = experiments.WarmPrefixKey(spec.toExperiment(0))
-		payload, err := json.Marshal(env)
-		if err != nil {
-			return nil, fmt.Errorf("server: encoding dispatch envelope: %w", err)
-		}
-		res, err := coord.Execute(ctx, spec.CanonicalKey(), payload, func(b []byte) {
-			if progress == nil || len(b) == 0 {
-				return
-			}
-			var samples []Sample
-			if json.Unmarshal(b, &samples) == nil {
-				for _, s := range samples {
-					progress(s)
-				}
-			}
-		})
-		switch {
-		case err == nil:
-			var rr RunResult
-			if uerr := json.Unmarshal(res, &rr); uerr != nil {
-				return nil, fmt.Errorf("server: decoding remote result: %w", uerr)
-			}
-			return &rr, nil
-		case errors.Is(err, dispatch.ErrNoWorkers),
-			errors.Is(err, dispatch.ErrAttemptsExhausted),
-			errors.Is(err, dispatch.ErrClosed):
-			return Execute(ctx, spec, progress)
-		default:
-			var re *dispatch.RemoteError
-			if errors.As(err, &re) {
-				// The spec ran remotely and failed deterministically;
-				// retrying locally would fail identically.
-				return nil, errors.New(re.Msg)
-			}
-			return nil, err
-		}
+// dispatchPayload renders spec as the leased-job envelope.
+func dispatchPayload(spec RunSpec) ([]byte, error) {
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("server: encoding spec for dispatch: %w", err)
 	}
+	env := dispatchEnvelope{Spec: specJSON}
+	env.WarmPrefix, _ = experiments.WarmPrefixKey(spec.toExperiment(0))
+	return json.Marshal(env)
 }
 
 // progressFlushAt is how many samples a worker batches per progress post: a
@@ -187,6 +131,38 @@ func parseDispatchPayload(payload []byte) (RunSpec, error) {
 	return spec, nil
 }
 
+// sampleLen is one sample's size in a progress frame.
+const sampleLen = 4 + 4*8
+
+// appendSamples renders a progress batch as a frame:
+//
+//	u32 n | n × (u32 run | f64 time_ms | f64 throughput | f64 nodes_active | f64 switches)
+func appendSamples(b []byte, samples []Sample) []byte {
+	b = wire.AppendU32(b, uint32(len(samples)))
+	for _, s := range samples {
+		b = wire.AppendU32(b, uint32(s.Run))
+		b = wire.AppendF64(b, s.TimeMs)
+		b = wire.AppendF64(b, s.Throughput)
+		b = wire.AppendF64(b, s.NodesActive)
+		b = wire.AppendF64(b, s.Switches)
+	}
+	return b
+}
+
+// decodeSamples is appendSamples' inverse. Anything that is not exactly one
+// frame, such as the JSON array older workers posted, is an error.
+func decodeSamples(frame []byte) ([]Sample, error) {
+	r := wire.NewReader(frame)
+	out := make([]Sample, r.Count(sampleLen))
+	for i := range out {
+		out[i] = Sample{Run: r.Int(), TimeMs: r.F64(), Throughput: r.F64(), NodesActive: r.F64(), Switches: r.F64()}
+	}
+	if r.Err() == nil && r.Remaining() != 0 {
+		return nil, fmt.Errorf("server: %d bytes after the progress samples", r.Remaining())
+	}
+	return out, r.Err()
+}
+
 // sampleBatcher groups per-window samples into progress posts.
 type sampleBatcher struct {
 	buf  []Sample
@@ -204,15 +180,15 @@ func (b *sampleBatcher) flush() {
 	if len(b.buf) == 0 || b.post == nil {
 		return
 	}
-	if raw, err := json.Marshal(b.buf); err == nil {
-		b.post(raw)
-	}
+	b.post(appendSamples(make([]byte, 0, 4+sampleLen*len(b.buf)), b.buf))
 	b.buf = b.buf[:0]
 }
 
-// DispatchExecuteResumable is the worker daemon's executor: decode a leased
-// envelope, run the batch through the same loop the local engine uses
-// (runBatch), stream sample batches back, and return the encoded result. A
+// DispatchExecuteResumable is the one executor of leased jobs, for worker
+// daemons and the coordinator's in-process slots alike: decode a leased
+// envelope, run the batch through the one batch loop (runBatch), stream
+// sample batches back as progress frames, and return the JSON-encoded
+// result. A
 // lease that carries a prior attempt's checkpoint picks the batch up there —
 // completed runs' summaries are reused and the interrupted run resumes
 // mid-flight; a checkpoint that does not decode or does not fit is discarded.

@@ -20,14 +20,12 @@ const (
 
 // Options sizes the service. Zero values select the defaults.
 type Options struct {
-	// Workers is the simulation worker-pool size (default GOMAXPROCS).
-	// With remote `centurion worker` daemons attached it also bounds how
-	// many dispatch jobs can be outstanding at once — workers blocked on a
-	// lease cost a goroutine, not a core, so raise it freely for
-	// dispatch-heavy deployments.
+	// Workers is how many in-process slots run jobs from the coordinator's
+	// queue (default GOMAXPROCS). The slots lease only while no remote
+	// `centurion worker` daemon is live: attached daemons take every job.
 	Workers int
-	// QueueBound is the admission queue capacity; submissions beyond it
-	// are rejected with 503 (default DefaultQueueBound).
+	// QueueBound bounds the coordinator's pending jobs; submissions beyond
+	// it are rejected with 503 (default DefaultQueueBound).
 	QueueBound int
 	// CacheSize is the LRU result-cache capacity in entries (default
 	// DefaultCacheSize).
@@ -76,11 +74,11 @@ type Server struct {
 	gcSnap GCStats
 }
 
-// New assembles a service and starts its worker pool and lease coordinator.
+// New assembles a service: the lease coordinator with its in-process slots,
+// and the job engine in front of it.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		engine:  NewEngine(opts.Workers, opts.QueueBound, opts.CacheSize),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
@@ -103,12 +101,7 @@ func New(opts Options) *Server {
 		}
 	}
 	s.coord = dispatch.NewCoordinator(opts.Dispatch)
-	// Every job engine worker routes through dispatch: remote when leased
-	// workers are alive, in-process otherwise.
-	s.engine.SetExecutor(NewDispatchExecutor(s.coord))
-	if s.store != nil {
-		s.engine.SetResultStore(s.store)
-	}
+	s.engine = newEngine(s.coord, s.store, opts.Workers, opts.QueueBound, opts.CacheSize)
 	s.routes(s.mux)
 	s.coord.Routes(s.mux)
 	if opts.EnablePprof {
@@ -132,11 +125,10 @@ func (s *Server) Engine() *Engine { return s.engine }
 // Coordinator exposes the dispatch coordinator (stats, in-process workers).
 func (s *Server) Coordinator() *dispatch.Coordinator { return s.coord }
 
-// Close stops the worker pool and coordinator immediately, cancelling any
+// Close stops the engine and coordinator immediately, cancelling any
 // running jobs, and closes the durable store.
 func (s *Server) Close() {
 	s.engine.Close()
-	s.coord.Close()
 	if s.store != nil {
 		_ = s.store.Close()
 	}
@@ -146,11 +138,7 @@ func (s *Server) Close() {
 // drain (workers finish or their leases lapse) until ctx expires, then
 // everything is torn down and the store closed cleanly.
 func (s *Server) Shutdown(ctx context.Context) {
-	// Engine first: its workers are the coordinator's waiters, so a drained
-	// engine leaves the coordinator with nothing in flight.
 	s.engine.Drain(ctx)
-	s.coord.Drain(ctx)
-	s.coord.Close()
 	if s.store != nil {
 		_ = s.store.Close()
 	}
