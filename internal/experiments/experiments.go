@@ -288,6 +288,33 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 	if spec.WindowMs <= 0 {
 		spec.WindowMs = 1
 	}
+	windows := spec.DurationMs / spec.WindowMs
+	windowTicks := sim.Tick(spec.WindowMs) * sim.TicksPerMs
+	res := Result{
+		Spec:        spec,
+		Throughput:  runSeries.Get(float64(spec.WindowMs), windows),
+		NodesActive: runSeries.Get(float64(spec.WindowMs), windows),
+		Switches:    runSeries.Get(float64(spec.WindowMs), windows),
+	}
+	prof := faultProfile(spec)
+
+	// Start from a prefix when there is one: the boundary a previous attempt
+	// committed, else the settled prefix a sibling variant cached (warm start,
+	// DESIGN.md §15) — or mark the prefix for caching as this run passes the
+	// divergence boundary. A resumed run bypasses the warm-start machinery:
+	// its prefix is already decided. A fault-free run's settled prefix is the
+	// whole run, so its lookup comes before a platform is leased: a hit
+	// replays the cached samples and counters and leases nothing.
+	from := resume
+	var buildKey warmKey
+	buildDiv := 0
+	looked := prof == nil && !from.fits(windows, windowTicks, nil)
+	if looked {
+		if from, buildKey, buildDiv = warmLookup(spec, faults.Schedule{}, windows, windowTicks); from != nil {
+			return res.replay(from, prof, progress), nil
+		}
+	}
+
 	// Lease a pooled platform (reset in place for this seed) instead of
 	// assembling a fresh one; the release hands it back for the next run.
 	p, release := leasePlatform(spec)
@@ -301,25 +328,16 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 	// clears the event queue, so the schedule must land after any fork
 	// (ApplySchedule skips already-fired events; nothing fires before the
 	// divergence boundary by construction).
-	prof := faultProfile(spec)
 	var sched faults.Schedule
 	if prof != nil {
 		var err error
 		sched, err = faults.Build(p.Topo, spec.Seed, *prof, spec.DurationMs)
 		if err != nil {
-			return Result{Spec: spec}, err
+			res.Release()
+			return res, err
 		}
 	}
 
-	windows := spec.DurationMs / spec.WindowMs
-	res := Result{
-		Spec:        spec,
-		Throughput:  runSeries.Get(float64(spec.WindowMs), windows),
-		NodesActive: runSeries.Get(float64(spec.WindowMs), windows),
-		Switches:    runSeries.Get(float64(spec.WindowMs), windows),
-	}
-
-	windowTicks := sim.Tick(spec.WindowMs) * sim.TicksPerMs
 	// Milestone boundaries (window indices where the schedule structurally
 	// disrupts the platform) partition the run into recovery segments; the
 	// fabric counters are snapshotted at each boundary so per-wave traffic
@@ -351,52 +369,38 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 	clear(lastWork)
 	var lastCompleted, lastSwitches uint64
 
-	// Start from a prefix when there is one: the boundary a previous attempt
-	// committed, else the settled prefix a sibling variant cached (warm start,
-	// DESIGN.md §15) — or mark the prefix for caching as this run passes the
-	// divergence boundary. A resumed run bypasses the warm-start machinery:
-	// its prefix is already decided.
-	from := resume
-	var buildKey warmKey
-	buildDiv := -1
-	if !from.fits(windows, windowTicks, waveWins) || p.Restore(from.Platform) != nil {
+	if !looked && (!from.fits(windows, windowTicks, waveWins) || p.Restore(from.Platform) != nil) {
 		// A resume checkpoint that is no prefix of this run, or whose
 		// platform state Restore refuses, is discarded: the run starts from
 		// a warm prefix or tick zero instead, which is always correct.
-		from = nil
-		if warmApplicable(spec) {
-			if div := warmDivergenceWin(sched, windows, windowTicks); div > 0 {
-				key := warmKeyOf(spec, div)
-				if from = warmCache.get(key); from != nil && from.Platform != nil && p.Restore(from.Platform) != nil {
-					from = nil
-				}
-				if from == nil {
-					buildKey, buildDiv = key, div
-				}
-			}
+		var key warmKey
+		var div int
+		from, key, div = warmLookup(spec, sched, windows, windowTicks)
+		switch {
+		case from == nil:
+		case from.Platform == nil:
+			// A whole-run prefix: a fault plan that schedules no event, or a
+			// fault-free run whose resume Restore refused.
+			return res.replay(from, prof, progress), nil
+		case p.Restore(from.Platform) != nil:
+			from = nil
+		}
+		if from == nil {
+			buildKey, buildDiv = key, div
 		}
 	}
 	startWin := 0
 	if from != nil {
+		// The platform was restored above; the sampler baselines are
+		// recomputed from the restored state (the watermark invariantly
+		// equals the live value at a window boundary).
 		startWin = from.Win
-		copy(res.Throughput.Values, from.Thr)
-		copy(res.NodesActive.Values, from.Act)
-		copy(res.Switches.Values, from.Sw)
+		res.startFrom(from, progress)
 		waveSnaps = append(waveSnaps, from.WaveSnaps...)
-		if from.Platform != nil {
-			// The platform was restored above; the sampler baselines are
-			// recomputed from the restored state (the watermark invariantly
-			// equals the live value at a window boundary).
-			c := p.Counters()
-			lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
-			for i, pe := range pes {
-				lastWork[i] = pe.WorkCount()
-			}
-		}
-		if progress != nil {
-			for w := 0; w < startWin; w++ {
-				progress(w, res.Throughput.Values[w], res.NodesActive.Values[w], res.Switches.Values[w])
-			}
+		c := p.Counters()
+		lastCompleted, lastSwitches = c.InstancesCompleted, c.TaskSwitches
+		for i, pe := range pes {
+			lastWork[i] = pe.WorkCount()
 		}
 	}
 
@@ -442,23 +446,7 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 		}
 	}
 	res.Counters = p.Counters()
-	if from != nil && from.Platform == nil {
-		// A whole-run prefix replayed from samples; the leased platform was
-		// never touched.
-		res.Counters = from.counters
-	}
 	waveSnaps = append(waveSnaps, snapAt())
-
-	par := metrics.DefaultSettleParams()
-	faultIdx := windows
-	if prof != nil {
-		// The profile has been validated by Build above; its normalized
-		// start time splits steady from hostile.
-		norm, _ := prof.Normalized(spec.DurationMs)
-		if fi := norm.AtMs / spec.WindowMs; fi > 0 && fi < windows {
-			faultIdx = fi
-		}
-	}
 	if spec.FaultProfile != nil {
 		// Byzantine totals and per-wave recovery are reported for explicit
 		// profiles only: a FaultAtMs/NumFaults pair keeps its Result shape.
@@ -466,6 +454,66 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 		res.ByzMisrouted = ns.ByzMisrouted
 		res.ByzDropped = ns.ByzDropped
 		res.ByzDuplicated = ns.ByzDuplicated
+	}
+	res.settle(prof, waveWins, waveSnaps)
+	return res, nil
+}
+
+// warmLookup looks the spec's settled prefix up in the warm-start cache. It
+// returns the cached prefix, if there is one, and the key and boundary at
+// which this run caches its own; div 0 means the spec has no prefix to share.
+func warmLookup(spec Spec, sched faults.Schedule, windows int, windowTicks sim.Tick) (*RunCheckpoint, warmKey, int) {
+	if !warmApplicable(spec) {
+		return nil, warmKey{}, 0
+	}
+	div := warmDivergenceWin(sched, windows, windowTicks)
+	if div <= 0 {
+		return nil, warmKey{}, 0
+	}
+	key := warmKeyOf(spec, div, windows)
+	return warmCache.get(key), key, div
+}
+
+// startFrom copies a prefix's samples into the result and replays them to
+// progress, so the stream a submitter sees covers every window once.
+func (res *Result) startFrom(from *RunCheckpoint, progress Progress) {
+	copy(res.Throughput.Values, from.Thr)
+	copy(res.NodesActive.Values, from.Act)
+	copy(res.Switches.Values, from.Sw)
+	if progress != nil {
+		for w := 0; w < from.Win; w++ {
+			progress(w, res.Throughput.Values[w], res.NodesActive.Values[w], res.Switches.Values[w])
+		}
+	}
+}
+
+// replay answers a run whose settled prefix is the whole run from the cached
+// samples and final counters; no platform is involved. Such a run schedules
+// no fault event, so it has no waves and no byzantine traffic to report.
+func (res *Result) replay(from *RunCheckpoint, prof *faults.Profile, progress Progress) Result {
+	res.startFrom(from, progress)
+	res.Counters = from.counters
+	res.settle(prof, nil, nil)
+	return *res
+}
+
+// settle derives the summary figures from the run's samples: settling time
+// and steady rate before the fault plan starts, recovery and post-fault rate
+// after it, and one recovery record per wave of an explicit profile.
+func (res *Result) settle(prof *faults.Profile, waveWins []int, waveSnaps []NetSnap) {
+	spec := res.Spec
+	windows := res.Throughput.Len()
+	par := metrics.DefaultSettleParams()
+	faultIdx := windows
+	if prof != nil {
+		// The profile has been validated by Build; its normalized start time
+		// splits steady from hostile.
+		norm, _ := prof.Normalized(spec.DurationMs)
+		if fi := norm.AtMs / spec.WindowMs; fi > 0 && fi < windows {
+			faultIdx = fi
+		}
+	}
+	if spec.FaultProfile != nil {
 		for i, start := range waveWins {
 			end := windows
 			if i+1 < len(waveWins) {
@@ -489,7 +537,6 @@ func RunContext(ctx context.Context, spec Spec, progress Progress, resume *RunCh
 	} else {
 		res.PostFaultRate = res.SteadyRate
 	}
-	return res, nil
 }
 
 // RunMany executes n runs of the spec with seeds seedBase..seedBase+n-1 in

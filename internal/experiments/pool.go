@@ -20,18 +20,20 @@ import (
 // (TestSteppingEquivalencePooledReuse) guarantees pooled runs equal fresh
 // ones for every seed.
 
-// platformShape is the pool key: everything about a Spec that affects the
-// *construction* of a platform, as opposed to one run's seed, duration,
-// sampling or fault plan. Two specs with equal shapes can share recycled
-// platforms.
+// platformShape is the identity of a run's platform: everything about a Spec
+// that affects the *construction* of a platform, as opposed to one run's
+// seed, duration, sampling or fault plan. It keys the pool (two specs with
+// equal shapes share recycled platforms), the per-shape stats and, with the
+// prefix fields of warmKey, the warm-start cache. The grid and the topology
+// are defaulted exactly like platform construction defaults them, so a spec
+// that leaves them zero and one that spells out 16×8 mesh are one shape.
 type platformShape struct {
-	model         Model
-	width, height int
-	topology      string
-	// graph identifies a caller-supplied task graph by pointer; nil selects
+	model Model
+	topoKey
+	// graph identifies a caller-supplied task graph by instance; nil selects
 	// the default fork–join workload. Callers that rebuild equivalent graphs
-	// per run should share one instance to pool effectively (graphs are
-	// immutable and race-safe once built).
+	// per run should share one instance to pool and warm-start effectively
+	// (graphs are immutable and race-safe once built).
 	graph      *taskgraph.Graph
 	neighbor   bool
 	ni         aim.NIParams
@@ -41,16 +43,31 @@ type platformShape struct {
 	dvfs       bool
 }
 
-// shape derives the pool key. Call only when the spec is poolable.
+// topoKey is a fabric shape: topology kind and grid. It keys the per-shape
+// pool stats, rendered "kind/WxH" ("mesh/16x8") only by PoolStats.
+type topoKey struct {
+	topology      string
+	width, height int
+}
+
+// shape derives the spec's platform identity. It ignores Mapper, so it keys
+// the pool and the warm cache only for poolable specs.
 func (s Spec) shape() platformShape {
 	k := platformShape{
 		model:    s.Model,
-		width:    s.Width,
-		height:   s.Height,
-		topology: s.topologyKind(),
+		topoKey:  topoKey{topology: s.Topology, width: s.Width, height: s.Height},
 		graph:    s.Graph,
 		neighbor: s.NeighborSignals,
 		dvfs:     s.ThermalDVFS,
+	}
+	if k.topology == "" {
+		k.topology = "mesh"
+	}
+	if k.width <= 0 {
+		k.width = 16
+	}
+	if k.height <= 0 {
+		k.height = 8
 	}
 	switch s.Model {
 	case ModelNI, ModelNIPB:
@@ -69,29 +86,6 @@ func (s Spec) shape() platformShape {
 // Mapper is an opaque interface value, so it cannot key the pool; those
 // (rare, ablation-only) specs build fresh platforms.
 func (s Spec) poolable() bool { return s.Mapper == nil }
-
-// topologyKind normalizes the spec's fabric shape for pool keys and stats.
-func (s Spec) topologyKind() string {
-	if s.Topology == "" {
-		return "mesh"
-	}
-	return s.Topology
-}
-
-// shapeKey is the per-shape stats key, "kind/WxH" ("mesh/16x8"). Dimensions
-// default exactly like platform construction does, so a spec that leaves
-// them zero and one that spells out 16×8 count under the same key — while
-// a 64×64 mesh no longer aliases the default grid's counters.
-func (s Spec) shapeKey() string {
-	w, h := s.Width, s.Height
-	if w <= 0 {
-		w = 16
-	}
-	if h <= 0 {
-		h = 8
-	}
-	return fmt.Sprintf("%s/%dx%d", s.topologyKind(), w, h)
-}
 
 // PlatformConfig builds the platform configuration the spec describes: the
 // one translation from model, seed, grid and workload to a platform, shared
@@ -129,7 +123,7 @@ var (
 	statPacketsRecycled  atomic.Uint64
 
 	// statByTopo breaks the platform counters down per fabric shape
-	// ("kind/WxH" string → *topoCounters) for the /healthz capacity view: a
+	// (topoKey → *topoCounters) for the /healthz capacity view: a
 	// sweep that suddenly stops reusing torus platforms — or that silently
 	// rebuilds every 256×256 mega fabric — shows up here even while the
 	// 16×8 mesh totals look healthy.
@@ -144,11 +138,11 @@ type topoCounters struct {
 
 // topoStat returns the counters for one fabric shape, creating them on
 // first use.
-func topoStat(kind string) *topoCounters {
-	if v, ok := statByTopo.Load(kind); ok {
+func topoStat(k topoKey) *topoCounters {
+	if v, ok := statByTopo.Load(k); ok {
 		return v.(*topoCounters)
 	}
-	v, _ := statByTopo.LoadOrStore(kind, new(topoCounters))
+	v, _ := statByTopo.LoadOrStore(k, new(topoCounters))
 	return v.(*topoCounters)
 }
 
@@ -166,19 +160,20 @@ type pooledPlatform struct {
 // leasePlatform returns a platform ready to run the spec (seeded, clean) and
 // a release function that must be called exactly once when the run is over.
 func leasePlatform(spec Spec) (*centurion.Platform, func()) {
-	shapeKey := spec.shapeKey()
+	shape := spec.shape()
+	stat := topoStat(shape.topoKey)
 	// Every construction counts in both the global and the per-shape
 	// counters (pooled misses, non-poolable specs and shape overflow alike),
 	// so /healthz's by_topology breakdown always sums to the totals.
 	created := func() {
 		statPlatformsCreated.Add(1)
-		topoStat(shapeKey).created.Add(1)
+		stat.created.Add(1)
 	}
 	if !spec.poolable() {
 		created()
 		return centurion.New(spec.PlatformConfig()), func() {}
 	}
-	poolAny, ok := platformPools.Load(spec.shape())
+	poolAny, ok := platformPools.Load(shape)
 	if !ok {
 		if poolShapes.Load() >= maxPoolShapes {
 			// Shape churn overflow: simulate on a throwaway platform.
@@ -186,7 +181,7 @@ func leasePlatform(spec Spec) (*centurion.Platform, func()) {
 			return centurion.New(spec.PlatformConfig()), func() {}
 		}
 		var loaded bool
-		poolAny, loaded = platformPools.LoadOrStore(spec.shape(), new(sync.Pool))
+		poolAny, loaded = platformPools.LoadOrStore(shape, new(sync.Pool))
 		if !loaded {
 			poolShapes.Add(1)
 		}
@@ -198,7 +193,7 @@ func leasePlatform(spec Spec) (*centurion.Platform, func()) {
 		pp = v.(*pooledPlatform)
 		pp.p.Reset(spec.Seed)
 		statPlatformsReused.Add(1)
-		topoStat(shapeKey).reused.Add(1)
+		stat.reused.Add(1)
 	} else {
 		pp = &pooledPlatform{p: centurion.New(spec.PlatformConfig())}
 		created()
@@ -243,12 +238,13 @@ func PoolStats() PoolStatsSnapshot {
 		PlatformsReused:  statPlatformsReused.Load(),
 		PacketsRecycled:  statPacketsRecycled.Load(),
 	}
-	statByTopo.Range(func(k, v any) bool {
+	statByTopo.Range(func(key, v any) bool {
 		tc := v.(*topoCounters)
 		if snap.ByTopology == nil {
 			snap.ByTopology = make(map[string]TopoPoolStats)
 		}
-		snap.ByTopology[k.(string)] = TopoPoolStats{
+		k := key.(topoKey)
+		snap.ByTopology[fmt.Sprintf("%s/%dx%d", k.topology, k.width, k.height)] = TopoPoolStats{
 			PlatformsCreated: tc.created.Load(),
 			PlatformsReused:  tc.reused.Load(),
 		}

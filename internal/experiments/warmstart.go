@@ -2,17 +2,11 @@ package experiments
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
-	"centurion/internal/aim"
 	"centurion/internal/faults"
-	"centurion/internal/noc"
 	"centurion/internal/sim"
-	"centurion/internal/thermal"
 )
 
 // Sweep warm-start (DESIGN.md §15). Every run of a fault sweep simulates the
@@ -27,12 +21,11 @@ import (
 // counters only (no checkpoint), so repeated identical runs — benchmark
 // iterations, cache-cold server sweeps — skip the simulation entirely.
 //
-// Entries are keyed by the SHA-256 of a canonical JSON encoding of the
-// prefix-relevant spec fields (the same canonicalization discipline as
-// server.RunSpec.CanonicalKey): everything that shapes the simulation up to
-// the divergence boundary, and nothing that only matters after it. Specs
-// carrying an opaque Mapper or caller-supplied Graph cannot be keyed and run
-// cold, exactly like the platform pool's poolable() rule.
+// Entries are keyed by warmKey: the platform's identity (platformShape, the
+// pool's key) plus the seed, the sampling window and the prefix length —
+// everything that shapes the simulation up to the divergence boundary, and
+// nothing that only matters after it. Specs carrying an opaque Mapper cannot
+// be keyed and run cold, exactly like the platform pool's poolable() rule.
 
 // warmBudgetDefault bounds the bytes of retained checkpoints and samples;
 // at 16×8 a checkpoint encodes to a few hundred KB, so the default budget
@@ -49,81 +42,29 @@ func init() { warmEnabled.Store(true) }
 // previous setting. Disabling does not drop cached entries.
 func SetWarmStart(on bool) bool { return warmEnabled.Swap(on) }
 
-// warmKey is the prefix cache key: SHA-256 of the canonical prefix spec.
-type warmKey [sha256.Size]byte
-
-// prefixKeySpec is the canonical identity of a settled prefix: every spec
-// field that shapes the simulation before the first fault event, plus the
-// boundary itself. Field order is the canonical encoding order (encoding/json
-// marshals struct fields in declaration order). Fields that the selected
-// model never reads are omitted so they cannot split the cache, mirroring
-// server.RunSpec canonicalization.
-type prefixKeySpec struct {
-	Model     Model           `json:"model"`
-	Seed      uint64          `json:"seed"`
-	PrefixWin int             `json:"prefix_windows"`
-	WindowMs  int             `json:"window_ms"`
-	Width     int             `json:"width"`
-	Height    int             `json:"height"`
-	Topology  string          `json:"topology"`
-	Graph     string          `json:"graph,omitempty"`
-	Neighbor  bool            `json:"neighbor_signals,omitempty"`
-	NI        *aim.NIParams   `json:"ni,omitempty"`
-	FFW       *aim.FFWParams  `json:"ffw,omitempty"`
-	Thermal   *thermal.Params `json:"thermal,omitempty"`
-	DVFS      bool            `json:"dvfs,omitempty"`
+// warmKey is the prefix cache key: the run's platform identity plus the
+// seed, window and prefix length that fix the state at the boundary. whole
+// marks a prefix that is its whole run. Such an entry holds the samples and
+// final counters but no platform snapshot, so it must not serve a longer
+// run that diverges at the same window, nor be served by one.
+type warmKey struct {
+	platformShape
+	seed      uint64
+	windowMs  int
+	prefixWin int
+	whole     bool
 }
 
 // warmKeyOf derives the cache key for the spec's settled prefix of
-// prefixWin windows. Dimensions and topology are normalized exactly like
-// platform construction defaults them, and the model-override params resolve
-// to their effective values, so a spec that spells out the defaults shares
-// entries with one that leaves them zero.
-func warmKeyOf(spec Spec, prefixWin int) warmKey {
-	ks := prefixKeySpec{
-		Model:     spec.Model,
-		Seed:      spec.Seed,
-		PrefixWin: prefixWin,
-		WindowMs:  spec.WindowMs,
-		Width:     spec.Width,
-		Height:    spec.Height,
-		Topology:  spec.topologyKind(),
-		Neighbor:  spec.NeighborSignals,
-		Thermal:   spec.Thermal,
-		DVFS:      spec.ThermalDVFS,
-	}
-	if spec.Graph != nil {
-		// Content digest, not pointer identity: the server's named workloads
-		// are rebuilt per process, and dispatch fleets must agree on keys.
-		ks.Graph = spec.Graph.Fingerprint()
-	}
-	if ks.Width <= 0 {
-		ks.Width = 16
-	}
-	if ks.Height <= 0 {
-		ks.Height = 8
-	}
-	switch spec.Model {
-	case ModelNI, ModelNIPB:
-		par := spec.niParams()
-		ks.NI = &par
-	case ModelFFW:
-		par := spec.ffwParams()
-		ks.FFW = &par
-	}
-	b, err := json.Marshal(ks)
-	if err != nil {
-		// prefixKeySpec holds only plain data; Marshal cannot fail.
-		panic("experiments: marshaling prefix key: " + err.Error())
-	}
-	return sha256.Sum256(b)
+// prefixWin windows of a run of windows windows.
+func warmKeyOf(spec Spec, prefixWin, windows int) warmKey {
+	return warmKey{spec.shape(), spec.Seed, spec.WindowMs, prefixWin, prefixWin == windows}
 }
 
-// warmApplicable reports whether the spec may use the prefix cache at all. A
-// custom Mapper is an opaque interface value that cannot key entries, like
-// poolable(); caller-supplied Graphs are fine — they key by content digest.
+// warmApplicable reports whether the spec may use the prefix cache at all:
+// warm start is on and the spec has a platform identity (poolable).
 func warmApplicable(spec Spec) bool {
-	return warmEnabled.Load() && spec.Mapper == nil
+	return warmEnabled.Load() && spec.poolable()
 }
 
 // warmDivergenceWin returns the divergence boundary in whole windows: the
@@ -138,52 +79,6 @@ func warmDivergenceWin(sched faults.Schedule, windows int, windowTicks sim.Tick)
 		div = windows
 	}
 	return div
-}
-
-// WarmPrefixKey returns the hex prefix-cache key RunContext will use for the
-// spec, and whether the spec is warm-startable at all. The dispatch layer
-// ships it with each leased sweep cell so worker daemons can recognise the
-// shared prefix a batch forks from (they recompute it from the spec anyway;
-// a mismatch flags canonicalization skew between coordinator and worker).
-func WarmPrefixKey(spec Spec) (string, bool) {
-	if spec.DurationMs <= 0 {
-		spec.DurationMs = 1000
-	}
-	if spec.WindowMs <= 0 {
-		spec.WindowMs = 1
-	}
-	if !warmApplicable(spec) {
-		return "", false
-	}
-	windows := spec.DurationMs / spec.WindowMs
-	if windows <= 0 {
-		return "", false
-	}
-	windowTicks := sim.Tick(spec.WindowMs) * sim.TicksPerMs
-	var sched faults.Schedule
-	if prof := faultProfile(spec); prof != nil {
-		w, h := spec.Width, spec.Height
-		if w <= 0 {
-			w = 16
-		}
-		if h <= 0 {
-			h = 8
-		}
-		topo, err := noc.MakeTopology(spec.topologyKind(), w, h)
-		if err != nil {
-			return "", false
-		}
-		sched, err = faults.Build(topo, spec.Seed, *prof, spec.DurationMs)
-		if err != nil {
-			return "", false
-		}
-	}
-	div := warmDivergenceWin(sched, windows, windowTicks)
-	if div <= 0 {
-		return "", false
-	}
-	k := warmKeyOf(spec, div)
-	return hex.EncodeToString(k[:]), true
 }
 
 // warmLRU is the byte-budgeted LRU of settled prefixes, shared process-wide
@@ -238,6 +133,11 @@ func (c *warmLRU) get(key warmKey) *RunCheckpoint {
 }
 
 func (c *warmLRU) put(key warmKey, e *RunCheckpoint) {
+	if key != key {
+		// A NaN parameter makes the key unequal to itself: the entry could
+		// never be found, nor deleted from byKey on eviction.
+		return
+	}
 	size := 3 * 8 * e.Win
 	if e.Platform != nil {
 		// The encoded length is the exact payload size of the state held —

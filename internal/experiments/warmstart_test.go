@@ -6,6 +6,8 @@ import (
 
 	"centurion/internal/aim"
 	"centurion/internal/faults"
+	"centurion/internal/noc"
+	"centurion/internal/sim"
 	"centurion/internal/taskgraph"
 	"centurion/internal/thermal"
 )
@@ -180,7 +182,15 @@ func TestWarmStartBitIdentity(t *testing.T) {
 			defer ResetWarmStart()
 
 			built := Run(tc.spec) // miss: simulates and caches the prefix
+			pool := PoolStats()
 			forked := Run(tc.spec)
+			if !tc.fork {
+				// A whole-run replay leases, resets and builds nothing.
+				after := PoolStats()
+				if after.PlatformsCreated != pool.PlatformsCreated || after.PlatformsReused != pool.PlatformsReused {
+					t.Fatalf("whole-run replay leased a platform: pool %+v -> %+v", pool, after)
+				}
+			}
 
 			requireEqualResults(t, "prefix-building run vs cold", cold, built)
 			requireEqualResults(t, "forked run vs cold", cold, forked)
@@ -297,18 +307,47 @@ func TestWarmStartEviction(t *testing.T) {
 	}
 }
 
+// prefixKeyOf derives the warm-start key RunContext uses for the spec, and
+// whether the spec has a settled prefix to share at all.
+func prefixKeyOf(t *testing.T, spec Spec) (warmKey, bool) {
+	t.Helper()
+	if spec.DurationMs <= 0 {
+		spec.DurationMs = 1000
+	}
+	if spec.WindowMs <= 0 {
+		spec.WindowMs = 1
+	}
+	if !warmApplicable(spec) {
+		return warmKey{}, false
+	}
+	var sched faults.Schedule
+	if prof := faultProfile(spec); prof != nil {
+		k := spec.shape()
+		topo, err := noc.MakeTopology(k.topology, k.width, k.height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sched, err = faults.Build(topo, spec.Seed, *prof, spec.DurationMs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	windows := spec.DurationMs / spec.WindowMs
+	div := warmDivergenceWin(sched, windows, sim.Tick(spec.WindowMs)*sim.TicksPerMs)
+	return warmKeyOf(spec, div, windows), div > 0
+}
+
 func TestWarmPrefixKey(t *testing.T) {
 	spec := DefaultSpec(ModelFFW, 5)
 	spec.DurationMs, spec.FaultAtMs, spec.NumFaults = 240, 120, 8
-	keyA, ok := WarmPrefixKey(spec)
-	if !ok || keyA == "" {
+	keyA, ok := prefixKeyOf(t, spec)
+	if !ok {
 		t.Fatalf("expected a key for a plain sweep cell")
 	}
 
 	// Variants differing only in their fault plan share the prefix key…
 	spec.NumFaults = 32
-	if keyB, ok := WarmPrefixKey(spec); !ok || keyB != keyA {
-		t.Fatalf("fault-count variants must share the prefix key: %q vs %q", keyA, keyB)
+	if keyB, ok := prefixKeyOf(t, spec); !ok || keyB != keyA {
+		t.Fatalf("fault-count variants must share the prefix key")
 	}
 	// …and the key matches what RunContext uses: a run under keyA's spec
 	// must hit the entry a sibling built.
@@ -321,59 +360,138 @@ func TestWarmPrefixKey(t *testing.T) {
 	spec.NumFaults = 32
 	Run(spec)
 	if st := WarmStats(); st.Hits != 1 || st.Entries != 1 {
-		t.Fatalf("WarmPrefixKey-equal variants did not share an entry: %+v", st)
+		t.Fatalf("key-equal variants did not share an entry: %+v", st)
 	}
 
 	// Different seeds, grids or models split the key.
 	other := spec
 	other.Seed++
-	if k, ok := WarmPrefixKey(other); !ok || k == keyA {
+	if k, ok := prefixKeyOf(t, other); !ok || k == keyA {
 		t.Fatalf("seed change must change the key")
+	}
+	grid := spec
+	grid.Width, grid.Height = 8, 8
+	if k, ok := prefixKeyOf(t, grid); !ok || k == keyA {
+		t.Fatalf("grid change must change the key")
+	}
+	model := spec
+	model.Model = ModelNone
+	if k, ok := prefixKeyOf(t, model); !ok || k == keyA {
+		t.Fatalf("model change must change the key")
 	}
 	ni, pb := spec, spec
 	ni.Model, pb.Model = ModelNI, ModelNIPB
-	kn, _ := WarmPrefixKey(ni)
-	if kp, ok := WarmPrefixKey(pb); !ok || kp == kn {
+	kn, _ := prefixKeyOf(t, ni)
+	if kp, ok := prefixKeyOf(t, pb); !ok || kp == kn {
 		t.Fatalf("ni and ni-pb must not share a prefix: a checkpoint holds engine-specific state")
 	}
 	// Faults landing inside the first window leave no settled prefix.
 	immediate := DefaultSpec(ModelFFW, 5)
 	immediate.DurationMs, immediate.WindowMs = 100, 10
 	immediate.FaultAtMs, immediate.NumFaults = 5, 2
-	if _, ok := WarmPrefixKey(immediate); ok {
+	if _, ok := prefixKeyOf(t, immediate); ok {
 		t.Fatalf("faults inside the first window must not be warm-startable")
 	}
-	// Caller-supplied graphs key by content digest: two independently built
-	// copies of a workload share the key (dispatch fleets agree across
-	// processes), while a different workload — or the default graph — splits.
+	// Caller-supplied graphs key by instance, like the platform pool: a
+	// workload keys apart from the default graph, from a different workload
+	// and from a separately built copy of itself.
 	gspec := DefaultSpec(ModelFFW, 5)
 	gspec.DurationMs, gspec.FaultAtMs, gspec.NumFaults = 240, 120, 8
 	gspec.Graph = taskgraph.Pipeline(4, 120, 24)
-	kg, ok := WarmPrefixKey(gspec)
+	kg, ok := prefixKeyOf(t, gspec)
 	if !ok || kg == keyA {
 		t.Fatalf("custom-graph spec must key separately from the default graph")
 	}
+	same := gspec
+	same.NumFaults = 16
+	if k, ok := prefixKeyOf(t, same); !ok || k != kg {
+		t.Fatalf("variants sharing one graph instance must share the key")
+	}
 	rebuilt := gspec
 	rebuilt.Graph = taskgraph.Pipeline(4, 120, 24)
-	if k, ok := WarmPrefixKey(rebuilt); !ok || k != kg {
-		t.Fatalf("independently built equal graphs must share the key")
+	if k, ok := prefixKeyOf(t, rebuilt); !ok || k == kg {
+		t.Fatalf("separately built graphs must key apart, as they pool apart")
 	}
 	other2 := gspec
 	other2.Graph = taskgraph.Diamond(120, 24)
-	if k, ok := WarmPrefixKey(other2); !ok || k == kg {
+	if k, ok := prefixKeyOf(t, other2); !ok || k == kg {
 		t.Fatalf("different workloads must split the key")
 	}
 
 	// Opaque spec fields opt out.
 	opaque := DefaultSpec(ModelFFW, 5)
 	opaque.Mapper = taskgraph.RandomMapper{}
-	if _, ok := WarmPrefixKey(opaque); ok {
+	if _, ok := prefixKeyOf(t, opaque); ok {
 		t.Fatalf("custom-mapper specs must not be warm-startable")
 	}
 	// Disabled subsystem opts everything out.
 	SetWarmStart(false)
-	if _, ok := WarmPrefixKey(spec); ok {
+	if _, ok := prefixKeyOf(t, spec); ok {
 		t.Fatalf("disabled warm start must report not-applicable")
 	}
 	SetWarmStart(true)
+}
+
+// TestDefaultGridIsOneIdentity pins the one identity rule: a spec that
+// leaves the grid and topology zero and one that spells out the 16×8 mesh
+// are the same platform, so they share one pool and one warm entry.
+func TestDefaultGridIsOneIdentity(t *testing.T) {
+	implicit := DefaultSpec(ModelNI, 9)
+	implicit.DurationMs = 60
+	explicit := implicit
+	explicit.Width, explicit.Height, explicit.Topology = 16, 8, "mesh"
+	if implicit.shape() != explicit.shape() {
+		t.Fatalf("default and explicit 16x8 mesh pool apart:\n%+v\n%+v", implicit.shape(), explicit.shape())
+	}
+
+	prev := SetWarmStart(true)
+	defer SetWarmStart(prev)
+	ResetWarmStart()
+	defer ResetWarmStart()
+	cold := coldRun(t, explicit)
+	requireEqualResults(t, "implicit grid (builds)", cold, Run(implicit))
+	requireEqualResults(t, "explicit grid (replays)", cold, Run(explicit))
+	if st := WarmStats(); st.Entries != 1 || st.Hits != 1 {
+		t.Fatalf("default and explicit 16x8 mesh did not share a warm entry: %+v", st)
+	}
+}
+
+// TestWarmWholeRunAndForkPrefixKeyApart: a fault-free run's whole-run entry
+// (samples and counters, no platform) and a longer faulted run's fork
+// prefix that diverges at the same window are different entries. Keyed
+// alike, the longer run resumed from a platform that was never restored.
+func TestWarmWholeRunAndForkPrefixKeyApart(t *testing.T) {
+	short := DefaultSpec(ModelFFW, 3)
+	short.DurationMs = 40
+	long := short
+	long.DurationMs, long.FaultAtMs, long.NumFaults = 120, 40, 6
+	coldShort, coldLong := coldRun(t, short), coldRun(t, long)
+
+	prev := SetWarmStart(true)
+	defer SetWarmStart(prev)
+	ResetWarmStart()
+	defer ResetWarmStart()
+	requireEqualResults(t, "short run", coldShort, Run(short))
+	requireEqualResults(t, "long run after the short one", coldLong, Run(long))
+	requireEqualResults(t, "short run after the long one", coldShort, Run(short))
+	requireEqualResults(t, "long run forked", coldLong, Run(long))
+	if st := WarmStats(); st.Entries != 2 || st.Hits != 2 {
+		t.Fatalf("want one whole-run and one fork entry, each hit once: %+v", st)
+	}
+}
+
+// TestWarmKeyAllocFree: deriving the warm key is a struct copy — no JSON,
+// hashing or formatting on the per-run path.
+func TestWarmKeyAllocFree(t *testing.T) {
+	therm := thermal.DefaultParams()
+	spec := DefaultSpec(ModelNI, 3)
+	spec.Graph = taskgraph.Pipeline(4, 120, 24)
+	spec.Thermal = &therm
+	var key warmKey
+	if n := testing.AllocsPerRun(100, func() { key = warmKeyOf(spec, 500, 1000) }); n != 0 {
+		t.Fatalf("warm key derivation allocates %v times per run", n)
+	}
+	if key.prefixWin != 500 {
+		t.Fatalf("prefix length not keyed: %+v", key)
+	}
 }

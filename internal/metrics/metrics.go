@@ -136,7 +136,7 @@ func Stddev(xs []float64) float64 {
 	sum := 0.0
 	for _, v := range xs {
 		d := v - m
-		sum += d * d
+		sum += float64(d * d) // rounded before the add: no fused multiply-add on arm64
 	}
 	return math.Sqrt(sum / float64(len(xs)-1))
 }
@@ -168,13 +168,15 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	h := p * float64(len(sorted)-1)
+	// The float64 conversions round each product before the subtraction or
+	// addition that follows, so arm64 computes the amd64 quantile bit for bit.
+	h := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(h))
 	frac := h - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return sorted[lo] + float64(frac*(sorted[lo+1]-sorted[lo]))
 }
 
 // Summary holds the quartiles the paper reports (Q1/Q2/Q3 = 25th, 50th,

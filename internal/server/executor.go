@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"centurion/internal/centurion"
 	"centurion/internal/dispatch"
@@ -13,26 +12,12 @@ import (
 	"centurion/internal/wire"
 )
 
-// dispatchEnvelope is the leased-job payload: the canonical spec plus the
-// coordinator's view of the warm-start prefix key for the batch's first run.
-// The key is purely advisory — the worker derives its own key from the spec
-// and warm-starts regardless — but shipping the coordinator's view lets the
-// worker detect canonicalization skew between the two binaries, which would
-// otherwise silently split the warm caches.
+// dispatchEnvelope is the leased-job payload: the canonical spec. The
+// worker derives everything else, its warm-start key included, from the
+// spec itself. Fields an older coordinator added beside the spec are ignored.
 type dispatchEnvelope struct {
-	Spec       json.RawMessage `json:"spec"`
-	WarmPrefix string          `json:"warm_prefix,omitempty"`
+	Spec json.RawMessage `json:"spec"`
 }
-
-// warmPrefixSkew counts leased jobs whose advisory prefix key disagreed with
-// the key this worker derived from the same spec. Nonzero means coordinator
-// and worker canonicalize specs differently (version skew) and their warm
-// caches are keyed apart; /healthz surfaces it via WarmPrefixSkew.
-var warmPrefixSkew atomic.Uint64
-
-// WarmPrefixSkew reports how many leased jobs carried a warm-prefix key that
-// did not match the worker's own derivation.
-func WarmPrefixSkew() uint64 { return warmPrefixSkew.Load() }
 
 // dispatchPayload renders spec as the leased-job envelope.
 func dispatchPayload(spec RunSpec) ([]byte, error) {
@@ -40,9 +25,7 @@ func dispatchPayload(spec RunSpec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding spec for dispatch: %w", err)
 	}
-	env := dispatchEnvelope{Spec: specJSON}
-	env.WarmPrefix, _ = experiments.WarmPrefixKey(spec.toExperiment(0))
-	return json.Marshal(env)
+	return json.Marshal(dispatchEnvelope{Spec: specJSON})
 }
 
 // progressFlushAt is how many samples a worker batches per progress post: a
@@ -109,8 +92,8 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	return jc, nil
 }
 
-// parseDispatchPayload decodes a leased payload — always an envelope — and
-// accounts warm-prefix skew.
+// parseDispatchPayload decodes a leased payload, which is always an
+// envelope.
 func parseDispatchPayload(payload []byte) (RunSpec, error) {
 	var env dispatchEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil {
@@ -119,16 +102,7 @@ func parseDispatchPayload(payload []byte) (RunSpec, error) {
 	if len(env.Spec) == 0 {
 		return RunSpec{}, errors.New("server: dispatch payload is not an envelope (no spec)")
 	}
-	spec, err := ParseSpec(env.Spec)
-	if err != nil {
-		return RunSpec{}, err
-	}
-	if env.WarmPrefix != "" {
-		if mine, ok := experiments.WarmPrefixKey(spec.toExperiment(0)); ok && mine != env.WarmPrefix {
-			warmPrefixSkew.Add(1)
-		}
-	}
-	return spec, nil
+	return ParseSpec(env.Spec)
 }
 
 // sampleLen is one sample's size in a progress frame.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"centurion/internal/dispatch"
-	"centurion/internal/experiments"
 )
 
 // runLeased runs one leased payload through the worker executor, outside any
@@ -25,14 +24,10 @@ func runLeased(ctx context.Context, everyMs int, payload, checkpoint []byte, com
 	})
 }
 
-// envelopeOf wraps a canonical spec the way NewDispatchExecutor ships it.
+// envelopeOf wraps a canonical spec the way the engine ships it.
 func envelopeOf(t testing.TB, spec RunSpec) []byte {
 	t.Helper()
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(dispatchEnvelope{Spec: specJSON})
+	env, err := dispatchPayload(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +35,12 @@ func envelopeOf(t testing.TB, spec RunSpec) []byte {
 }
 
 // TestDispatchEnvelopeIsTheOnlyPayload pins the leased-job wire format: the
-// coordinator ships {"spec": ..., "warm_prefix": ...} envelopes and workers
-// accept nothing else — a bare-spec payload (and anything that is not JSON)
-// is an error, not a second decode path. An enveloped job executes to the
-// same encoded result as the local engine path.
+// coordinator ships {"spec": ...} envelopes and workers accept nothing else
+// — a bare-spec payload (and anything that is not JSON) is an error, not a
+// second decode path. An enveloped job executes to the same encoded result
+// as the local engine path, and so does an envelope in the older format
+// that also carried a "warm_prefix" key: the field is ignored, so journals
+// written before it went still replay.
 func TestDispatchEnvelopeIsTheOnlyPayload(t *testing.T) {
 	ctx := context.Background()
 	spec, err := ParseSpec([]byte(fastSpecJSON))
@@ -69,48 +66,22 @@ func TestDispatchEnvelopeIsTheOnlyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	key, ok := experiments.WarmPrefixKey(spec.toExperiment(0))
-	if !ok || key == "" {
-		t.Fatal("expected a warm-prefix key for a plain fault-free spec")
-	}
-	env, err := json.Marshal(dispatchEnvelope{Spec: specJSON, WarmPrefix: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewBefore := WarmPrefixSkew()
-	enveloped, errMsg := runLeased(ctx, 0, env, nil, nil)
-	if errMsg != "" {
-		t.Fatalf("envelope payload failed: %s", errMsg)
-	}
-	if !bytes.Equal(want, enveloped) {
-		t.Fatal("enveloped job and local execution produced different results")
-	}
-	if got := WarmPrefixSkew(); got != skewBefore {
-		t.Fatalf("matching warm-prefix key counted as skew (%d -> %d)", skewBefore, got)
-	}
-
-	// A key that disagrees with the worker's own derivation is counted as
-	// canonicalization skew but never rejects the job.
-	badEnv, err := json.Marshal(dispatchEnvelope{Spec: specJSON, WarmPrefix: "deadbeef"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed, errMsg := runLeased(ctx, 0, badEnv, nil, nil)
-	if errMsg != "" {
-		t.Fatalf("skewed envelope failed: %s", errMsg)
-	}
-	if !bytes.Equal(want, skewed) {
-		t.Fatal("skewed envelope changed the result")
-	}
-	if got := WarmPrefixSkew(); got != skewBefore+1 {
-		t.Fatalf("warm-prefix skew counter = %d, want %d", got, skewBefore+1)
+	oldFormat := []byte(`{"spec":` + string(specJSON) + `,"warm_prefix":"deadbeef"}`)
+	for name, env := range map[string][]byte{"envelope": envelopeOf(t, spec), "old-format envelope": oldFormat} {
+		got, errMsg := runLeased(ctx, 0, env, nil, nil)
+		if errMsg != "" {
+			t.Fatalf("%s failed: %s", name, errMsg)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("%s and local execution produced different results", name)
+		}
 	}
 }
 
 // TestDispatchExecutorShipsEnvelope runs a leased worker that captures its
 // raw payload, submits a job through the real coordinator path, and asserts
-// the wire bytes are the envelope: a reparseable canonical spec plus the
-// batch's warm-prefix key.
+// the wire bytes are the envelope: a reparseable canonical spec and nothing
+// else.
 func TestDispatchExecutorShipsEnvelope(t *testing.T) {
 	s := New(Options{
 		Workers:    2,
@@ -153,11 +124,38 @@ func TestDispatchExecutorShipsEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("enveloped spec does not reparse: %v", err)
 	}
-	want, ok := experiments.WarmPrefixKey(spec.toExperiment(0))
-	if !ok {
-		t.Fatal("expected the spec to be warm-startable")
+	if !bytes.Equal(payload, envelopeOf(t, spec)) {
+		t.Fatalf("payload is not the bare envelope of its spec: %s", payload)
 	}
-	if env.WarmPrefix != want {
-		t.Fatalf("envelope warm-prefix = %q, want %q", env.WarmPrefix, want)
+}
+
+// FuzzDispatchEnvelope feeds arbitrary bytes to the worker's payload
+// decoder, which reads what a coordinator or a replayed journal hands it.
+// It must never panic, and any spec it accepts must be canonical: shipped
+// again from its own JSON, it parses to the same spec and cache key.
+func FuzzDispatchEnvelope(f *testing.F) {
+	for _, spec := range []string{
+		fastSpecJSON,
+		`{"model":"ni-pb","ni":{"threshold":30},"num_faults":4,"fault_at_ms":500}`,
+		`{"model":"ffw","ffw":{"timeout_ms":12.5},"thermal_dvfs":true,"topology":"torus"}`,
+		`{"duration_ms":200,"fault_profile":{"kind":"cascade","at_ms":45,"nodes":6}}`,
+	} {
+		f.Add([]byte(`{"spec":` + spec + `}`))
+		f.Add([]byte(`{"spec":` + spec + `,"warm_prefix":"deadbeef"}`))
 	}
+	f.Add([]byte(fastSpecJSON))
+	f.Add([]byte(`{"spec":null}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		spec, err := parseDispatchPayload(payload)
+		if err != nil {
+			return
+		}
+		again, err := parseDispatchPayload(envelopeOf(t, spec))
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not re-parse: %v", spec, err)
+		}
+		if again.CanonicalKey() != spec.CanonicalKey() {
+			t.Fatalf("re-parsed spec changed its key:\n%+v\n%+v", spec, again)
+		}
+	})
 }

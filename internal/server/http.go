@@ -169,15 +169,12 @@ type dispatchHealth struct {
 	StoreDegraded bool `json:"store_degraded,omitempty"`
 	// StoreTrips counts how many times the breaker has opened.
 	StoreTrips uint64 `json:"store_trips,omitempty"`
-	// WarmPrefixSkew counts leased jobs whose advisory warm-prefix key
-	// disagreed with this process's own derivation (binary version skew).
-	WarmPrefixSkew uint64 `json:"warm_prefix_skew,omitempty"`
 }
 
 // handleHealth reports liveness plus engine, cache, dispatch, store,
 // platform-pool and GC statistics for capacity monitoring.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	dh := dispatchHealth{Stats: s.coord.Stats(), WarmPrefixSkew: WarmPrefixSkew()}
+	dh := dispatchHealth{Stats: s.coord.Stats()}
 	if s.store != nil {
 		st := s.store.Stats()
 		dh.Store = &st

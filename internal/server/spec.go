@@ -151,9 +151,10 @@ type RunSpec struct {
 }
 
 // graphs enumerates the built-in workloads as shared singletons: graphs are
-// immutable (and their memoized accessors race-safe), and handing every run
-// of a workload the same instance is what lets the experiment runner's
-// platform pool — keyed by graph identity — recycle platforms across jobs.
+// immutable (and their memoized accessors race-safe), and the experiment
+// runner identifies a platform by graph instance. Handing every run of a
+// workload the same instance is what lets its jobs share pooled platforms
+// and warm-start prefixes.
 var graphs = map[string]*taskgraph.Graph{
 	"forkjoin": taskgraph.ForkJoin(taskgraph.DefaultForkJoinParams()),
 	"pipeline": taskgraph.Pipeline(4, 120, 24),

@@ -10,8 +10,6 @@
 package taskgraph
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -232,24 +230,6 @@ func (g *Graph) MaxTaskID() TaskID {
 		}
 	}
 	return maxID
-}
-
-// Fingerprint returns a stable content digest of the graph: its name, every
-// task's fields in ID order and every edge in insertion order (edge order is
-// part of the digest because it is part of construction, and equal digests
-// must promise equal simulations). Two graphs built by the same code in
-// different processes share a fingerprint, which is what lets warm-start
-// prefix keys agree across a dispatch fleet.
-func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "graph %q\n", g.Name)
-	for _, t := range g.Tasks() {
-		fmt.Fprintf(h, "task %d %q %d %d %d\n", t.ID, t.Name, t.Ratio, t.ProcTicks, t.GenPeriod)
-	}
-	for _, e := range g.edges {
-		fmt.Fprintf(h, "edge %d %d %d\n", e.From, e.To, e.Width)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Successors returns the outgoing edges of a task, sorted by destination.

@@ -145,16 +145,19 @@ func (m *Model) Step(workCounts []uint64) {
 
 		t := m.temp[i]
 		// Lateral conduction with the topology's die-adjacent neighbours.
+		// The float64 conversions round each product before it is added:
+		// without them arm64 fuses multiply-adds, and the temperatures (which
+		// drive DVFS) would differ from amd64's.
 		lateral := 0.0
 		for _, nb := range m.lat[i] {
 			if nb >= 0 {
-				lateral += p.Diffusion * (m.temp[nb] - t)
+				lateral += float64(p.Diffusion * (m.temp[nb] - t))
 			}
 		}
 		m.next[i] = t +
-			p.HeatPerWork*work +
+			float64(p.HeatPerWork*work) +
 			p.LeakHeat -
-			p.Cooling*(t-p.Ambient) +
+			float64(p.Cooling*(t-p.Ambient)) +
 			lateral
 	}
 	m.temp, m.next = m.next, m.temp
