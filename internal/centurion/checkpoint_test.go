@@ -4,7 +4,8 @@ package centurion
 // Restore(Snapshot(t)) followed by stepping to T must be indistinguishable —
 // counters, fabric stats, per-window series, per-node state, and the encoded
 // checkpoint bytes themselves — from the uncheckpointed run, for every
-// model × topology × fault timeline × stepping core, whether the fork lands
+// model × topology × fault timeline, in production and under the dense
+// oracle, whether the fork lands
 // on a fresh platform or one leased back dirty from a sync.Pool, and whether
 // the fabric ticks serially or on the parallel tiled kernel. The encoded
 // checkpoint is canonical (identical state → identical bytes), which makes
@@ -34,11 +35,11 @@ import (
 	"centurion/internal/thermal"
 )
 
-// ckptWindows advances p window by window (1 ms each), appending each
-// window's completions to *series.
-func ckptWindows(p *Platform, windows int, series *[]uint64, last *uint64) {
+// ckptWindows advances p window by window (1 ms each, under the dense oracle
+// when dense), appending each window's completions to *series.
+func ckptWindows(p *Platform, dense bool, windows int, series *[]uint64, last *uint64) {
 	for w := 0; w < windows; w++ {
-		p.RunFor(sim.Ms(1), nil)
+		advance(p, sim.Ms(1), dense)
 		c := p.Counters()
 		*series = append(*series, c.InstancesCompleted-*last)
 		*last = c.InstancesCompleted
@@ -78,15 +79,15 @@ func applySched(p *Platform, sched faults.Schedule) {
 //     and the remaining horizon run.
 //
 // All three must agree on every observable and on the final encoded
-// checkpoint bytes.
-func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs int, fork func(*Checkpoint) *Platform) {
+// checkpoint bytes. With dense, all three step under the dense oracle.
+func forkCheck(t *testing.T, cfg Config, dense bool, sched faults.Schedule, snapMs, totalMs int, fork func(*Checkpoint) *Platform) {
 	t.Helper()
 
 	ref := New(cfg)
 	applySched(ref, sched)
 	var refSeries []uint64
 	var refLast uint64
-	ckptWindows(ref, totalMs, &refSeries, &refLast)
+	ckptWindows(ref, dense, totalMs, &refSeries, &refLast)
 	refObs := ckptObserve(ref, refSeries[snapMs:])
 	refBytes := EncodeCheckpoint(ref.Snapshot())
 
@@ -94,7 +95,7 @@ func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs 
 	applySched(src, sched)
 	var srcSeries []uint64
 	var srcLast uint64
-	ckptWindows(src, snapMs, &srcSeries, &srcLast)
+	ckptWindows(src, dense, snapMs, &srcSeries, &srcLast)
 	cp := src.Snapshot()
 	if _, err := DecodeCheckpoint(EncodeCheckpoint(cp)); err != nil {
 		t.Fatalf("the decoder refuses a live platform's checkpoint: %v", err)
@@ -107,11 +108,11 @@ func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs 
 	applySched(forked, sched)
 	var fSeries []uint64
 	fLast := forked.Counters().InstancesCompleted
-	ckptWindows(forked, totalMs-snapMs, &fSeries, &fLast)
+	ckptWindows(forked, dense, totalMs-snapMs, &fSeries, &fLast)
 	forkObs := ckptObserve(forked, fSeries)
 	forkBytes := EncodeCheckpoint(forked.Snapshot())
 
-	ckptWindows(src, totalMs-snapMs, &srcSeries, &srcLast)
+	ckptWindows(src, dense, totalMs-snapMs, &srcSeries, &srcLast)
 	contObs := ckptObserve(src, srcSeries[snapMs:])
 	contBytes := EncodeCheckpoint(src.Snapshot())
 
@@ -127,7 +128,8 @@ func forkCheck(t *testing.T, cfg Config, sched faults.Schedule, snapMs, totalMs 
 }
 
 // TestCheckpointForkBitIdentity is the core matrix: every model on every
-// fabric under both stepping cores, checkpointed at 60 ms — after a 12-node
+// fabric, in production and under the dense oracle (dense=true),
+// checkpointed at 60 ms — after a 12-node
 // kill wave at 50 ms has left dead routers, rerouted tables and in-flight
 // recovery state for the snapshot to capture. The PicoBlaze engine's record
 // leaves out registers, flags, PC and call stack, so it also forks at
@@ -144,11 +146,10 @@ func TestCheckpointForkBitIdentity(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/dense=%v", m.name, topo, dense), func(t *testing.T) {
 					cfg := DefaultConfig(m.factory, m.mapper, 7)
 					cfg.Topology = topo
-					cfg.denseStepping = dense
 					probe := New(cfg)
 					sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, 7)
 					for _, snap := range snaps {
-						forkCheck(t, cfg, sched, snap, 120, func(*Checkpoint) *Platform { return New(cfg) })
+						forkCheck(t, cfg, dense, sched, snap, 120, func(*Checkpoint) *Platform { return New(cfg) })
 					}
 				})
 			}
@@ -168,7 +169,7 @@ func TestCheckpointHostileTimelines(t *testing.T) {
 				cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
 				probe := New(cfg)
 				sched := buildHostile(t, probe, prof, 5)
-				forkCheck(t, cfg, sched, snapMs, 150, func(*Checkpoint) *Platform { return New(cfg) })
+				forkCheck(t, cfg, false, sched, snapMs, 150, func(*Checkpoint) *Platform { return New(cfg) })
 			})
 		}
 	}
@@ -183,12 +184,12 @@ func TestCheckpointRestoreIntoPooledPlatform(t *testing.T) {
 	pool := sync.Pool{New: func() any { return New(cfg) }}
 
 	dirty := pool.Get().(*Platform)
-	driveHostile(dirty, buildHostile(t, dirty, hostileProfiles[3], 0xbada))
+	driveHostile(dirty, false, buildHostile(t, dirty, hostileProfiles[3], 0xbada))
 	pool.Put(dirty)
 
 	probe := New(cfg)
 	sched := buildHostile(t, probe, hostileProfiles[0], 11)
-	forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform {
+	forkCheck(t, cfg, false, sched, 60, 120, func(*Checkpoint) *Platform {
 		return pool.Get().(*Platform)
 	})
 }
@@ -200,11 +201,11 @@ func TestCheckpointRestoreIntoPooledPlatform(t *testing.T) {
 func TestCheckpointRestoreIntoDirtyPlatform(t *testing.T) {
 	cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 11)
 	dirty := New(cfg)
-	driveHostile(dirty, buildHostile(t, dirty, hostileProfiles[3], 0xbada))
+	driveHostile(dirty, false, buildHostile(t, dirty, hostileProfiles[3], 0xbada))
 
 	probe := New(cfg)
 	sched := buildHostile(t, probe, hostileProfiles[0], 11)
-	forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return dirty })
+	forkCheck(t, cfg, false, sched, 60, 120, func(*Checkpoint) *Platform { return dirty })
 }
 
 // TestCheckpointParallelTick covers the tiled tick kernel: snapshots taken
@@ -221,14 +222,14 @@ func TestCheckpointParallelTick(t *testing.T) {
 			cfg := mk(workers)
 			probe := New(cfg)
 			sched := buildHostile(t, probe, hostileProfiles[2], 13)
-			forkCheck(t, cfg, sched, 60, 120, func(*Checkpoint) *Platform { return New(cfg) })
+			forkCheck(t, cfg, false, sched, 60, 120, func(*Checkpoint) *Platform { return New(cfg) })
 		})
 	}
 	t.Run("cross-worker-fork", func(t *testing.T) {
 		serial := mk(1)
 		probe := New(serial)
 		sched := buildHostile(t, probe, hostileProfiles[2], 13)
-		forkCheck(t, serial, sched, 60, 120, func(*Checkpoint) *Platform { return New(mk(4)) })
+		forkCheck(t, serial, false, sched, 60, 120, func(*Checkpoint) *Platform { return New(mk(4)) })
 	})
 }
 
@@ -243,7 +244,7 @@ func TestCheckpointMegaFabric(t *testing.T) {
 	cfg.NoC.Mode = noc.RouteXY
 	probe := New(cfg)
 	sched := buildHostile(t, probe, faults.Profile{Kind: faults.KindDeath, AtMs: 3, Nodes: 12}, 21)
-	forkCheck(t, cfg, sched, 5, 10, func(*Checkpoint) *Platform { return New(cfg) })
+	forkCheck(t, cfg, false, sched, 5, 10, func(*Checkpoint) *Platform { return New(cfg) })
 }
 
 // TestCheckpointBytesPinned pins the CENCKPT1 wire format across refactors
@@ -342,7 +343,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	applySched(src, sched)
 	var series []uint64
 	var last uint64
-	ckptWindows(src, 60, &series, &last)
+	ckptWindows(src, false, 60, &series, &last)
 	cp := src.Snapshot()
 	data := EncodeCheckpoint(cp)
 
@@ -374,7 +375,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 		applySched(p, sched)
 		var s []uint64
 		l := p.Counters().InstancesCompleted
-		ckptWindows(p, 60, &s, &l)
+		ckptWindows(p, false, 60, &s, &l)
 		return s, ckptObserve(p, s), EncodeCheckpoint(p.Snapshot())
 	}
 	_, memObs, memBytes := run(cp)

@@ -3,10 +3,11 @@ package centurion
 // The determinism contract of the activity-tracked stepping core: for the
 // same configuration and seed, parking idle PEs, sweeping only active
 // routers and polling only stimulated engines must be bit-identical to the
-// dense full scan — same counters, same fabric stats, same per-node state,
-// same per-window throughput series, tick for tick. This suite runs both
-// cores side by side across models × seeds, fault-free and faulted, and is
-// the permanent regression guard for ISSUE 2.
+// dense oracle, which touches every component every tick — same counters,
+// same fabric stats, same per-node state, same per-window throughput series,
+// tick for tick. This suite runs production and the oracle side by side
+// across models × seeds, fault-free and faulted, and is the permanent
+// regression guard of the parking machinery.
 
 import (
 	"fmt"
@@ -37,10 +38,41 @@ func scheduleKill(p *Platform, at sim.Tick, nodes []noc.NodeID) {
 	p.Schedule(at, func(sim.Tick) { p.InjectFaults(nodes) })
 }
 
-// driveStepping runs a (fresh or reset) platform for 200 ms and snapshots
-// its observable state. The fault plan (nil = fault-free) is injected through
-// the controller at 50 ms.
-func driveStepping(p *Platform, faultNodes []noc.NodeID) steppingSnapshot {
+// oracleStep is the dense oracle's tick, built on the one production Step:
+// it enrolls every PE, engine and router first, so the sweeps touch every
+// component — a parked PE, an unstimulated engine, a router production
+// forgot — exactly as a full scan would. A component that production parks
+// wrongly (a lost stimulus, a late wake) is ticked here anyway, so the two
+// runs diverge. Routers are enrolled, not stirred: a stir also clears a
+// router's quiet park, and rescanning a byzantine router's blocked head
+// draws from its RNG, which no full scan ever did.
+func oracleStep(p *Platform) {
+	for id := range p.pes {
+		p.peSet.Add(id)
+		p.engSet.Add(id)
+	}
+	for _, r := range p.Net.UniqueRouters() {
+		p.Net.Enroll(r.ID)
+	}
+	p.Step()
+}
+
+// advance runs p for d ticks: through production RunFor, or under the dense
+// oracle one tick at a time, never fast-forwarding.
+func advance(p *Platform, d sim.Tick, dense bool) {
+	if !dense {
+		p.RunFor(d, nil)
+		return
+	}
+	for end := p.Now() + d; p.Now() < end; {
+		oracleStep(p)
+	}
+}
+
+// driveStepping runs a (fresh or reset) platform for 200 ms — under the dense
+// oracle when dense — and snapshots its observable state. The fault plan
+// (nil = fault-free) is injected through the controller at 50 ms.
+func driveStepping(p *Platform, dense bool, faultNodes []noc.NodeID) steppingSnapshot {
 	if len(faultNodes) > 0 {
 		scheduleKill(p, sim.Ms(50), faultNodes)
 	}
@@ -48,7 +80,7 @@ func driveStepping(p *Platform, faultNodes []noc.NodeID) steppingSnapshot {
 	snap := steppingSnapshot{series: make([]uint64, windows)}
 	var last uint64
 	for w := 0; w < windows; w++ {
-		p.RunFor(sim.Ms(1), nil)
+		advance(p, sim.Ms(1), dense)
 		c := p.Counters()
 		snap.series[w] = c.InstancesCompleted - last
 		last = c.InstancesCompleted
@@ -65,8 +97,7 @@ func driveStepping(p *Platform, faultNodes []noc.NodeID) steppingSnapshot {
 
 // runStepping executes one fresh-platform run and snapshots it.
 func runStepping(cfg Config, dense bool, faultNodes []noc.NodeID) steppingSnapshot {
-	cfg.denseStepping = dense
-	return driveStepping(New(cfg), faultNodes)
+	return driveStepping(New(cfg), dense, faultNodes)
 }
 
 func compareSnapshots(t *testing.T, dense, active steppingSnapshot) {
@@ -141,7 +172,7 @@ func TestSteppingEquivalence(t *testing.T) {
 // pooling: one platform per model is constructed once, dirtied by an RCAP
 // threshold write to every node and a run under heavy faults, then
 // Reset(seed) and re-run for every seed × fault plan — and each reused run
-// must be bit-identical to a fresh dense-scan reference: same counters,
+// must be bit-identical to a fresh dense-oracle reference: same counters,
 // fabric stats, per-window series, final tasks and per-node stats. This is
 // what lets RunMany and the server lease recycled platforms instead of
 // rebuilding them.
@@ -155,7 +186,7 @@ func TestSteppingEquivalencePooledReuse(t *testing.T) {
 		if _, err := NewController(reused).BroadcastConfig(noc.OpAIMParam, aim.ParamThreshold, 2); err != nil {
 			t.Fatal(err)
 		}
-		driveStepping(reused, faults.RandomNodes(reused.Topo, 24, sim.NewRNG(0xd117)))
+		driveStepping(reused, false, faults.RandomNodes(reused.Topo, 24, sim.NewRNG(0xd117)))
 
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, faulted := range []bool{false, true} {
@@ -169,7 +200,7 @@ func TestSteppingEquivalencePooledReuse(t *testing.T) {
 					refCfg := DefaultConfig(m.factory, m.mapper, seed)
 					dense := runStepping(refCfg, true, plan)
 					reused.Reset(seed)
-					pooled := driveStepping(reused, plan)
+					pooled := driveStepping(reused, false, plan)
 					compareSnapshots(t, dense, pooled)
 				})
 			}

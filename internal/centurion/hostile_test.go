@@ -8,9 +8,10 @@ package centurion
 //  2. A single-instant death schedule is bit-identical to the bare scheduled
 //     InjectFaults call it replaced, fresh and across pooled Reset reuse.
 //  3. Hostile timelines (churn, flaky links, cascades, byzantine routers)
-//     are themselves deterministic: dense and activity-tracked stepping
-//     agree tick for tick, and a dirtied, Reset platform replays the exact
-//     run — on mesh, torus and cmesh. CI drives this suite under -race.
+//     are themselves deterministic: the dense oracle and production
+//     stepping agree tick for tick, and a dirtied, Reset platform replays
+//     the exact run — on mesh, torus and cmesh. CI drives this suite under
+//     -race.
 
 import (
 	"fmt"
@@ -31,13 +32,14 @@ var hostileProfiles = []faults.Profile{
 	{Kind: faults.KindByzantine, AtMs: 25, Routers: 6, RatePct: 35, Modes: "misroute,drop,dup"},
 }
 
-// driveHostile applies the schedule and runs the platform for 200 ms,
-// snapshotting the same observables the stepping-equivalence suite checks.
-func driveHostile(p *Platform, sched faults.Schedule) steppingSnapshot {
+// driveHostile applies the schedule and runs the platform for 200 ms (under
+// the dense oracle when dense), snapshotting the same observables the
+// stepping-equivalence suite checks.
+func driveHostile(p *Platform, dense bool, sched faults.Schedule) steppingSnapshot {
 	if !sched.Empty() {
 		NewController(p).ApplySchedule(sched)
 	}
-	return driveStepping(p, nil)
+	return driveStepping(p, dense, nil)
 }
 
 // buildHostile compiles a profile against a platform's own fabric.
@@ -52,17 +54,16 @@ func buildHostile(t *testing.T, p *Platform, prof faults.Profile, seed uint64) f
 
 // TestFaultScheduleEmptyBitIdentical proves arming the fault engine with an
 // empty timeline changes nothing: counters, fabric stats, per-window series
-// and per-node state all match a run that never touched the engine, with
-// both stepping cores.
+// and per-node state all match a run that never touched the engine, both in
+// production and under the dense oracle.
 func TestFaultScheduleEmptyBitIdentical(t *testing.T) {
 	for _, topo := range []string{"mesh", "torus", "cmesh"} {
 		for _, dense := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/dense=%v", topo, dense), func(t *testing.T) {
 				cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3)
 				cfg.Topology = topo
-				cfg.denseStepping = dense
-				bare := driveStepping(New(cfg), nil)
-				armed := driveHostile(New(cfg), faults.Schedule{})
+				bare := driveStepping(New(cfg), dense, nil)
+				armed := driveHostile(New(cfg), dense, faults.Schedule{})
 				compareSnapshots(t, bare, armed)
 			})
 		}
@@ -92,11 +93,11 @@ func TestFaultScheduleLegacyDeathBitIdentical(t *testing.T) {
 
 					legacy := New(cfg)
 					nodes := faults.RandomNodes(legacy.Topo, 12, sim.NewRNG(seed^0xfa17517e5eed))
-					want := driveStepping(legacy, nodes)
+					want := driveStepping(legacy, false, nodes)
 
 					engine := New(cfg)
 					sched := buildHostile(t, engine, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, seed)
-					compareSnapshots(t, want, driveHostile(engine, sched))
+					compareSnapshots(t, want, driveHostile(engine, false, sched))
 				})
 			}
 		}
@@ -113,26 +114,26 @@ func TestFaultScheduleLegacyDeathPooledReuse(t *testing.T) {
 			cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 999)
 			cfg.Topology = topo
 			reused := New(cfg)
-			driveHostile(reused, buildHostile(t, reused, hostileProfiles[2], 0xd117))
+			driveHostile(reused, false, buildHostile(t, reused, hostileProfiles[2], 0xd117))
 
 			for seed := uint64(1); seed <= 2; seed++ {
 				refCfg := cfg
 				refCfg.Seed = seed
 				legacy := New(refCfg)
 				nodes := faults.RandomNodes(legacy.Topo, 12, sim.NewRNG(seed^0xfa17517e5eed))
-				want := driveStepping(legacy, nodes)
+				want := driveStepping(legacy, false, nodes)
 
 				reused.Reset(seed)
 				sched := buildHostile(t, reused, faults.Profile{Kind: faults.KindDeath, AtMs: 50, Nodes: 12}, seed)
-				compareSnapshots(t, want, driveHostile(reused, sched))
+				compareSnapshots(t, want, driveHostile(reused, false, sched))
 			}
 		})
 	}
 }
 
 // TestHostileSteppingEquivalence runs every hostile timeline on every
-// fabric under both stepping cores: revivals, link flaps, cascade waves and
-// byzantine interference must not break the dense/active bit-identity
+// fabric in production and under the dense oracle: revivals, link flaps,
+// cascade waves and byzantine interference must not break the bit-identity
 // contract.
 func TestHostileSteppingEquivalence(t *testing.T) {
 	for _, topo := range []string{"mesh", "torus", "cmesh"} {
@@ -141,13 +142,11 @@ func TestHostileSteppingEquivalence(t *testing.T) {
 				cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5)
 				cfg.Topology = topo
 
-				cfg.denseStepping = true
 				dp := New(cfg)
-				dense := driveHostile(dp, buildHostile(t, dp, prof, 5))
+				dense := driveHostile(dp, true, buildHostile(t, dp, prof, 5))
 
-				cfg.denseStepping = false
 				ap := New(cfg)
-				active := driveHostile(ap, buildHostile(t, ap, prof, 5))
+				active := driveHostile(ap, false, buildHostile(t, ap, prof, 5))
 				compareSnapshots(t, dense, active)
 			})
 		}
@@ -164,16 +163,16 @@ func TestHostilePooledReuse(t *testing.T) {
 			cfg := DefaultConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 999)
 			cfg.Topology = topo
 			reused := New(cfg)
-			driveHostile(reused, buildHostile(t, reused, hostileProfiles[3], 0xbada))
+			driveHostile(reused, false, buildHostile(t, reused, hostileProfiles[3], 0xbada))
 
 			for _, prof := range hostileProfiles {
 				refCfg := cfg
 				refCfg.Seed = 6
 				fresh := New(refCfg)
-				want := driveHostile(fresh, buildHostile(t, fresh, prof, 6))
+				want := driveHostile(fresh, false, buildHostile(t, fresh, prof, 6))
 
 				reused.Reset(6)
-				got := driveHostile(reused, buildHostile(t, reused, prof, 6))
+				got := driveHostile(reused, false, buildHostile(t, reused, prof, 6))
 				compareSnapshots(t, want, got)
 			}
 		})

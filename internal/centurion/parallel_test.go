@@ -6,7 +6,7 @@ package centurion
 // same fabric stats, same per-node state, same per-window series, tick for
 // tick. The serial sweep (Workers=1) is the in-tree reference; this suite
 // pits it against Workers=4 across models × seeds × topologies × fault
-// timelines, through pooled Reset reuse, and under both stepping cores. CI
+// timelines, through pooled Reset reuse, and against the dense oracle. CI
 // drives it under -race and at GOMAXPROCS=1 and =4.
 
 import (
@@ -96,7 +96,7 @@ func TestParallelTickHostile(t *testing.T) {
 					cfg := tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 5, workers)
 					cfg.Topology = topo
 					p := New(cfg)
-					return driveHostile(p, buildHostile(t, p, prof, 5))
+					return driveHostile(p, false, buildHostile(t, p, prof, 5))
 				}
 				compareSnapshots(t, run(1), run(4))
 			})
@@ -112,7 +112,7 @@ func TestParallelTickHostile(t *testing.T) {
 func TestParallelTickPooledReuse(t *testing.T) {
 	cfg := tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 999, 4)
 	reused := New(cfg)
-	driveHostile(reused, buildHostile(t, reused, hostileProfiles[3], 0xbada))
+	driveHostile(reused, false, buildHostile(t, reused, hostileProfiles[3], 0xbada))
 
 	for seed := uint64(1); seed <= 2; seed++ {
 		for _, faulted := range []bool{false, true} {
@@ -123,17 +123,17 @@ func TestParallelTickPooledReuse(t *testing.T) {
 				}
 				want := runStepping(tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, seed, 1), false, plan)
 				reused.Reset(seed)
-				compareSnapshots(t, want, driveStepping(reused, plan))
+				compareSnapshots(t, want, driveStepping(reused, false, plan))
 			})
 		}
 	}
 }
 
-// TestParallelTickDenseEquivalence closes the triangle with the stepping
-// cores: on the tiled fabric, dense full scans and activity-tracked sweeps
-// must still agree — per-tile active sets stand in for the global set
-// without changing a single observable — and the parallel dense scan must
-// match both.
+// TestParallelTickDenseEquivalence closes the triangle with the dense
+// oracle: on the tiled fabric, the oracle's full sweeps and production's
+// activity-tracked sweeps must still agree — per-tile active sets stand in
+// for the global set without changing a single observable — and the oracle
+// swept by four workers must match both.
 func TestParallelTickDenseEquivalence(t *testing.T) {
 	plan := faults.RandomNodes(noc.NewTopology(16, 8), 12, sim.NewRNG(0xfa17))
 	serialDense := runStepping(tiledConfig(aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 3, 1), true, plan)

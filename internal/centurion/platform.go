@@ -55,15 +55,6 @@ type Config struct {
 	// hysteresis threshold (the paper's frequency knob, 10–300 MHz on the
 	// real platform).
 	ThermalDVFS bool
-	// denseStepping selects the reference stepping core: every PE, router
-	// and AIM is touched on every tick, as the original implementation did.
-	// Unexported: it is the in-package equivalence suites' oracle, not a
-	// production knob. Every platform outside those tests runs the
-	// activity-tracked core — idle PEs park in the event queue, only routers
-	// holding traffic are serviced, and only stimulated engines are polled —
-	// which is bit-identical by contract (enforced by TestSteppingEquivalence)
-	// but orders of magnitude cheaper at steady state.
-	denseStepping bool
 }
 
 // DefaultConfig returns the paper's experiment configuration with the given
@@ -720,55 +711,39 @@ func (p *Platform) ReviveNodes(nodes []noc.NodeID) {
 // Step advances the platform one tick: scheduled events, processing
 // elements, fabric, then intelligence decisions.
 //
-// The default core is activity-tracked: only enrolled PEs are ticked, only
-// routers holding traffic are serviced, and only stimulated (or timer-due)
-// engines are polled. Sweeps run in ascending node-ID order — the order the
-// dense scan uses — so for the same seed the two cores produce bit-identical
-// counters and series (TestSteppingEquivalence).
+// The core is activity-tracked: only enrolled PEs are ticked, only routers
+// holding traffic are serviced, and only stimulated (or timer-due) engines
+// are polled. Sweeps run in ascending node-ID order, so for the same seed
+// the result is bit-identical to touching every component every tick — the
+// dense oracle the stepping suites drive through this same Step
+// (TestSteppingEquivalence).
 func (p *Platform) Step() {
 	now := p.clock.Now()
 	p.events.RunDue(now)
 	p.stepThermal(now)
-	if p.Cfg.denseStepping {
-		p.stepDense(now)
-	} else {
-		p.peSet.Sweep(func(id int) bool {
-			pe := p.pes[id]
-			pe.Tick(now)
-			wake, has, parkable := pe.NextWake(now)
-			if !parkable {
+	p.peSet.Sweep(func(id int) bool {
+		pe := p.pes[id]
+		pe.Tick(now)
+		wake, has, parkable := pe.NextWake(now)
+		if !parkable {
+			return true
+		}
+		if has {
+			// Near wakes stay enrolled: a few no-op ticks are cheaper than
+			// two event-heap operations (and equally deterministic — an
+			// idle PE's tick is a no-op).
+			if wake-now <= peParkHorizon {
 				return true
 			}
-			if has {
-				// Near wakes stay enrolled: a few no-op ticks are cheaper
-				// than two event-heap operations (and equally deterministic —
-				// the dense scan ticks idle PEs every cycle anyway).
-				if wake-now <= peParkHorizon {
-					return true
-				}
-				p.peWake.schedule(id, wake)
-			}
-			return false
-		})
-		p.netPar = p.Net.ParallelTick()
-		p.Net.Tick(now)
-		p.netPar = false
-		p.engSet.Sweep(func(id int) bool { return p.pollEngine(id, now) })
-	}
-	p.clock.Step()
-}
-
-// stepDense is the reference full scan: every component, every tick.
-func (p *Platform) stepDense(now sim.Tick) {
-	for _, pe := range p.pes {
-		pe.Tick(now)
-	}
+			p.peWake.schedule(id, wake)
+		}
+		return false
+	})
 	p.netPar = p.Net.ParallelTick()
-	p.Net.TickDense(now)
+	p.Net.Tick(now)
 	p.netPar = false
-	for id := range p.engines {
-		p.pollEngine(id, now)
-	}
+	p.engSet.Sweep(func(id int) bool { return p.pollEngine(id, now) })
+	p.clock.Step()
 }
 
 // pollEngine runs one AIM decision pass and applies a fired switch. It
@@ -787,10 +762,8 @@ func (p *Platform) pollEngine(id int, now sim.Tick) bool {
 			fired = true
 		}
 	}
-	if !p.Cfg.denseStepping {
-		if at, has := engine.NextDecide(now); has {
-			p.engWake.schedule(id, at)
-		}
+	if at, has := engine.NextDecide(now); has {
+		p.engWake.schedule(id, at)
 	}
 	return fired
 }
@@ -862,12 +835,8 @@ func (p *Platform) RunFor(d sim.Tick, onTick func(now sim.Tick)) {
 }
 
 // fastForward advances the clock to the next tick with any work pending,
-// capped at end. It is a no-op unless the active stepping core is in use and
-// every component is parked.
+// capped at end. It is a no-op unless every component is parked.
 func (p *Platform) fastForward(end sim.Tick) {
-	if p.Cfg.denseStepping {
-		return
-	}
 	if !p.peSet.Empty() || !p.engSet.Empty() || p.Net.ActiveRouters() > 0 {
 		return
 	}

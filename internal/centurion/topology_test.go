@@ -2,7 +2,7 @@ package centurion
 
 // Topology end-to-end coverage: the pluggable fabrics (torus, concentrated
 // mesh) must run through the exact same stack as the reference mesh — the
-// activity-tracked stepping core must stay bit-identical to the dense scan,
+// activity-tracked stepping core must stay bit-identical to the dense oracle,
 // Platform.Reset must stay bit-identical to fresh construction, the steady
 // state must stay allocation-free, and faulted runs must keep completing
 // work. The mesh itself is covered by the unmodified equivalence suite.
@@ -29,7 +29,7 @@ func topoConfig(topology string, factory aim.Factory, mapper taskgraph.Mapper, s
 
 // TestTopologyEquivalence extends the stepping-core determinism contract to
 // the non-mesh fabrics: for every topology, active stepping must be
-// bit-identical to the dense reference scan, fault-free and faulted.
+// bit-identical to the dense oracle, fault-free and faulted.
 func TestTopologyEquivalence(t *testing.T) {
 	models := []struct {
 		name    string
@@ -72,14 +72,14 @@ func TestTopologyPooledReuse(t *testing.T) {
 		t.Run(topology, func(t *testing.T) {
 			cfg := topoConfig(topology, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, 999)
 			reused := New(cfg)
-			driveStepping(reused, faults.RandomNodes(reused.Topo, 24, sim.NewRNG(0xd117)))
+			driveStepping(reused, false, faults.RandomNodes(reused.Topo, 24, sim.NewRNG(0xd117)))
 
 			for seed := uint64(1); seed <= 2; seed++ {
 				plan := faults.RandomNodes(reused.Topo, 8, sim.NewRNG(seed^0xfa17))
 				refCfg := topoConfig(topology, aim.NewFFWFactory(aim.DefaultFFWParams()), taskgraph.RandomMapper{}, seed)
 				dense := runStepping(refCfg, true, plan)
 				reused.Reset(seed)
-				pooled := driveStepping(reused, plan)
+				pooled := driveStepping(reused, false, plan)
 				compareSnapshots(t, dense, pooled)
 			}
 		})

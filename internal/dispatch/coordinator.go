@@ -874,7 +874,7 @@ func (c *Coordinator) failRemaining() {
 // than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if !c.closed { // else Drain (or a prior Close) already sealed admission
+	if !c.closed { // else a prior Close or CrashForTest already sealed admission
 		c.closed = true
 		c.broadcast()
 	}

@@ -400,9 +400,9 @@ func TestWorkerHTTPEndToEnd(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker did not drain")
 	}
-	// The drained worker deregistered itself, so new submissions fail fast
-	// with ErrNoWorkers (local fallback) instead of waiting out its
-	// liveness window.
+	// The drained worker deregistered itself, so on this slot-less
+	// coordinator new submissions fail fast with ErrNoWorkers instead of
+	// waiting out its liveness window.
 	if c.Stats().WorkersLive != 0 {
 		t.Fatalf("worker still live after graceful drain: %+v", c.Stats())
 	}

@@ -36,7 +36,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	// full throughput/activity/switch series, for every model, fault-free
 	// and faulted — the spec-level face of the stepping determinism
 	// contract (see internal/centurion's TestSteppingEquivalence for the
-	// dense-versus-active half).
+	// production-versus-dense-oracle half).
 	sameSeries := func(a, b *metrics.Series) bool {
 		if len(a.Values) != len(b.Values) {
 			return false

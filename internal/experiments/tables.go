@@ -130,15 +130,11 @@ func Table2(runs int, seedBase uint64, faultCounts []int) Table2Result {
 	for _, m := range Models {
 		for _, k := range faultCounts {
 			spec := DefaultSpec(m, 0)
-			spec.FaultAtMs = 500
 			spec.NumFaults = k
-			var res []Result
-			if k == 0 {
-				spec.FaultAtMs = 0
-				res = RunMany(spec, runs, seedBase)
-			} else {
-				res = RunMany(spec, runs, seedBase)
+			if k > 0 {
+				spec.FaultAtMs = 500
 			}
+			res := RunMany(spec, runs, seedBase)
 			rel := make([]float64, 0, runs)
 			rec := make([]float64, 0, runs)
 			for i := range res {

@@ -425,21 +425,6 @@ func (n *Network) UniqueRouters() []*Router { return n.uniq }
 // Stats returns the fabric-wide counters.
 func (n *Network) Stats() NetworkStats { return n.stats }
 
-// Tick advances the fabric by one cycle. It is the fused network kernel:
-// one pass over each tile's active set, servicing each enrolled router's
-// occupied ports directly against the flat state records, in ascending
-// node-ID order — the same order as the dense full scan — so results are
-// bit-identical to TickDense (a router with no queued packets is a no-op
-// tick either way; its round-robin pointer only advances while traffic is
-// buffered).
-func (n *Network) Tick(now sim.Tick) { n.tick(now, false) }
-
-// TickDense advances every router by one cycle, active or not — the
-// pre-active-set reference scan kept for the stepping-equivalence tests. It
-// runs tile by tile with the same staged merge, so dense and active stepping
-// stay bit-identical at every tile count.
-func (n *Network) TickDense(now sim.Tick) { n.tick(now, true) }
-
 // tickRouter advances one router by one cycle. ctx is the staging context
 // (tile.go): non-nil only during a multi-tile sweep, where effects that
 // would escape the tile are staged for the merge instead of applied.
@@ -779,10 +764,21 @@ func (n *Network) stirAll() {
 // at the given node changed — its sink gained queue space, or its task
 // changed what it absorbs. The platform wires PE dequeues and task switches
 // here so the serving router's parked ports re-evaluate on the same tick
-// the dense scan would have reacted. Spurious stirs are harmless (an extra
-// scan of a parked router is the no-op the dense scan executes every tick).
+// a full scan would have reacted. An honest router's extra scan is a no-op;
+// a byzantine-armed router's is not (a blocked head draws from its RNG
+// again), so stirs must stay where they are.
 func (n *Network) Stir(id NodeID) {
 	n.stirRouter(int(n.routers[id].ID))
+}
+
+// Enroll puts the router serving the given node in its tile's active set
+// without touching its park state, so the next Tick visits it. A router
+// holding traffic is enrolled already; any other visit is a no-op. The
+// centurion stepping suites' dense oracle enrolls every router before every
+// tick, which makes Tick the full scan the active set must match.
+func (n *Network) Enroll(id NodeID) {
+	rid := int(n.routers[id].ID)
+	n.actAdd(rid, &n.state[rid])
 }
 
 // forward moves a head packet one hop out of port out. The ring slot is
@@ -886,10 +882,11 @@ func (n *Network) recoverBlocked(ctx *tileScratch, id int, st *routerState, port
 // interference consumed the service (packet dropped, or forwarded by the
 // byzantine action itself); false hands the head back to the honest path.
 // Every draw comes from the router's private seeded RNG and happens only
-// inside service visits, which are identical under dense and active
-// stepping — so byzantine runs stay bit-reproducible. Its effects (arena
-// clones, alternate-port pushes, direct drops) always apply directly: armed
-// routers force a one-worker sweep, so no staging context is needed.
+// inside service visits, which are identical under the active set and a
+// full scan that honours quiet parks — so byzantine runs stay
+// bit-reproducible. Its effects (arena clones, alternate-port pushes,
+// direct drops) always apply directly: armed routers force a one-worker
+// sweep, so no staging context is needed.
 func (n *Network) byzMeddle(id int, st *routerState, port, out Port, s *ringSlot, now sim.Tick) bool {
 	bz := &n.byz[id]
 	if bz.rate == 0 || uint32(bz.rng.Uint64()>>32) >= bz.rate {

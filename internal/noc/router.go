@@ -151,11 +151,6 @@ func (r *Router) Inject(p *Packet, now sim.Tick) bool {
 	return n.pushPacket(int(r.ID), Local, p, now)
 }
 
-// Tick advances the router by one cycle (a single-router view of the fused
-// network kernel; Network.Tick sweeps the active set instead of calling
-// this per router).
-func (r *Router) Tick(now sim.Tick) { r.net.tickRouter(nil, int(r.ID), &r.net.state[r.ID], now) }
-
 func (r *Router) applyConfig(pkt *Packet, now sim.Tick) {
 	r.Stats.ConfigOps++
 	switch pkt.Op {

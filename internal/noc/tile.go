@@ -51,8 +51,6 @@ import (
 // tiles (a hub router and all its members share a tile).
 type netTile struct {
 	lo, hi int // router/node ID range [lo, hi)
-	// uniqLo/uniqHi is the tile's slice of Network.uniq (for dense sweeps).
-	uniqLo, uniqHi int
 	// set is the tile's active-router set with *offset-local* indices (bit i
 	// = router lo+i). Tiles own disjoint sets so workers never share a mask
 	// word, which a global set could not guarantee (tile boundaries are not
@@ -85,10 +83,9 @@ type dropRec struct {
 
 // tileScratch is the kernel's staging context: one tile's staged work during
 // a multi-tile sweep, reset every tick by the merge. A nil *tileScratch means
-// effects apply directly (single-tile sweep, merge phase, Router.Tick,
-// Fail/Reset drains, byzMeddle). All preallocated and reused: the
-// steady-state tick path stays 0 allocs/op once the slices have grown to the
-// tile's working set.
+// effects apply directly (single-tile sweep, merge phase, Fail/Reset drains,
+// byzMeddle). All preallocated and reused: the steady-state tick path stays
+// 0 allocs/op once the slices have grown to the tile's working set.
 type tileScratch struct {
 	tile  uint16 // own tile index, compared against routerState.tile
 	svc   []svcRec
@@ -170,16 +167,6 @@ func (n *Network) buildTiles(k int) {
 			n.state[id].tile = uint16(i)
 		}
 	}
-	// Carve uniq (ascending router IDs) into per-tile ranges.
-	ui := 0
-	for i := range n.tiles {
-		t := &n.tiles[i]
-		t.uniqLo = ui
-		for ui < len(n.uniq) && int(n.uniq[ui].ID) < t.hi {
-			ui++
-		}
-		t.uniqHi = ui
-	}
 	if k == 1 {
 		return
 	}
@@ -228,38 +215,34 @@ func (n *Network) effWorkers() int {
 // the atomic active-set path for the duration of the tick.
 func (n *Network) ParallelTick() bool { return n.effWorkers() > 1 }
 
-// tick is the body of Tick and TickDense: sweep every tile (in parallel when
-// the crew has more than one worker), then merge the staged boundary work
-// single-threaded in tile order. One tile has no boundary, so its sweep runs
-// with a nil context — nothing stages and there is nothing to merge.
-func (n *Network) tick(now sim.Tick, dense bool) {
+// Tick advances the fabric by one cycle. It is the fused network kernel:
+// sweep every tile's active set (in parallel when the crew has more than one
+// worker), servicing each enrolled router's occupied ports directly against
+// the flat state records in ascending node-ID order, then merge the staged
+// boundary work single-threaded in tile order. A router with no queued
+// packets is a no-op tick, so skipping it is bit-identical to touching
+// every router (the dense oracle of the centurion stepping suites). One tile
+// has no boundary, so its sweep runs with a nil context — nothing stages and
+// there is nothing to merge.
+func (n *Network) Tick(now sim.Tick) {
 	if len(n.tiles) == 1 {
-		n.sweepTile(&n.tiles[0], nil, now, dense)
+		n.sweepTile(&n.tiles[0], nil, now)
 		return
 	}
 	if w := n.effWorkers(); w <= 1 {
 		for t := range n.tiles {
-			n.sweepTile(&n.tiles[t], &n.scratch[t], now, dense)
+			n.sweepTile(&n.tiles[t], &n.scratch[t], now)
 		}
 	} else {
-		n.crew.run(n, now, dense, w)
+		n.crew.run(n, now, w)
 	}
 	n.mergeTiles(now)
 }
 
-// sweepTile runs the kernel over one tile: its active set in ascending ID
-// order, or every router it owns when dense (the pre-active-set reference
-// scan — a router with no queued packets is a no-op tick either way, so the
-// two are bit-identical). Workers claim tiles dynamically, so an empty tile
-// (an idle region of a mega-fabric) costs one set-length check and nothing
-// else.
-func (n *Network) sweepTile(tl *netTile, ctx *tileScratch, now sim.Tick, dense bool) {
-	if dense {
-		for _, r := range n.uniq[tl.uniqLo:tl.uniqHi] {
-			n.tickRouter(ctx, int(r.ID), &n.state[r.ID], now)
-		}
-		return
-	}
+// sweepTile runs the kernel over one tile's active set in ascending ID
+// order. Workers claim tiles dynamically, so an empty tile (an idle region
+// of a mega-fabric) costs one set-length check and nothing else.
+func (n *Network) sweepTile(tl *netTile, ctx *tileScratch, now sim.Tick) {
 	if tl.set.Empty() {
 		return
 	}
@@ -332,15 +315,14 @@ type tickCrew struct {
 	// per-tick job state, published to workers by the kick send
 	// (happens-before) and cleared after the barrier so parked workers
 	// never pin the network.
-	net   *Network
-	now   sim.Tick
-	dense bool
+	net *Network
+	now sim.Tick
 }
 
 // run executes one parallel sweep: publish the job, kick w-1 workers, work
 // the cursor alongside them, and wait for the barrier.
-func (c *tickCrew) run(n *Network, now sim.Tick, dense bool, w int) {
-	c.net, c.now, c.dense = n, now, dense
+func (c *tickCrew) run(n *Network, now sim.Tick, w int) {
+	c.net, c.now = n, now
 	c.cursor.Store(0)
 	need := w - 1
 	for c.started < need {
@@ -351,7 +333,7 @@ func (c *tickCrew) run(n *Network, now sim.Tick, dense bool, w int) {
 	for i := 0; i < need; i++ {
 		c.kick <- struct{}{}
 	}
-	c.work(n, now, dense)
+	c.work(n, now)
 	c.wg.Wait()
 	c.net = nil
 }
@@ -362,19 +344,19 @@ func (c *tickCrew) worker() {
 		case <-c.stop:
 			return
 		case <-c.kick:
-			c.work(c.net, c.now, c.dense)
+			c.work(c.net, c.now)
 			c.wg.Done()
 		}
 	}
 }
 
-func (c *tickCrew) work(n *Network, now sim.Tick, dense bool) {
+func (c *tickCrew) work(n *Network, now sim.Tick) {
 	for {
 		t := int(c.cursor.Add(1)) - 1
 		if t >= len(n.tiles) {
 			return
 		}
-		n.sweepTile(&n.tiles[t], &n.scratch[t], now, dense)
+		n.sweepTile(&n.tiles[t], &n.scratch[t], now)
 	}
 }
 

@@ -92,22 +92,6 @@ func TestTilePartition(t *testing.T) {
 			if next != s.w*s.h {
 				t.Errorf("tiles cover [0, %d), want [0, %d)", next, s.w*s.h)
 			}
-			// The uniq carve must cover every router exactly once, in order.
-			ui := 0
-			for i, tile := range n.tiles {
-				if tile.uniqLo != ui {
-					t.Errorf("tile %d uniq range starts at %d, want %d", i, tile.uniqLo, ui)
-				}
-				for u := tile.uniqLo; u < tile.uniqHi; u++ {
-					if id := int(n.uniq[u].ID); id < tile.lo || id >= tile.hi {
-						t.Errorf("tile %d owns uniq router %d outside [%d, %d)", i, id, tile.lo, tile.hi)
-					}
-				}
-				ui = tile.uniqHi
-			}
-			if ui != len(n.uniq) {
-				t.Errorf("uniq carve covers %d routers, want %d", ui, len(n.uniq))
-			}
 		})
 	}
 }

@@ -144,7 +144,12 @@ func FuzzDispatchEnvelope(f *testing.F) {
 		f.Add([]byte(`{"spec":` + spec + `,"warm_prefix":"deadbeef"}`))
 	}
 	f.Add([]byte(fastSpecJSON))
-	f.Add([]byte(`{"spec":null}`))
+	// A null spec is refused, not read as the all-defaults run.
+	null := []byte(`{"spec":null}`)
+	if _, err := parseDispatchPayload(null); err == nil {
+		f.Fatalf("%s accepted", null)
+	}
+	f.Add(null)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		spec, err := parseDispatchPayload(payload)
 		if err != nil {

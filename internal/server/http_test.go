@@ -133,6 +133,16 @@ func TestSubmitValidationAndNotFound(t *testing.T) {
 	if resp0.StatusCode != http.StatusBadRequest {
 		t.Errorf("sweep with unknown field: code %d, want 400", resp0.StatusCode)
 	}
+	for _, body := range []string{`null`, `{"runs": 1} trailing`, `{"runs": 1}{"runs": 2}`} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep body %s: code %d, want 400", body, resp.StatusCode)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/v1/runs/job-999")
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -161,13 +163,31 @@ var graphs = map[string]*taskgraph.Graph{
 	"diamond":  taskgraph.Diamond(120, 24),
 }
 
-// ParseSpec decodes a JSON run-spec, rejecting unknown fields, and returns
-// it canonicalized and validated.
-func ParseSpec(data []byte) (RunSpec, error) {
-	var s RunSpec
+// decodeObject decodes data as exactly one JSON object into v, refusing
+// unknown fields. It also refuses a bare null (which would leave v all
+// defaults) and any bytes after the object, both of which
+// json.Decoder.Decode lets through.
+func decodeObject(data []byte, v any) error {
+	if b := bytes.TrimLeft(data, " \t\r\n"); len(b) == 0 || b[0] != '{' {
+		return errors.New("want one JSON object")
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON object")
+	}
+	return nil
+}
+
+// ParseSpec decodes one JSON run-spec object, rejecting unknown fields and
+// trailing bytes, and returns it canonicalized and validated. An empty
+// object is the all-defaults spec.
+func ParseSpec(data []byte) (RunSpec, error) {
+	var s RunSpec
+	if err := decodeObject(data, &s); err != nil {
 		return s, fmt.Errorf("decoding run spec: %w", err)
 	}
 	if err := s.Canonicalize(); err != nil {

@@ -21,6 +21,10 @@ func TestParseSpecDefaults(t *testing.T) {
 	if s != want {
 		t.Errorf("canonical defaults = %+v, want %+v", s, want)
 	}
+	// Whitespace around the one object is not trailing data.
+	if padded, err := ParseSpec([]byte(" {}\n")); err != nil || padded != want {
+		t.Errorf("ParseSpec(\" {}\\n\") = %+v, %v; want the defaults", padded, err)
+	}
 }
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
@@ -61,6 +65,11 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"ni-pb inhibition", `{"model": "ni-pb", "ni": {"inhibit_weight": 2}}`},
 		{"ni-pb neighbour weight", `{"model": "ni-pb", "ni": {"neighbor_weight": 1}}`},
 		{"ni-pb threshold beyond 8 bits", `{"model": "ni-pb", "ni": {"threshold": 300}}`},
+		// A spec is exactly one JSON object: null is not the default spec,
+		// and nothing may follow the object.
+		{"null", `null`},
+		{"trailing bytes", `{"model":"ni"} trailing`},
+		{"two objects", `{"model":"ni"}{"model":"ffw"}`},
 	}
 	for _, tc := range cases {
 		if _, err := ParseSpec([]byte(tc.json)); err == nil {

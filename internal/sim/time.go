@@ -21,12 +21,15 @@ type Tick int64
 const TicksPerMs = 10
 
 // Ms converts a duration in simulated milliseconds to Ticks using the
-// default resolution, rounding to the nearest tick.
+// default resolution, rounding to the nearest tick. The explicit float64
+// conversion rounds the product before the ±0.5, so arm64 cannot fuse the
+// two into one multiply-add and round a client-supplied duration
+// differently from amd64.
 func Ms(ms float64) Tick {
 	if ms < 0 {
-		return Tick(ms*TicksPerMs - 0.5)
+		return Tick(float64(ms*TicksPerMs) - 0.5)
 	}
-	return Tick(ms*TicksPerMs + 0.5)
+	return Tick(float64(ms*TicksPerMs) + 0.5)
 }
 
 // Milliseconds reports the tick count as simulated milliseconds.
